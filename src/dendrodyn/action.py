@@ -166,11 +166,19 @@ def evaluate_word(w: Word, gens: GeneratorSet) -> Homeo:
     return result
 
 
-def apply_word(w: Word, gens: GeneratorSet, p: DPoint) -> DPoint:
-    """Image of a point under a word, letter by letter (no homeo composition)."""
-    for sym, sign in reversed(w.letters):
-        p = apply(gens.homeo(sym, sign), p)
-    return p
+def word_images(gens: GeneratorSet, words: Iterable[Word], start, step):
+    """Yield ``(word, image)`` per word, in order, without composing homeos.
+
+    The empty word maps to ``start``; the reduced word ``l w`` maps to
+    ``step(gens.homeo(l), image of w)``, memoised by suffix to share work.
+    """
+    images = {(): start}
+    for w in words:
+        letters = reduce_word(w).letters
+        for j in reversed(range(len(letters))):
+            if letters[j:] not in images:
+                images[letters[j:]] = step(gens.homeo(*letters[j]), images[letters[j + 1:]])
+        yield w, images[letters]
 
 
 @dataclass(frozen=True)
@@ -363,10 +371,7 @@ def detect_recurrence(gens: GeneratorSet, x: DPoint, eps, max_length: int
     eps = Fraction(eps)
     x = gens.dendrite.check_point(x)
     witnesses = []
-    for w in word_ball(gens, max_length):
-        if len(w) == 0:
-            continue
-        image = apply_word(w, gens, x)
+    for w, image in word_images(gens, word_ball(gens, max_length)[1:], x, apply):
         if image == x:
             continue
         d = gens.dendrite.distance(image, x)

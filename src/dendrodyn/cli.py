@@ -14,7 +14,6 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -26,6 +25,7 @@ from .action import (
     detect_finite_orbit,
     minimal_set_approx,
     orbit,
+    word_images,
 )
 from .dendrite import hausdorff_distance
 from .equicontinuity import (
@@ -46,8 +46,7 @@ from .measure import (
     invariance_defect,
     push_forward,
 )
-from .action import evaluate_word
-from .util import frac, frac_str
+from .util import frac, frac_str, read_param
 from .zoo import (
     ZooSystem,
     folner_scheme_Z,
@@ -74,7 +73,6 @@ class ExperimentConfig:
     out: str = "."
     format: str = "json"
     seed: int = 0
-    threads: int = 1
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -88,14 +86,11 @@ class ExperimentConfig:
                   parameters=doc.get("parameters", {}) or {},
                   out=doc.get("out", "."),
                   format=doc.get("format", "json"),
-                  seed=int(doc.get("seed", 0)),
-                  threads=int(doc.get("threads", 1)))
+                  seed=read_param(doc.get("seed", 0), "seed", minimum=None))
         if cfg.format not in ("json", "csv"):
             raise ConfigInvalid(f"unknown format {cfg.format!r}")
         if cfg.command not in SYSTEMLESS and cfg.system is None:
             raise ConfigInvalid(f"command {command!r} needs a system")
-        if cfg.threads < 1:
-            raise ConfigInvalid("threads must be >= 1")
         return cfg
 
 
@@ -140,12 +135,12 @@ def _resolve_point(spec, system: ZooSystem):
             depth = system.properties.get("depth")
             if depth is None:
                 raise ConfigInvalid("'leaf' points only apply to tree systems")
-            return leaf_point(X, depth, int(spec["leaf"]))
+            return leaf_point(X, depth, read_param(spec["leaf"], "leaf", minimum=None))
         return ser.point_from_json(spec, X)
     if isinstance(spec, (str, int)):
         if len(X.edges) != 1:
             raise ConfigInvalid("bare interval coordinates need a single-edge dendrite")
-        return X.point(X.edges[0].eid, frac(spec))
+        return X.point(X.edges[0].eid, read_param(spec, "point coordinate", frac, None))
     raise ConfigInvalid(f"cannot interpret point spec {spec!r}")
 
 
@@ -175,14 +170,14 @@ def _minimal_set(system: ZooSystem, params: dict):
     # tree systems have finite orbits closing within one sweep of the cycle;
     # elsewhere keep the look-ahead short since infinite orbit balls grow fast
     default_budget = 2 ** depth + 1 if depth is not None else 16
-    budget = int(params.get("budget", default_budget))
+    budget = read_param(params.get("budget", default_budget), "budget", minimum=1)
+    radius = read_param(params.get("R", 6), "R")
+    eps = read_param(params.get("eps", "1/16"), "eps", frac, None)
     result = detect_finite_orbit(system.generators, x, budget)
     if result.found:
         points, certified = result.orbit, True
     else:
-        radius = int(params.get("R", 6))
-        approx = minimal_set_approx(system.generators, x, max(radius, 2),
-                                    frac(params.get("eps", "1/16")))
+        approx = minimal_set_approx(system.generators, x, max(radius, 2), eps)
         points, certified = approx.points, False
     minimal_class = params.get("minimal_class")
     if minimal_class is None:
@@ -212,20 +207,13 @@ def _default_dictionary(system: ZooSystem, params: dict) -> list[TestFunction]:
     return [TestFunction.distance_to(X, p) for p in points]
 
 
-def _pmap(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 # -- command implementations -----------------------------------------------------
 
 
 def _cmd_orbit(cfg, system):
     params = cfg.parameters
     x = _resolve_point(params.get("x"), system)
-    radius = int(params.get("R", 4))
+    radius = read_param(params.get("R", 4), "R")
     report = orbit(system.generators, x, radius)
     return {
         "base": ser.point_to_json(report.base),
@@ -239,7 +227,7 @@ def _cmd_orbit(cfg, system):
 def _cmd_finite_orbit(cfg, system):
     params = cfg.parameters
     x = _resolve_point(params.get("x"), system)
-    budget = int(params.get("budget", params.get("R", 16)))
+    budget = read_param(params.get("budget", params.get("R", 16)), "budget", minimum=1)
     result = detect_finite_orbit(system.generators, x, budget)
     doc = {
         "base": ser.point_to_json(system.dendrite.check_point(x)),
@@ -256,8 +244,8 @@ def _cmd_finite_orbit(cfg, system):
 def _cmd_minimal_set(cfg, system):
     params = cfg.parameters
     x = _resolve_point(params.get("x"), system)
-    radius = int(params.get("R", 4))
-    eps = frac(params.get("eps", "1/16"))
+    radius = read_param(params.get("R", 4), "R", minimum=2)
+    eps = read_param(params.get("eps", "1/16"), "eps", frac, None)
     approx = minimal_set_approx(system.generators, x, radius, eps)
     return {
         "base": ser.point_to_json(system.dendrite.check_point(x)),
@@ -272,7 +260,7 @@ def _cmd_minimal_set(cfg, system):
 
 def _cmd_classify(cfg, system):
     params = cfg.parameters
-    eps = frac(params.get("eps", "1/8"))
+    eps = read_param(params.get("eps", "1/8"), "eps", frac, None)
     m, certified, _ = _minimal_set(system, params)
     minimal_class = params.get("minimal_class",
                                system.properties.get("expected_minimal_class"))
@@ -289,7 +277,7 @@ def _cmd_classify(cfg, system):
 
 def _cmd_tower(cfg, system):
     params = cfg.parameters
-    n_max = int(params.get("n_max", 4))
+    n_max = read_param(params.get("n_max", 4), "n_max", minimum=1)
     m, _, tower_class = _minimal_set(system, params)
     tower = build_tree_tower(system.generators, m, n_max,
                              minimal_class=tower_class,
@@ -308,7 +296,7 @@ def _cmd_tower(cfg, system):
 
 def _cmd_cover(cfg, system):
     params = cfg.parameters
-    n = int(params.get("n", 1))
+    n = read_param(params.get("n", 1), "n", minimum=1)
     m, _, tower_class = _minimal_set(system, params)
     tower = build_tree_tower(system.generators, m, n,
                              minimal_class=tower_class,
@@ -329,15 +317,16 @@ def _cmd_cover(cfg, system):
 
 def _cmd_certify(cfg, system):
     params = cfg.parameters
-    n_max = int(params.get("n_max", 4))
+    n_max = read_param(params.get("n_max", 4), "n_max", minimum=1)
     m, _, tower_class = _minimal_set(system, params)
     eps_grid = params.get("eps_grid")
     if eps_grid is not None:
-        eps_grid = [frac(e) for e in eps_grid]
+        eps_grid = [read_param(e, "eps_grid", frac, None) for e in eps_grid]
     mesh_target = params.get("mesh_target")
     cert = equicontinuity_certificate(
         system.generators, m, n_max,
-        mesh_target=frac(mesh_target) if mesh_target is not None else None,
+        mesh_target=(read_param(mesh_target, "mesh_target", frac, None)
+                     if mesh_target is not None else None),
         eps_grid=eps_grid,
         minimal_class=tower_class,
         orbit_budget=params.get("orbit_budget"),
@@ -356,8 +345,7 @@ def _cmd_pushforward(cfg, system):
     params = cfg.parameters
     mu = _resolve_measure(params.get("measure"), system)
     w = Word.parse(params.get("word", "e"))
-    h = evaluate_word(w, system.generators)
-    pushed = push_forward(h, mu)
+    _, pushed = next(word_images(system.generators, [w], mu, push_forward))
     return {"word": str(w),
             "measure": ser.measure_to_json(pushed),
             "total_mass": frac_str(pushed.total_mass())}, 0
@@ -367,7 +355,7 @@ def _cmd_folner_average(cfg, system):
     params = cfg.parameters
     scheme = folner_scheme_Z(params.get("scheme_symbol", system.generators.symbols[0]))
     mu0 = _resolve_measure(params.get("measure", {"dirac": params.get("x")}), system)
-    n = int(params.get("n", 4))
+    n = read_param(params.get("n", 4), "n")
     nu = folner_average(system.generators, scheme, mu0, n)
     fns = _default_dictionary(system, params)
     return {"n": n,
@@ -377,24 +365,23 @@ def _cmd_folner_average(cfg, system):
 
 def _cmd_defect(cfg, system):
     params = cfg.parameters
-    ns = [int(n) for n in params.get("ns", [1, 2, 4, 8, 16])]
+    ns = [read_param(n, "ns") for n in params.get("ns", [1, 2, 4, 8, 16])]
     scheme = folner_scheme_Z(params.get("scheme_symbol", system.generators.symbols[0]))
     mu0 = _resolve_measure(params.get("measure", {"dirac": params.get("x")}), system)
     fns = _default_dictionary(system, params)
     sup = max(f.sup_norm() for f in fns)
 
-    def row(n):
+    rows = []
+    for n in ns:
         nu = folner_average(system.generators, scheme, mu0, n)
-        return [n, frac_str(invariance_defect(system.generators, nu, fns)),
-                frac_str(2 * sup / (2 * n + 1))]
-
-    rows = _pmap(row, ns, cfg.threads)
+        rows.append([n, frac_str(invariance_defect(system.generators, nu, fns)),
+                     frac_str(2 * sup / (2 * n + 1))])
     return {"rows": rows, "sup_norm": frac_str(sup)}, 0
 
 
 def _cmd_paradox(cfg, system):
     params = cfg.parameters
-    max_length = int(params.get("L", 3))
+    max_length = read_param(params.get("L", 3), "L", minimum=1)
     report = verify_paradox_partition(max_length)
     doc = {
         "L": max_length,
@@ -413,7 +400,7 @@ def _cmd_paradox(cfg, system):
 
 def _cmd_folner_ratio(cfg, system):
     params = cfg.parameters
-    ns = [int(n) for n in params.get("ns", [2, 10, 50])]
+    ns = [read_param(n, "ns") for n in params.get("ns", [2, 10, 50])]
     symbol = params.get("scheme_symbol", "g")
     scheme = folner_scheme_Z(symbol)
     g = params.get("g", symbol)
@@ -424,7 +411,7 @@ def _cmd_folner_ratio(cfg, system):
 def _cmd_proximality(cfg, system):
     params = cfg.parameters
     mu0 = _resolve_measure(params.get("measure"), system)
-    radius = int(params.get("R", 3))
+    radius = read_param(params.get("R", 3), "R")
     trace = strong_proximality_scan(system.generators, mu0, radius)
     return {"R": radius,
             "rows": [[k, frac_str(s), w] for k, s, w in trace.rows]}, 0
@@ -537,7 +524,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", required=True, help="experiment JSON file")
     run.add_argument("--out", default=None, help="output directory")
     run.add_argument("--format", default=None, choices=("json", "csv"))
-    run.add_argument("--threads", type=int, default=None)
     run.add_argument("--seed", type=int, default=None)
 
     zoo = sub.add_parser("zoo", help="inspect the bundled systems")
@@ -563,7 +549,7 @@ def main(argv=None) -> int:
             if not os.path.exists(args.config):
                 raise ConfigInvalid(f"config file {args.config!r} does not exist")
             doc = ser.load_json(args.config)
-            for flag in ("out", "format", "threads", "seed"):
+            for flag in ("out", "format", "seed"):
                 value = getattr(args, flag)
                 if value is not None:
                     doc[flag] = value
@@ -602,3 +588,7 @@ def main(argv=None) -> int:
 
 def console_entry():
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    console_entry()

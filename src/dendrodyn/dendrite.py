@@ -16,6 +16,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .errors import (
     ChainingViolation,
     CycleCreated,
+    DendriteMismatch,
     DendrodynError,
     EmptyCover,
     EmptySet,

@@ -31,7 +31,7 @@ from .errors import (
     NotProbability,
 )
 from .homeo import apply, image_point_set, image_subdendrite
-from .action import GeneratorSet, Word, detect_finite_orbit, evaluate_word, word_ball
+from .action import GeneratorSet, detect_finite_orbit, word_ball, word_images
 from .measure import PLMeasure, push_forward
 from .util import point_key
 
@@ -389,18 +389,11 @@ def strong_proximality_scan(gens: GeneratorSet, mu0: PLMeasure, radius: int,
     """
     if not mu0.is_probability():
         raise NotProbability("the scanned measure must be a probability")
-    rows = []
-    best = _spread(mu0, mass_threshold)
-    best_word = Word.identity()
-    rows.append((0, best, str(best_word)))
-    prev_ball = {Word.identity()}
-    for r in range(1, radius + 1):
-        current = [w for w in word_ball(gens, r) if len(w) == r]
-        for w in current:
-            mu = push_forward(evaluate_word(w, gens), mu0)
-            s = _spread(mu, mass_threshold)
-            if s < best:
-                best, best_word = s, w
-        rows.append((r, best, str(best_word)))
-        prev_ball.update(current)
-    return ProximalityTrace(mass_threshold, tuple(rows))
+    best = best_word = None
+    rows = {}  # by radius; the ball lists words by length, so the last one sets the row
+    for w, mu in word_images(gens, word_ball(gens, radius), mu0, push_forward):
+        s = _spread(mu, mass_threshold)
+        if best is None or s < best:
+            best, best_word = s, w
+        rows[len(w)] = (len(w), best, str(best_word))
+    return ProximalityTrace(mass_threshold, tuple(rows.values()))

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
+from .action import Word, reduce_word, word_images
 from .dendrite import Dendrite, DPoint, EdgePoint, VertexPoint
 from .errors import (
     DendriteMismatch,
@@ -360,14 +361,12 @@ class FolnerScheme:
 
 def folner_average(gens, scheme: FolnerScheme, mu0: PLMeasure, n: int) -> PLMeasure:
     """The exact mixture |F_n|^-1 sum of pushed measures over the word set."""
-    from .action import evaluate_word
-
     mu0.require_probability()
     words = scheme.words(n)
     share = Fraction(1, len(words))
     result: PLMeasure | None = None
-    for w in words:
-        pushed = push_forward(evaluate_word(w, gens), mu0).scaled(share)
+    for _, image in word_images(gens, words, mu0, push_forward):
+        pushed = image.scaled(share)
         result = pushed if result is None else result.add(pushed)
     return result
 
@@ -387,8 +386,6 @@ def invariance_defect(gens, mu: PLMeasure, fns: Sequence[TestFunction]) -> Fract
 
 def folner_ratio(scheme: FolnerScheme, g, n: int) -> Fraction:
     """Exact |gF_n symmetric-difference F_n| / |F_n| on reduced words."""
-    from .action import Word, reduce_word
-
     if isinstance(g, str):
         g = Word.parse(g)
     words = [reduce_word(w) for w in scheme.words(n)]

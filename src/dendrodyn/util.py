@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import ConfigInvalid
+
 
 def frac(value) -> Fraction:
     """Coerce ints, strings like ``"3/4"`` and Fractions to an exact Fraction."""
@@ -14,6 +16,17 @@ def frac(value) -> Fraction:
     if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+def read_param(value, key: str, parse=int, minimum=0):
+    """A parsed config value; malformed or too small values are ConfigInvalid."""
+    try:
+        value = parse(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ConfigInvalid(f"malformed value {value!r} for {key}") from None
+    if minimum is not None and value < minimum:
+        raise ConfigInvalid(f"{key} must be at least {minimum}, got {value}")
+    return value
 
 
 def frac_str(value: Fraction) -> str:

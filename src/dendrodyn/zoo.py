@@ -20,7 +20,7 @@ from .dendrite import Dendrite, DPoint, VertexPoint
 from .errors import ConfigInvalid, NotReduced
 from .homeo import Homeo, PLMap, interval_homeo, tree_automorphism
 from .measure import FolnerScheme
-from .util import frac
+from .util import frac, read_param
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -342,7 +342,7 @@ def get_system(spec: str) -> ZooSystem:
     if name in ("odometer", "odometer-corrupt"):
         if "D" not in params:
             raise ConfigInvalid(f"{name} needs a depth, e.g. {name}:D=6")
-        depth = int(params["D"])
+        depth = read_param(params["D"], f"depth D in {spec!r}", minimum=1)
         leaf = params.get("leaf", "tail")
         return odometer_system(depth, leaf, corrupt_cover=(name == "odometer-corrupt"))
     raise ConfigInvalid(f"unknown zoo system {spec!r}")

@@ -17,11 +17,13 @@ from dendrodyn.action import (
     orbit,
     reduce_word,
     word_ball,
+    word_images,
     word_power,
 )
 from dendrodyn.dendrite import FiniteClosedSet
 from dendrodyn.errors import UnknownSymbol
-from dendrodyn.homeo import apply, compose, identity_homeo
+from dendrodyn.homeo import apply, compose, identity_homeo, interval_homeo
+from dendrodyn.measure import canonical_measure, dirac, push_forward
 from dendrodyn.zoo import (
     corrupted_leaf_collapse,
     gehman_dendrite,
@@ -30,6 +32,8 @@ from dendrodyn.zoo import (
     thompson_system,
     unit_interval_dendrite,
 )
+
+from conftest import pl_maps, tree_points
 
 F = Fraction
 
@@ -152,6 +156,45 @@ class TestEvaluate:
     def test_unknown_symbol(self, system):
         with pytest.raises(UnknownSymbol):
             evaluate_word(letters("q"), system.generators)
+
+
+def word_lists(symbols):
+    """Lists of random words, reduced or not, of length 0 to 6."""
+    letter = st.tuples(st.sampled_from(symbols), st.sampled_from([1, -1]))
+    word = st.lists(letter, max_size=6).map(lambda ls: Word(tuple(ls)))
+    return st.lists(word, min_size=1, max_size=6)
+
+
+class TestWordImages:
+    """The letter-at-a-time walk agrees with composing each word outright."""
+
+    @staticmethod
+    def check_against_evaluate_word(gens, words, x):
+        X = gens.dendrite
+        mu = canonical_measure(X).scaled(F(1, 2)).add(dirac(X, x, F(1, 2)))
+        pushed = list(word_images(gens, words, mu, push_forward))
+        moved = list(word_images(gens, words, x, apply))
+        assert [w for w, _ in pushed] == [w for w, _ in moved] == words
+        for (w, nu), (_, y) in zip(pushed, moved):
+            h = evaluate_word(w, gens)
+            assert nu == push_forward(h, mu)
+            assert y == apply(h, x)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_odometer(self, odo4, data):
+        X = odo4.dendrite
+        words = data.draw(word_lists(["g"]))
+        x = data.draw(tree_points(X))
+        self.check_against_evaluate_word(odo4.generators, words, x)
+
+    @settings(max_examples=30, deadline=None)
+    @given(pl_maps(), pl_maps(), word_lists(["a", "b"]), st.integers(0, 16))
+    def test_interval_pl_pairs(self, ma, mb, words, k):
+        X = unit_interval_dendrite()
+        gens = GeneratorSet(X, [("a", interval_homeo(X, ma.xs, ma.ys)),
+                                ("b", interval_homeo(X, mb.xs, mb.ys))])
+        self.check_against_evaluate_word(gens, words, X.point("e", F(k, 16)))
 
 
 class TestOrbit:

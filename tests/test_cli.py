@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import dendrodyn
 from dendrodyn import serialization as ser
 from dendrodyn.cli import ExperimentConfig, export_plot_data, main
 from dendrodyn.errors import ConfigInvalid, ReportMissing
@@ -45,6 +50,31 @@ class TestConfigValidation:
 
     def test_missing_config_file(self, capsys):
         assert main(["run", "--config", "/nonexistent.json"]) == 1
+
+    @pytest.mark.parametrize("command, system, parameters", [
+        ("orbit", "thompson", {"x": "abc"}),
+        ("orbit", "odometer:D=x", {}),
+        ("orbit", "thompson", {"R": "two"}),
+        ("defect", "odometer:D=3", {"ns": [-1]}),
+        ("folner-average", "odometer:D=3", {"n": -2}),
+        ("proximality", "odometer:D=3", {"R": -1}),
+        ("orbit", "odometer:D=3", {"R": -1}),
+        ("orbit", "odometer:D=0", {}),
+        ("orbit", "thompson", {"x": "1/0"}),
+        ("finite-orbit", "thompson", {"budget": 0}),
+        ("minimal-set", "thompson", {"R": 1}),
+        ("classify", "thompson", {"eps": "small"}),
+        ("tower", "odometer:D=3", {"n_max": 0}),
+        ("certify", "odometer:D=3", {"mesh_target": "tiny"}),
+        ("paradox-check", None, {"L": 0}),
+    ])
+    def test_malformed_values_are_config_errors(self, tmp_path, capsys,
+                                                command, system, parameters):
+        code, report, _ = run(tmp_path, {"command": command, "system": system,
+                                         "parameters": parameters})
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert report is None
 
 
 class TestCommands:
@@ -214,20 +244,18 @@ class TestDeterminism:
         b2 = (tmp_path / "o2" / "certify.json").read_bytes()
         assert b1 == b2
 
-    def test_threads_do_not_change_output(self, tmp_path):
+    def test_retired_threads_key_is_ignored(self, tmp_path):
+        # "threads" is no longer a config key; like any unknown key it is
+        # ignored, so old configs still run and write the same report
         doc = {"command": "defect", "system": "odometer:D=3",
                "parameters": {"ns": [1, 2, 4], "x": {"leaf": 0}}}
-        cfg1 = write_config(tmp_path, {**doc, "out": str(tmp_path / "t1"),
-                                       "threads": 1}, "t1.json")
+        cfg1 = write_config(tmp_path, {**doc, "out": str(tmp_path / "plain")}, "plain.json")
         cfg2 = write_config(tmp_path, {**doc, "out": str(tmp_path / "t4"),
                                        "threads": 4}, "t4.json")
         assert main(["run", "--config", cfg1]) == 0
         assert main(["run", "--config", cfg2]) == 0
-        r1 = json.loads((tmp_path / "t1" / "defect.json").read_text())
-        r2 = json.loads((tmp_path / "t4" / "defect.json").read_text())
-        r1.pop("seed"), r2.pop("seed")
-        del r1["command"], r2["command"]
-        assert r1["rows"] == r2["rows"]
+        assert ((tmp_path / "plain" / "defect.json").read_bytes()
+                == (tmp_path / "t4" / "defect.json").read_bytes())
 
 
 class TestExportPlot:
@@ -279,6 +307,14 @@ class TestExportPlot:
 
 
 class TestZooCLISurface:
+    def test_module_entry_point(self):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(dendrodyn.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-m", "dendrodyn.cli", "zoo", "list"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert isinstance(json.loads(proc.stdout)["systems"], list)
+
     def test_zoo_list_stdout(self, capsys):
         assert main(["zoo", "list"]) == 0
         doc = json.loads(capsys.readouterr().out)

@@ -21,6 +21,7 @@ from dendrodyn.dendrite import (
 from dendrodyn.errors import (
     ChainingViolation,
     CycleCreated,
+    DendriteMismatch,
     EmptyCover,
     EmptySet,
     EmptySubdendrite,
@@ -311,6 +312,22 @@ class TestHausdorff:
         assert dab == hausdorff_distance(B, A)
         assert (dab == 0) == (A == B)
         assert dab <= hausdorff_distance(A, C) + hausdorff_distance(C, B)
+
+
+class TestCrossDendrite:
+    """Objects from two different dendrites are refused, not mixed."""
+
+    def test_hausdorff_distance_rejects_other_dendrite(self):
+        X2, X3 = gehman_dendrite(2), gehman_dendrite(3)
+        A = FiniteClosedSet(X2, [X2.vertex_point("00")])
+        B = FiniteClosedSet(X3, [X3.vertex_point("000")])
+        with pytest.raises(DendriteMismatch):
+            hausdorff_distance(A, B)
+
+    def test_retract_point_rejects_other_dendrite(self):
+        X2, X3 = gehman_dendrite(2), gehman_dendrite(3)
+        with pytest.raises(DendriteMismatch):
+            X2.retract_point(X3.whole(), X2.vertex_point("00"))
 
 
 class TestMesh:

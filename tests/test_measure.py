@@ -320,15 +320,15 @@ class TestInvarianceDefect:
         fns = five_function_dictionary(odo6, 6)
         sup = max(f.sup_norm() for f in fns)
         gens = odo6.generators
-        from dendrodyn.action import apply_word
         from dendrodyn.action import word_power
+        from dendrodyn.homeo import apply
 
         defects = []
         for n in [1, 2, 4, 8, 16]:
             nu = folner_average(gens, scheme, mu0, n)
             defect = invariance_defect(gens, nu, fns)
-            hi = apply_word(word_power("g", n + 1), gens, x0)
-            lo = apply_word(word_power("g", -n), gens, x0)
+            hi = apply(evaluate_word(word_power("g", n + 1), gens), x0)
+            lo = apply(evaluate_word(word_power("g", -n), gens), x0)
             oracle = max(abs(f(hi) - f(lo)) for f in fns) / (2 * n + 1)
             assert defect == oracle
             assert defect <= 2 * sup / (2 * n + 1)

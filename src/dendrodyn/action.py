@@ -19,7 +19,7 @@ from .dendrite import (
     _distance_to_set,
     _point_to_set,
     hausdorff_distance,
-    set_distance,
+    nearest_other_distances,
 )
 from .errors import DendriteMismatch, UnknownSymbol
 from .homeo import Homeo, apply, compose, identity_homeo, invert, validate
@@ -47,7 +47,10 @@ class Word:
                 continue
             if "^" in token:
                 sym, exp = token.split("^", 1)
-                exp = int(exp)
+                try:
+                    exp = int(exp)
+                except ValueError:
+                    raise UnknownSymbol(f"bad exponent in token {token!r}") from None
             else:
                 sym, exp = token, 1
             if not sym:
@@ -321,23 +324,17 @@ def classify_minimal_set(dendrite: Dendrite, m: FiniteClosedSet, eps,
     gaps = [(p, _point_to_set(dendrite, dist, on_edge, dendrite.check_point(p)))
             for p in probe_list]
     worst_probe, worst_gap = max(gaps, key=lambda pg: (pg[1], point_key(pg[0])))
-    dense = worst_gap <= eps
-    if dense:
+    if worst_gap <= eps:
         return Classification("whole-space", eps, {"max_probe_gap": worst_gap})
-    perfect = True
-    witness = None
     pts = list(m)
-    for p in pts:
-        rest = FiniteClosedSet(dendrite, (q for q in pts if q != p))
-        if len(rest) == 0 or set_distance(dendrite, p, rest) > eps:
-            perfect = False
-            witness = p
-            break
-    if perfect:
+    gaps = nearest_other_distances(dendrite, pts)
+    witness = next((p for p, d in zip(pts, gaps) if d is None or d > eps), None)
+    if witness is None:
         return Classification("cantor-like", eps,
                               {"max_probe_gap": worst_gap,
                                "sparse_witness": worst_probe})
-    return Classification("inconclusive", eps, {"isolated_point": witness})
+    return Classification("inconclusive", eps,
+                          {"max_probe_gap": worst_gap, "isolated_point": witness})
 
 
 @dataclass(frozen=True)

@@ -189,6 +189,18 @@ def _minimal_set(system: ZooSystem, params: dict):
     return points, certified, tower_class
 
 
+def _orbit_budget(params: dict) -> int | None:
+    budget = params.get("orbit_budget")
+    return None if budget is None else read_param(budget, "orbit_budget", minimum=1)
+
+
+def _param_list(params: dict, key: str, default):
+    values = params.get(key, default)
+    if values is not None and not isinstance(values, list):
+        raise ConfigInvalid(f"{key} must be a list, got {values!r}")
+    return values
+
+
 def _default_dictionary(system: ZooSystem, params: dict) -> list[TestFunction]:
     X = system.dendrite
     probes = params.get("dictionary")
@@ -267,12 +279,18 @@ def _cmd_classify(cfg, system):
     treat_finite = certified and minimal_class not in ("cantor-like", "whole-space")
     verdict = classify_minimal_set(system.dendrite, m, eps,
                                    certified_finite=treat_finite)
-    return {
+    doc = {
         "eps": frac_str(eps),
         "size": len(m),
         "certified_finite": certified,
         "verdict": verdict.kind,
-    }, 0
+    }
+    if "max_probe_gap" in verdict.details:
+        doc["max_probe_gap"] = frac_str(verdict.details["max_probe_gap"])
+    for key in ("sparse_witness", "isolated_point"):
+        if key in verdict.details:
+            doc[key] = ser.point_to_json(verdict.details[key])
+    return doc, 0
 
 
 def _cmd_tower(cfg, system):
@@ -281,7 +299,7 @@ def _cmd_tower(cfg, system):
     m, _, tower_class = _minimal_set(system, params)
     tower = build_tree_tower(system.generators, m, n_max,
                              minimal_class=tower_class,
-                             orbit_budget=params.get("orbit_budget"))
+                             orbit_budget=_orbit_budget(params))
     levels = []
     for lvl in tower.levels:
         levels.append({
@@ -300,7 +318,7 @@ def _cmd_cover(cfg, system):
     m, _, tower_class = _minimal_set(system, params)
     tower = build_tree_tower(system.generators, m, n,
                              minimal_class=tower_class,
-                             orbit_budget=params.get("orbit_budget"))
+                             orbit_budget=_orbit_budget(params))
     level = tower.levels[-1]
     cover = frontier_cover(system.dendrite, m, level.tree, level.index)
     equi = verify_cover_equivariance(system.generators, cover)
@@ -319,7 +337,7 @@ def _cmd_certify(cfg, system):
     params = cfg.parameters
     n_max = read_param(params.get("n_max", 4), "n_max", minimum=1)
     m, _, tower_class = _minimal_set(system, params)
-    eps_grid = params.get("eps_grid")
+    eps_grid = _param_list(params, "eps_grid", None)
     if eps_grid is not None:
         eps_grid = [read_param(e, "eps_grid", frac, None) for e in eps_grid]
     mesh_target = params.get("mesh_target")
@@ -329,7 +347,7 @@ def _cmd_certify(cfg, system):
                      if mesh_target is not None else None),
         eps_grid=eps_grid,
         minimal_class=tower_class,
-        orbit_budget=params.get("orbit_budget"),
+        orbit_budget=_orbit_budget(params),
         cover_tamper=tamper_remove_edge if system.corrupt_cover else None)
     doc = ser.certificate_to_json(cert)
     return doc, (2 if cert.verdict == "Failed" else 0)
@@ -344,7 +362,10 @@ def _cmd_measure(cfg, system):
 def _cmd_pushforward(cfg, system):
     params = cfg.parameters
     mu = _resolve_measure(params.get("measure"), system)
-    w = Word.parse(params.get("word", "e"))
+    text = params.get("word", "e")
+    if not isinstance(text, str):
+        raise ConfigInvalid(f"word must be a string, got {text!r}")
+    w = Word.parse(text)
     _, pushed = next(word_images(system.generators, [w], mu, push_forward))
     return {"word": str(w),
             "measure": ser.measure_to_json(pushed),
@@ -365,7 +386,7 @@ def _cmd_folner_average(cfg, system):
 
 def _cmd_defect(cfg, system):
     params = cfg.parameters
-    ns = [read_param(n, "ns") for n in params.get("ns", [1, 2, 4, 8, 16])]
+    ns = [read_param(n, "ns") for n in _param_list(params, "ns", [1, 2, 4, 8, 16])]
     scheme = folner_scheme_Z(params.get("scheme_symbol", system.generators.symbols[0]))
     mu0 = _resolve_measure(params.get("measure", {"dirac": params.get("x")}), system)
     fns = _default_dictionary(system, params)
@@ -400,7 +421,7 @@ def _cmd_paradox(cfg, system):
 
 def _cmd_folner_ratio(cfg, system):
     params = cfg.parameters
-    ns = [read_param(n, "ns") for n in params.get("ns", [2, 10, 50])]
+    ns = [read_param(n, "ns") for n in _param_list(params, "ns", [2, 10, 50])]
     symbol = params.get("scheme_symbol", "g")
     scheme = folner_scheme_Z(symbol)
     g = params.get("g", symbol)

@@ -354,32 +354,71 @@ class Dendrite:
                 portions[p.edge] = part
         return Subdendrite._make(self, vertices, portions)
 
+    def _lower(self, e: Edge):
+        """The endpoint of ``e`` farther from the root of its component."""
+        return e.v if self._parent_edge[e.v] is e else e.u
+
     def hull(self, points: Iterable[DPoint]) -> "Subdendrite":
         """Convex hull: smallest subtree containing the points.
 
-        Computed as the union of arcs from one base point to all others, which
-        equals the union over all pairs on a tree.
+        One upward walk marks the union of the points' root paths; the chain
+        of single-branch vertices at its top that are not points is trimmed,
+        down to the first branching, point, or edge carrying a point.
         """
-        pts = sorted({self.check_point(p) for p in points}, key=point_key)
-        if not pts:
+        members: set = set()
+        on_edge: dict[object, list[Fraction]] = {}
+        starts = []
+        for p in points:
+            p = self.check_point(p)
+            if isinstance(p, VertexPoint):
+                members.add(p.vertex)
+                starts.append(p.vertex)
+            else:
+                on_edge.setdefault(p.edge, []).append(p.t)
+                starts.append(self._parent[self._lower(self._edge_by_id[p.edge])])
+        if not starts:
             raise EmptySet("hull of an empty set")
-        base = pts[0]
-        vertices: set = set()
+        top = self._component[starts[0]]
+        if any(self._component[v] != top for v in starts):
+            raise DendrodynError("vertices lie in different components")
+        marked: set = set()
+        below: dict[object, list[Edge]] = {}
+        for v in starts:
+            while v not in marked:
+                marked.add(v)
+                pe = self._parent_edge[v]
+                if pe is None:
+                    break
+                v = self._parent[v]
+                below.setdefault(v, []).append(pe)
+        for eid in on_edge:
+            e = self._edge_by_id[eid]
+            if self._lower(e) not in marked:
+                below.setdefault(self._parent[self._lower(e)], []).append(e)
+        apex_edge = None
+        while top not in members and len(below.get(top, ())) == 1:
+            marked.discard(top)
+            e = below.pop(top)[0]
+            if e.eid in on_edge:
+                apex_edge = e
+                break
+            top = self._lower(e)
+        edges = [e for hanging in below.values() for e in hanging]
+        if apex_edge is not None:
+            edges.append(apex_edge)
         portions: dict[object, tuple[Fraction, Fraction]] = {}
-        if isinstance(base, VertexPoint):
-            vertices.add(base.vertex)
-        else:
-            portions[base.edge] = (base.t, base.t)
-        for p in pts[1:]:
-            arc = self.arc(base, p)
-            vertices.update(arc.vertices)
-            for eid, (lo, hi) in arc.portions:
-                cur = portions.get(eid)
-                if cur is None:
-                    portions[eid] = (lo, hi)
-                else:
-                    portions[eid] = (min(cur[0], lo), max(cur[1], hi))
-        return Subdendrite._make(self, vertices, portions)
+        for e in edges:
+            ends = on_edge.get(e.eid)
+            if ends is None:  # an edge without points lies between two marked vertices
+                portions[e.eid] = (ZERO, ONE)
+                continue
+            upper_end, lower_end = (ZERO, ONE) if self._lower(e) == e.v else (ONE, ZERO)
+            if e is not apex_edge:
+                ends = ends + [upper_end]
+            if self._lower(e) in marked:
+                ends = ends + [lower_end]
+            portions[e.eid] = (min(ends), max(ends))
+        return Subdendrite._make(self, marked, portions)
 
     def whole(self) -> "Subdendrite":
         return Subdendrite._make(self, set(self._vertices),
@@ -789,6 +828,67 @@ def set_distance(dendrite: Dendrite, p: DPoint, targets: FiniteClosedSet) -> Fra
     return _point_to_set(dendrite, dist, on_edge, dendrite.check_point(p))
 
 
+def _two_nearest(entries) -> list[tuple[Fraction, int]]:
+    """The two smallest (distance, source) entries with different sources."""
+    out = []
+    for d, i in sorted(entries):
+        if not out or out[0][1] != i:
+            out.append((d, i))
+            if len(out) == 2:
+                break
+    return out
+
+
+def nearest_other_distances(dendrite: Dendrite, points: Sequence[DPoint]
+                            ) -> list[Fraction | None]:
+    """Distance from each point to the nearest other one, via one tree sweep.
+
+    A two-pass dynamic program carries, per vertex, the two nearest sources
+    with different indices, so excluding the point itself leaves its nearest
+    other.  Points on one edge also see their neighbours along it.  ``None``
+    marks a point with no other point in reach.
+    """
+    points = [dendrite.check_point(p) for p in points]
+    near: dict[object, list[tuple[Fraction, int]]] = {}
+    along: dict[object, list[tuple[Fraction, int]]] = {}
+    for i, p in enumerate(points):
+        for v, c in dendrite._anchors(p):
+            near.setdefault(v, []).append((c, i))
+        if isinstance(p, EdgePoint):
+            along.setdefault(p.edge, []).append((p.t, i))
+    near = {v: _two_nearest(seeds) for v, seeds in near.items()}
+    order = dendrite._order
+    for v in reversed(order):
+        pe = dendrite._parent_edge[v]
+        if pe is not None and v in near:
+            parent = dendrite._parent[v]
+            near[parent] = _two_nearest(near.get(parent, [])
+                                        + [(d + pe.weight, i) for d, i in near[v]])
+    for v in order:
+        pe = dendrite._parent_edge[v]
+        if pe is not None and dendrite._parent[v] in near:
+            near[v] = _two_nearest(near.get(v, []) + [
+                (d + pe.weight, i) for d, i in near[dendrite._parent[v]]])
+    best: list[Fraction | None] = [None] * len(points)
+
+    def offer(i, d):
+        if best[i] is None or d < best[i]:
+            best[i] = d
+
+    for i, p in enumerate(points):
+        for v, c in dendrite._anchors(p):
+            for d, j in near.get(v, ()):
+                if j != i:
+                    offer(i, c + d)
+    for eid, row in along.items():
+        w = dendrite.edge(eid).weight
+        row.sort()
+        for (s, i), (t, j) in zip(row, row[1:]):
+            offer(i, (t - s) * w)
+            offer(j, (t - s) * w)
+    return best
+
+
 def subdendrite_gates(dendrite: Dendrite, sub: Subdendrite,
                       points: Iterable[DPoint]) -> list[DPoint]:
     """Nearest point of ``sub`` for each query point, via one tree sweep.
@@ -877,7 +977,8 @@ def boundary_classification(dendrite: Dendrite) -> tuple[FiniteClosedSet, Finite
 
 def arc_decomposition(dendrite: Dendrite) -> list[tuple[object, Fraction]]:
     """The stored chained enumeration as (edge id, weight) pairs."""
-    dendrite._check_chaining()
+    if not dendrite._connected:  # connected instances were checked when built
+        dendrite._check_chaining()
     return [(e.eid, e.weight) for e in dendrite.edges]
 
 

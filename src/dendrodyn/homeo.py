@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 from .dendrite import Dendrite, DPoint, FiniteClosedSet, Subdendrite, VertexPoint
 from .errors import DendriteMismatch, InvalidHomeo, PointOffDendrite
-from .util import frac, id_key, sample_dyadic
+from .util import frac, id_key
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -263,10 +263,14 @@ def invert(h: Homeo) -> Homeo:
     return Homeo(h.dendrite, vm, em)
 
 
-def validate(h: Homeo, *, seed: int = 0, samples: int = 8) -> ValidationReport:
-    """Check the homeomorphism axioms; violations are reported, not raised."""
-    import random
+def validate(h: Homeo) -> ValidationReport:
+    """Check the homeomorphism axioms; violations are reported, not raised.
 
+    The checks are structural and cover every point, not samples.  Each
+    ``PLMap`` is a strictly monotone bijection of [0, 1] by construction, so a
+    bijective vertex map together with a bijective edge map whose images
+    agree with it at the endpoints makes ``h`` a homeomorphism.
+    """
     X = h.dendrite
     violations: list[Violation] = []
     notes: list[str] = []
@@ -281,6 +285,10 @@ def validate(h: Homeo, *, seed: int = 0, samples: int = 8) -> ValidationReport:
         violations.append(Violation("off-dendrite", "vertex image outside the dendrite"))
     elif set(X.vertices) - set(images):
         violations.append(Violation("not-surjective", "vertex map misses vertices"))
+    unknown = set(h.edge_map) - {e.eid for e in X.edges}
+    if unknown:
+        violations.append(Violation("domain", f"edge map names unknown edges "
+                                              f"{sorted(unknown, key=id_key)!r}"))
 
     weight_compatible = True
     for e in X.edges:
@@ -315,17 +323,6 @@ def validate(h: Homeo, *, seed: int = 0, samples: int = 8) -> ValidationReport:
         violations.append(Violation("not-injective", "two edges share an image edge"))
 
     if not violations:
-        inv = invert(h)
-        rng = random.Random(seed)
-        probes = X.skeleton_points(include_midpoints=True)
-        for e in X.edges:
-            for _ in range(samples):
-                probes.append(X.point(e.eid, sample_dyadic(rng)))
-        for p in probes:
-            if apply(inv, apply(h, p)) != p:
-                violations.append(Violation("not-bijective",
-                                            f"round trip fails at {p!r}"))
-                break
         notes.append("isometric" if weight_compatible else "weights not preserved")
 
     return ValidationReport(valid=not violations,

@@ -202,7 +202,8 @@ def canonical_measure(dendrite: Dendrite) -> PLMeasure:
     mass of any arc equals its metric length divided by W.  W is stored on the
     measure as the normalisation constant.
     """
-    dendrite._check_chaining()
+    if not dendrite._connected:  # connected instances were checked when built
+        dendrite._check_chaining()
     total = dendrite.total_weight()
     dens = {e.eid: [(ZERO, ONE, Fraction(1, 1) / total)] for e in dendrite.edges}
     return PLMeasure(dendrite, (), dens, norm=total)

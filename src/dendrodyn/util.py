@@ -54,8 +54,3 @@ def dyadic_candidates(max_exp: int = 12) -> list[Fraction]:
     """Candidate moduli 1, 1/2, ..., 2**-max_exp in decreasing order."""
     return [Fraction(1, 2**k) for k in range(max_exp + 1)]
 
-
-def sample_dyadic(rng, depth: int = 10) -> Fraction:
-    """A uniformly random dyadic rational strictly inside (0, 1)."""
-    q = 2**depth
-    return Fraction(rng.randrange(1, q), q)

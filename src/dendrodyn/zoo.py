@@ -344,5 +344,7 @@ def get_system(spec: str) -> ZooSystem:
             raise ConfigInvalid(f"{name} needs a depth, e.g. {name}:D=6")
         depth = read_param(params["D"], f"depth D in {spec!r}", minimum=1)
         leaf = params.get("leaf", "tail")
+        if leaf not in ("tail", "level"):
+            raise ConfigInvalid(f"leaf must be 'tail' or 'level' in {spec!r}")
         return odometer_system(depth, leaf, corrupt_cover=(name == "odometer-corrupt"))
     raise ConfigInvalid(f"unknown zoo system {spec!r}")

@@ -43,13 +43,18 @@ def odo4():
 
 @st.composite
 def random_trees(draw, max_edges=7):
-    """A random connected weighted tree with chained edge enumeration."""
+    """A random connected weighted tree with chained edge enumeration.
+
+    Each edge is stored parent-to-child or child-to-parent at random, so
+    storage orientation and root orientation disagree on some edges.
+    """
     n = draw(st.integers(min_value=1, max_value=max_edges))
     edges = []
     weights = []
     for i in range(1, n + 1):
         parent = draw(st.integers(min_value=0, max_value=i - 1))
-        edges.append((f"e{i}", f"v{parent}", f"v{i}"))
+        ends = (f"v{parent}", f"v{i}")
+        edges.append((f"e{i}",) + (ends[::-1] if draw(st.booleans()) else ends))
         num = draw(st.integers(min_value=1, max_value=8))
         den = draw(st.sampled_from([1, 2, 4, 8]))
         weights.append(Fraction(num, den))

@@ -20,7 +20,7 @@ from dendrodyn.action import (
     word_images,
     word_power,
 )
-from dendrodyn.dendrite import FiniteClosedSet
+from dendrodyn.dendrite import FiniteClosedSet, set_distance
 from dendrodyn.errors import UnknownSymbol
 from dendrodyn.homeo import apply, compose, identity_homeo, interval_homeo
 from dendrodyn.measure import canonical_measure, dirac, push_forward
@@ -33,7 +33,7 @@ from dendrodyn.zoo import (
     unit_interval_dendrite,
 )
 
-from conftest import pl_maps, tree_points
+from conftest import pl_maps, tree_points, trees_with_points
 
 F = Fraction
 
@@ -318,6 +318,27 @@ class TestClassify:
         sparse = FiniteClosedSet(X, [X.vertex_point("0"), X.vertex_point("1")])
         verdict = classify_minimal_set(X, sparse, F(1, 8))
         assert verdict.kind == "inconclusive"
+        assert verdict.details == {"max_probe_gap": F(1, 2),
+                                   "isolated_point": X.vertex_point("0")}
+
+    @settings(max_examples=150, deadline=None)
+    @given(trees_with_points(count=6, max_edges=7),
+           st.sampled_from([F(1, 8), F(1, 2), F(1), F(3)]))
+    def test_perfectness_matches_per_point_loop(self, data, eps):
+        X, pts = data
+        m = FiniteClosedSet(X, pts)
+        # reference: one set_distance sweep per point, first isolated point wins
+        witness = None
+        for p in m:
+            rest = FiniteClosedSet(X, [q for q in m if q != p])
+            if len(rest) == 0 or set_distance(X, p, rest) > eps:
+                witness = p
+                break
+        verdict = classify_minimal_set(X, m, eps)
+        if verdict.kind == "whole-space":
+            return
+        assert verdict.kind == ("cantor-like" if witness is None else "inconclusive")
+        assert verdict.details.get("isolated_point") == witness
 
 
 class TestRecurrence:

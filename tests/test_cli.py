@@ -67,6 +67,10 @@ class TestConfigValidation:
         ("tower", "odometer:D=3", {"n_max": 0}),
         ("certify", "odometer:D=3", {"mesh_target": "tiny"}),
         ("paradox-check", None, {"L": 0}),
+        ("orbit", "odometer:D=3,leaf=deep", {}),
+        ("certify", "odometer:D=3", {"orbit_budget": "many"}),
+        ("defect", "odometer:D=3", {"ns": 3}),
+        ("pushforward", "thompson", {"word": "f^x"}),
     ])
     def test_malformed_values_are_config_errors(self, tmp_path, capsys,
                                                 command, system, parameters):
@@ -107,6 +111,20 @@ class TestCommands:
             "parameters": {"eps": "1/8"}})
         assert code == 0
         assert report["verdict"] == "cantor-like"
+        # provenance: the root is the worst skeleton probe, 1 above every leaf
+        assert report["max_probe_gap"] == "1"
+        assert report["sparse_witness"] == {"vertex": "r"}
+        assert "isolated_point" not in report
+
+    def test_classify_isolated_point(self, tmp_path):
+        code, report, _ = run(tmp_path, {
+            "command": "classify", "system": "odometer:D=5",
+            "parameters": {"eps": "1/64", "x": {"leaf": 3}}})
+        assert code == 0
+        assert report["verdict"] == "inconclusive"
+        # sibling leaves lie 1/8 apart, so the first leaf is already isolated
+        assert report["isolated_point"] == {"vertex": "00000"}
+        assert report["max_probe_gap"] == "1"
 
     def test_classify_thompson_interior_seed(self, tmp_path):
         # infinite orbit: detection stays within the short default budget and
@@ -243,6 +261,15 @@ class TestDeterminism:
         b1 = (tmp_path / "o1" / "certify.json").read_bytes()
         b2 = (tmp_path / "o2" / "certify.json").read_bytes()
         assert b1 == b2
+
+    def test_classify_byte_identical(self, tmp_path):
+        doc = {"command": "classify", "system": "odometer:D=4",
+               "parameters": {"eps": "1/32"}}
+        for out in ("o1", "o2"):
+            cfg = write_config(tmp_path, {**doc, "out": str(tmp_path / out)}, f"{out}.json")
+            assert main(["run", "--config", cfg]) == 0
+        assert ((tmp_path / "o1" / "classify.json").read_bytes()
+                == (tmp_path / "o2" / "classify.json").read_bytes())
 
     def test_retired_threads_key_is_ignored(self, tmp_path):
         # "threads" is no longer a config key; like any unknown key it is

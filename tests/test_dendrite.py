@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from dendrodyn.dendrite import (
     Dendrite,
     FiniteClosedSet,
+    Subdendrite,
     arc_between,
     arc_decomposition,
     arc_diameter_modulus,
@@ -15,7 +16,9 @@ from dendrodyn.dendrite import (
     convex_hull,
     hausdorff_distance,
     mesh,
+    nearest_other_distances,
     retract,
+    set_distance,
     weighted_metric,
 )
 from dendrodyn.errors import (
@@ -28,6 +31,7 @@ from dendrodyn.errors import (
     InvalidDendrite,
     PointOffDendrite,
 )
+from dendrodyn.util import point_key
 from dendrodyn.zoo import gehman_dendrite
 
 from conftest import nx_metric_oracle, trees_with_points
@@ -37,6 +41,25 @@ F = Fraction
 
 def gehman_leaves(X, depth):
     return [v for v in X.vertices if v != "r" and len(v) == depth]
+
+
+def arc_union_hull(X, points):
+    """Reference hull: the union of the arcs from the first point to the others."""
+    pts = sorted({X.check_point(p) for p in points}, key=point_key)
+    base = pts[0]
+    vertices = set()
+    portions = {}
+    if hasattr(base, "t"):
+        portions[base.edge] = (base.t, base.t)
+    else:
+        vertices.add(base.vertex)
+    for p in pts[1:]:
+        arc = X.arc(base, p)
+        vertices.update(arc.vertices)
+        for eid, (lo, hi) in arc.portions:
+            cur = portions.get(eid)
+            portions[eid] = (lo, hi) if cur is None else (min(cur[0], lo), max(cur[1], hi))
+    return Subdendrite._make(X, vertices, portions)
 
 
 class TestConstruction:
@@ -149,6 +172,25 @@ class TestConvexHull:
                     min(cur[0], lo), max(cur[1], hi))
         from dendrodyn.dendrite import Subdendrite
         assert hull == Subdendrite._make(X, acc_vertices, acc_portions)
+
+    @settings(max_examples=150, deadline=None)
+    @given(trees_with_points(count=5, max_edges=7))
+    def test_matches_arc_union_oracle(self, data):
+        X, pts = data
+        for k in range(1, len(pts) + 1):
+            assert X.hull(pts[:k]) == arc_union_hull(X, pts[:k])
+
+    def test_gehman_subtree_and_edge_points(self):
+        X = gehman_dendrite(4)
+        cases = [
+            [X.vertex_point("010"), X.vertex_point("011")],
+            [X.point("e01", F(1, 3)), X.point("e010", F(1, 2))],
+            [X.point("e01", F(1, 3)), X.point("e01", F(2, 3))],
+            [X.point("e0", F(1, 2)), X.vertex_point("1101")],
+            [X.vertex_point("r"), X.point("e0110", F(1, 4))],
+        ]
+        for pts in cases:
+            assert X.hull(pts) == arc_union_hull(X, pts)
 
     @settings(max_examples=30, deadline=None)
     @given(trees_with_points(count=5, max_edges=6))
@@ -357,6 +399,28 @@ class TestMesh:
     def test_empty_raises(self):
         with pytest.raises(EmptyCover):
             mesh([])
+
+
+class TestNearestOther:
+    @settings(max_examples=150, deadline=None)
+    @given(trees_with_points(count=6, max_edges=7))
+    def test_matches_per_point_set_distance(self, data):
+        X, pts = data
+        pts = list(FiniteClosedSet(X, pts))
+        expected = []
+        for p in pts:
+            rest = FiniteClosedSet(X, [q for q in pts if q != p])
+            expected.append(set_distance(X, p, rest) if len(rest) else None)
+        assert nearest_other_distances(X, pts) == expected
+
+    def test_gehman_leaves(self):
+        X = gehman_dendrite(4)
+        leaves = [X.vertex_point(v) for v in sorted(gehman_leaves(X, 4))]
+        # sibling leaves hang off one depth-3 vertex by two 1/8 tail edges
+        assert nearest_other_distances(X, leaves) == [F(1, 4)] * 16
+
+    def test_lone_point(self, star3):
+        assert nearest_other_distances(star3, [star3.point("e2", F(1, 3))]) == [None]
 
 
 class TestBoundary:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dendrodyn.dendrite import Dendrite
 from dendrodyn.errors import DendriteMismatch, InvalidHomeo
@@ -22,14 +23,52 @@ from dendrodyn.homeo import (
 from dendrodyn.zoo import (
     corrupted_leaf_collapse,
     gehman_dendrite,
+    get_system,
     odometer,
     thompson_generators,
     unit_interval_dendrite,
 )
 
-from conftest import pl_maps
+from conftest import pl_maps, random_trees
 
 F = Fraction
+
+
+def sample_dyadic(rng, depth=10):
+    """A uniformly random dyadic rational strictly inside (0, 1)."""
+    q = 2 ** depth
+    return F(rng.randrange(1, q), q)
+
+
+def round_trip_failure(h, seed=0, samples=8):
+    """Reference bijectivity probe: the first skeleton point, or random dyadic
+    point per edge, that ``invert(h)`` fails to send back; None if all return."""
+    X = h.dendrite
+    inv = invert(h)
+    rng = random.Random(seed)
+    probes = X.skeleton_points(include_midpoints=True)
+    for e in X.edges:
+        probes.extend(X.point(e.eid, sample_dyadic(rng)) for _ in range(samples))
+    return next((p for p in probes if apply(inv, apply(h, p)) != p), None)
+
+
+@st.composite
+def mirrored_automorphisms(draw):
+    """A random tree doubled across a joining edge, with the swap of the two
+    copies (or the identity) and a random reparametrization of every edge."""
+    T = draw(random_trees(max_edges=5))
+    edges = [("j", "a-v0", "b-v0", 0)]
+    weights = [F(1)]
+    for e in T.edges:
+        for side in "ab":
+            ends = (f"{side}-{e.u}", f"{side}-{e.v}")
+            edges.append((f"{side}-{e.eid}",) + (ends[::-1] if draw(st.booleans()) else ends)
+                         + (e.level,))
+            weights.append(e.weight)
+    X = Dendrite([f"{side}-{v}" for v in T.vertices for side in "ab"], edges, weights)
+    swap = {"a": "b", "b": "a"} if draw(st.booleans()) else {"a": "a", "b": "b"}
+    vm = {v: swap[v[0]] + v[1:] for v in X.vertices}
+    return tree_automorphism(X, vm, {e.eid: draw(pl_maps()) for e in X.edges})
 
 
 @pytest.fixture(scope="module")
@@ -205,6 +244,45 @@ class TestValidate:
         assert tval(apply(flip, ival(X, "1/4"))) == F(1, 2)
         assert apply(flip, X.vertex_point("0")) == X.vertex_point("1")
         assert compose(flip, invert(flip)) == identity_homeo(X)
+
+    @pytest.mark.parametrize("spec", ["thompson", "thompson-f", "odometer:D=1",
+                                      "odometer:D=4", "odometer:D=6,leaf=level",
+                                      "odometer-corrupt:D=5"])
+    def test_zoo_generators_pass_round_trip(self, spec):
+        gens = get_system(spec).generators
+        for sym in gens.symbols:
+            for sign in (1, -1):
+                h = gens.homeo(sym, sign)
+                assert validate(h).valid
+                assert round_trip_failure(h) is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(mirrored_automorphisms())
+    def test_random_automorphisms_pass_round_trip(self, h):
+        assert validate(h).valid
+        assert round_trip_failure(h) is None
+        assert round_trip_failure(invert(h), seed=1) is None
+
+    @settings(max_examples=40, deadline=None)
+    @given(mirrored_automorphisms(), st.data())
+    def test_redirected_edge_is_reported(self, h, data):
+        edges = [e.eid for e in h.dendrite.edges]
+        src = data.draw(st.sampled_from(edges))
+        dst = data.draw(st.sampled_from([eid for eid in edges
+                                         if eid != h.edge_map[src][0]]))
+        bad = Homeo(h.dendrite, h.vertex_map,
+                    {**h.edge_map, src: (dst, h.edge_map[src][1])})
+        report = validate(bad)
+        assert not report.valid
+        assert "not-injective" in {v.kind for v in report.violations}
+
+    def test_unknown_edge_key_reported(self):
+        g = odometer(3)
+        bad = Homeo(g.dendrite, g.vertex_map,
+                    {**g.edge_map, "nowhere": ("nowhere", PLMap.identity())})
+        report = validate(bad)
+        assert not report.valid
+        assert {v.kind for v in report.violations} == {"domain"}
 
     def test_odometer_validates_isometric(self):
         g = odometer(4)

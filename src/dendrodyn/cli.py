@@ -203,7 +203,7 @@ def _param_list(params: dict, key: str, default):
 
 def _default_dictionary(system: ZooSystem, params: dict) -> list[TestFunction]:
     X = system.dendrite
-    probes = params.get("dictionary")
+    probes = _param_list(params, "dictionary", None)
     if probes is not None:
         return [TestFunction.distance_to(X, _resolve_point(p, system)) for p in probes]
     depth = system.properties.get("depth")

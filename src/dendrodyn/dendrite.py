@@ -857,36 +857,28 @@ def nearest_other_distances(dendrite: Dendrite, points: Sequence[DPoint]
         if isinstance(p, EdgePoint):
             along.setdefault(p.edge, []).append((p.t, i))
     near = {v: _two_nearest(seeds) for v, seeds in near.items()}
+
+    def carry(src, dst, w):
+        near[dst] = _two_nearest(near.get(dst, []) + [(d + w, i) for d, i in near[src]])
+
     order = dendrite._order
     for v in reversed(order):
         pe = dendrite._parent_edge[v]
         if pe is not None and v in near:
-            parent = dendrite._parent[v]
-            near[parent] = _two_nearest(near.get(parent, [])
-                                        + [(d + pe.weight, i) for d, i in near[v]])
+            carry(v, dendrite._parent[v], pe.weight)
     for v in order:
         pe = dendrite._parent_edge[v]
         if pe is not None and dendrite._parent[v] in near:
-            near[v] = _two_nearest(near.get(v, []) + [
-                (d + pe.weight, i) for d, i in near[dendrite._parent[v]]])
-    best: list[Fraction | None] = [None] * len(points)
-
-    def offer(i, d):
-        if best[i] is None or d < best[i]:
-            best[i] = d
-
-    for i, p in enumerate(points):
-        for v, c in dendrite._anchors(p):
-            for d, j in near.get(v, ()):
-                if j != i:
-                    offer(i, c + d)
+            carry(dendrite._parent[v], v, pe.weight)
+    cands = [[c + d for v, c in dendrite._anchors(p) for d, j in near.get(v, ()) if j != i]
+             for i, p in enumerate(points)]
     for eid, row in along.items():
         w = dendrite.edge(eid).weight
         row.sort()
         for (s, i), (t, j) in zip(row, row[1:]):
-            offer(i, (t - s) * w)
-            offer(j, (t - s) * w)
-    return best
+            cands[i].append((t - s) * w)
+            cands[j].append((t - s) * w)
+    return [min(c) if c else None for c in cands]
 
 
 def subdendrite_gates(dendrite: Dendrite, sub: Subdendrite,

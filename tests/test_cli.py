@@ -70,6 +70,7 @@ class TestConfigValidation:
         ("orbit", "odometer:D=3,leaf=deep", {}),
         ("certify", "odometer:D=3", {"orbit_budget": "many"}),
         ("defect", "odometer:D=3", {"ns": 3}),
+        ("defect", "odometer:D=3", {"dictionary": 3}),
         ("pushforward", "thompson", {"word": "f^x"}),
     ])
     def test_malformed_values_are_config_errors(self, tmp_path, capsys,

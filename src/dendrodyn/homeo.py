@@ -287,8 +287,8 @@ def validate(h: Homeo) -> ValidationReport:
         violations.append(Violation("not-surjective", "vertex map misses vertices"))
     unknown = set(h.edge_map) - {e.eid for e in X.edges}
     if unknown:
-        violations.append(Violation("domain", f"edge map names unknown edges "
-                                              f"{sorted(unknown, key=id_key)!r}"))
+        violations.append(Violation("domain", "edge map names unknown edges "
+                                              + ", ".join(sorted(map(repr, unknown)))))
 
     weight_compatible = True
     for e in X.edges:

@@ -150,11 +150,14 @@ def _resolve_measure(spec, system: ZooSystem):
     if isinstance(spec, dict):
         if "dirac" in spec:
             return dirac(system.dendrite, _resolve_point(spec["dirac"], system))
-        if "file" in spec:
-            if not os.path.exists(spec["file"]):
-                raise ConfigInvalid(f"measure file {spec['file']!r} does not exist")
-            return ser.measure_from_json(ser.load_json(spec["file"]), system.dendrite)
-        return ser.measure_from_json(spec, system.dendrite)
+        if "file" in spec and not os.path.exists(spec["file"]):
+            raise ConfigInvalid(f"measure file {spec['file']!r} does not exist")
+        try:
+            if "file" in spec:
+                spec = ser.load_json(spec["file"])
+            return ser.measure_from_json(spec, system.dendrite)
+        except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ConfigInvalid(f"malformed measure document: {exc!r}") from None
     raise ConfigInvalid(f"cannot interpret measure spec {spec!r}")
 
 

@@ -20,6 +20,8 @@ from .dendrite import (
     FiniteClosedSet,
     Subdendrite,
     VertexPoint,
+    _distance_to_set,
+    _point_to_set,
     mesh,
     subdendrite_gates,
 )
@@ -331,49 +333,65 @@ class ProximalityTrace:
 
 
 def _spread(mu: PLMeasure, threshold: Fraction) -> Fraction:
-    """Smallest radius of a skeleton-centred closed ball holding the threshold mass."""
+    """Smallest radius of a vertex- or atom-centred closed ball holding the threshold.
+
+    Per centre, one distance sweep gives every vertex's and atom's distance.
+    The ball mass is then a non-decreasing function of the radius: an atom is
+    a jump at its distance, and a density piece of density r is a ramp of
+    slope r over the radii at which the ball sweeps across it.  One sorted
+    pass over those breakpoints finds the exact crossing, comparing the
+    threshold against the left limit before adding a breakpoint's jumps.
+    """
     X = mu.dendrite
     centers = [VertexPoint(v) for v in sorted(X.vertices, key=lambda v: point_key(VertexPoint(v)))]
     centers.extend(p for p, _ in mu.atoms)
     best = None
     for c in centers:
-        radii = {ZERO}
-        for p, _ in mu.atoms:
-            radii.add(X.distance(c, p))
+        dist, on_edge = _distance_to_set(X, [c])
+        events: dict[Fraction, list[Fraction]] = {}  # radius -> [jump, slope change]
+
+        def ramp(lo, hi, r):
+            events.setdefault(lo, [ZERO, ZERO])[1] += r
+            events.setdefault(hi, [ZERO, ZERO])[1] -= r
+
+        for p, w in mu.atoms:
+            events.setdefault(_point_to_set(X, dist, on_edge, p), [ZERO, ZERO])[0] += w
         for eid, pieces in mu.densities.items():
             e = X.edge(eid)
-            cuts = {ZERO, Fraction(1)}
-            for a, b, _ in pieces:
-                cuts.update((a, b))
             if getattr(c, "edge", None) == eid:
-                for t in cuts:
-                    radii.add(abs(c.t - t) * e.weight)
+                # the centre's own edge is swept outwards on both sides of c.t
+                for a, b, r in pieces:
+                    if b > c.t:
+                        ramp((max(a, c.t) - c.t) * e.weight, (b - c.t) * e.weight, r)
+                    if a < c.t:
+                        ramp((c.t - min(b, c.t)) * e.weight, (c.t - a) * e.weight, r)
                 continue
-            du = X.distance(c, VertexPoint(e.u))
-            dv = X.distance(c, VertexPoint(e.v))
-            for t in cuts:
-                radii.add(du + t * e.weight)
-                radii.add(dv + (1 - t) * e.weight)
-        usable = sorted(radii)
-        lo_mass = None
-        found = None
-        prev_r = None
-        for r in usable:
-            mass = mu.ball_mass(c, r)
-            if mass >= threshold:
-                if prev_r is None:
-                    found = r
+            # in a tree the far endpoint is exactly one edge weight farther,
+            # so the ball enters every other edge from its nearer endpoint
+            du, dv = dist[e.u], dist[e.v]
+            for a, b, r in pieces:
+                if du < dv:
+                    ramp(du + a * e.weight, du + b * e.weight, r)
                 else:
-                    # mass is linear in r between consecutive critical radii
-                    span_mass = mass - lo_mass
-                    if span_mass == 0:
-                        found = prev_r
-                    else:
-                        found = prev_r + (threshold - lo_mass) * (r - prev_r) / span_mass
+                    ramp(dv + (1 - b) * e.weight, dv + (1 - a) * e.weight, r)
+        mass = slope = prev = ZERO
+        for r in sorted(events):
+            if best is not None and prev >= best:
                 break
-            prev_r, lo_mass = r, mass
-        if found is not None and (best is None or found < best):
-            best = found
+            jump, dslope = events[r]
+            left = mass + slope * (r - prev)
+            if left >= threshold:
+                # mass < threshold <= left, so slope > 0, unless the
+                # threshold is already met by the empty walk
+                found = prev + (threshold - mass) / slope if slope else prev
+            elif left + jump >= threshold:
+                found = r
+            else:
+                mass, slope, prev = left + jump, slope + dslope, r
+                continue
+            if best is None or found < best:
+                best = found
+            break
     assert best is not None, "a ball of full diameter always reaches the threshold"
     return best
 

@@ -364,12 +364,36 @@ def folner_average(gens, scheme: FolnerScheme, mu0: PLMeasure, n: int) -> PLMeas
     """The exact mixture |F_n|^-1 sum of pushed measures over the word set."""
     mu0.require_probability()
     words = scheme.words(n)
-    share = Fraction(1, len(words))
-    result: PLMeasure | None = None
-    for _, image in word_images(gens, words, mu0, push_forward):
-        pushed = image.scaled(share)
-        result = pushed if result is None else result.add(pushed)
-    return result
+    images = (image for _, image in word_images(gens, words, mu0, push_forward))
+    return _mixture(mu0, images, Fraction(1, len(words)))
+
+
+def _mixture(mu0: PLMeasure, measures: Iterable[PLMeasure], share: Fraction) -> PLMeasure:
+    """``share`` times the sum of ``measures`` (on ``mu0``'s space), in one merge.
+
+    Atoms are concatenated; each edge's pieces become steps of a difference
+    map, which one sorted pass turns back into a piecewise-constant density.
+    """
+    atoms: list[tuple[DPoint, Fraction]] = []
+    steps: dict[object, dict[Fraction, Fraction]] = {}  # edge -> parameter -> jump
+    for mu in measures:
+        atoms.extend(mu.atoms)
+        for eid, pieces in mu.densities.items():
+            diff = steps.setdefault(eid, {})
+            for a, b, r in pieces:
+                diff[a] = diff.get(a, ZERO) + r
+                diff[b] = diff.get(b, ZERO) - r
+    dens: dict[object, list[Piece]] = {}
+    for eid, diff in steps.items():
+        rows = dens[eid] = []
+        level = ZERO
+        cuts = sorted(diff)
+        for lo, hi in zip(cuts, cuts[1:]):
+            level += diff[lo]
+            if level:
+                rows.append((lo, hi, level * share))
+    return PLMeasure(mu0.dendrite, [(p, w * share) for p, w in atoms], dens,
+                     norm=mu0.norm)
 
 
 def invariance_defect(gens, mu: PLMeasure, fns: Sequence[TestFunction]) -> Fraction:

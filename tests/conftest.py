@@ -5,6 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 from dendrodyn.dendrite import Dendrite
+from dendrodyn.measure import PLMeasure
 
 
 @pytest.fixture(scope="session")
@@ -79,6 +80,22 @@ def trees_with_points(draw, count=3, max_edges=7):
     dendrite = draw(random_trees(max_edges=max_edges))
     pts = [draw(tree_points(dendrite)) for _ in range(count)]
     return dendrite, pts
+
+
+@st.composite
+def random_measures(draw, dendrite, max_atoms=3):
+    """A random non-zero measure: vertex and edge atoms plus density pieces."""
+    atoms = [(draw(tree_points(dendrite)), Fraction(draw(st.integers(1, 8)), 8))
+             for _ in range(draw(st.integers(min_value=0, max_value=max_atoms)))]
+    densities = {}
+    for e in dendrite.edges:
+        cuts = sorted(draw(st.sets(st.integers(min_value=0, max_value=16), max_size=4)))
+        densities[e.eid] = [(Fraction(a, 16), Fraction(b, 16),
+                             Fraction(draw(st.integers(0, 4)), 4))
+                            for a, b in zip(cuts, cuts[1:])]
+    if not atoms and not any(r for rows in densities.values() for _, _, r in rows):
+        atoms = [(draw(tree_points(dendrite)), Fraction(1))]
+    return PLMeasure(dendrite, atoms, densities)
 
 
 @st.composite

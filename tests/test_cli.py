@@ -72,6 +72,15 @@ class TestConfigValidation:
         ("defect", "odometer:D=3", {"ns": 3}),
         ("defect", "odometer:D=3", {"dictionary": 3}),
         ("pushforward", "thompson", {"word": "f^x"}),
+        ("proximality", "thompson", {"measure": {"atoms": [{"point": {"vertex": "0"}}]}}),
+        ("proximality", "thompson", {"measure": {"atoms": [["x", "1"]]}}),
+        ("proximality", "thompson", {"measure": {"atoms": "oops"}}),
+        ("proximality", "thompson", {"measure": {"edges": [
+            {"id": "e", "pieces": [{"a": "3/4", "b": "1/4", "density": "2"}]}]}}),
+        ("proximality", "thompson", {"measure": {"atoms": [
+            {"point": {"vertex": "0"}, "w": "-1"}]}}),
+        ("proximality", "thompson", {"measure": {"atoms": [
+            {"point": {"vertex": "0"}, "w": "1"}], "norm": "x"}}),
     ])
     def test_malformed_values_are_config_errors(self, tmp_path, capsys,
                                                 command, system, parameters):
@@ -79,6 +88,15 @@ class TestConfigValidation:
                                          "parameters": parameters})
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
+        assert report is None
+
+    def test_malformed_measure_file_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "measure.json"
+        path.write_text(json.dumps({"atoms": [{"point": {"vertex": "0"}}]}))
+        code, report, _ = run(tmp_path, {"command": "proximality", "system": "thompson",
+                                         "parameters": {"measure": {"file": str(path)}}})
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: malformed measure")
         assert report is None
 
 
@@ -271,6 +289,15 @@ class TestDeterminism:
             assert main(["run", "--config", cfg]) == 0
         assert ((tmp_path / "o1" / "classify.json").read_bytes()
                 == (tmp_path / "o2" / "classify.json").read_bytes())
+
+    def test_proximality_byte_identical(self, tmp_path):
+        doc = {"command": "proximality", "system": "odometer:D=3",
+               "parameters": {"R": 2, "measure": "canonical"}}
+        for out in ("o1", "o2"):
+            cfg = write_config(tmp_path, {**doc, "out": str(tmp_path / out)}, f"{out}.json")
+            assert main(["run", "--config", cfg]) == 0
+        assert ((tmp_path / "o1" / "proximality.json").read_bytes()
+                == (tmp_path / "o2" / "proximality.json").read_bytes())
 
     def test_retired_threads_key_is_ignored(self, tmp_path):
         # "threads" is no longer a config key; like any unknown key it is

@@ -1,10 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dendrodyn.action import detect_finite_orbit, evaluate_word, word_ball
 from dendrodyn.dendrite import FiniteClosedSet, hausdorff_distance, mesh
+from dendrodyn.dendrite import VertexPoint
 from dendrodyn.equicontinuity import (
+    _spread,
     build_tree_tower,
     equicontinuity_certificate,
     frontier_cover,
@@ -14,7 +18,7 @@ from dendrodyn.equicontinuity import (
 )
 from dendrodyn.errors import NoFiniteOrbitFound
 from dendrodyn.homeo import apply, image_subdendrite
-from dendrodyn.measure import canonical_measure, dirac
+from dendrodyn.measure import PLMeasure, canonical_measure, dirac
 from dendrodyn.zoo import (
     corrupted_leaf_collapse,
     leaf_point,
@@ -23,6 +27,8 @@ from dendrodyn.zoo import (
     thompson_system,
 )
 from dendrodyn.action import GeneratorSet
+
+from conftest import random_measures, random_trees
 
 F = Fraction
 
@@ -265,3 +271,64 @@ class TestProximalityScan:
         mu = dirac(system.dendrite, system.dendrite.point("e", F(1, 3)), F(1, 2))
         with pytest.raises(NotProbability):
             strong_proximality_scan(system.generators, mu, 1)
+
+
+def spread_by_ball_mass(mu, threshold):
+    """Oracle: ``ball_mass`` at every critical radius of every centre.
+
+    Between consecutive critical radii the ball mass is linear up to the left
+    limit at the upper radius; an atom at that radius adds a jump on top.
+    """
+    X = mu.dendrite
+    centers = [VertexPoint(v) for v in X.vertices] + [p for p, _ in mu.atoms]
+    best = None
+    for c in centers:
+        radii = {F(0)} | {X.distance(c, p) for p, _ in mu.atoms}
+        for eid, pieces in mu.densities.items():
+            e = X.edge(eid)
+            cuts = {F(0), F(1)} | {x for a, b, _ in pieces for x in (a, b)}
+            if getattr(c, "edge", None) == eid:
+                radii.update(abs(c.t - t) * e.weight for t in cuts)
+                continue
+            du = X.distance(c, VertexPoint(e.u))
+            dv = X.distance(c, VertexPoint(e.v))
+            radii.update(du + t * e.weight for t in cuts)
+            radii.update(dv + (1 - t) * e.weight for t in cuts)
+        prev_r = lo_mass = None
+        for r in sorted(radii):
+            mass = mu.ball_mass(c, r)
+            if mass >= threshold:
+                left = mass - sum(w for p, w in mu.atoms if X.distance(c, p) == r)
+                if prev_r is None or left < threshold:
+                    found = r
+                else:
+                    found = prev_r + (threshold - lo_mass) * (r - prev_r) / (left - lo_mass)
+                best = found if best is None else min(best, found)
+                break
+            prev_r, lo_mass = r, mass
+    return best
+
+
+class TestSpread:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_ball_mass_oracle(self, data):
+        # edge atoms are centres inside density-carrying edges, so the
+        # own-edge sweep is exercised as well as the nearer-endpoint ramps
+        X = data.draw(random_trees(max_edges=6))
+        mu = data.draw(random_measures(X))
+        threshold = mu.total_mass() * F(data.draw(st.integers(1, 16)), 16)
+        assert _spread(mu, threshold) == spread_by_ball_mass(mu, threshold)
+
+    def test_atom_at_the_crossing_radius(self):
+        # two heavy atoms: the crossing is the jump at the second one, not an
+        # interpolation across it (which gave 221/395)
+        X = thompson_system().dendrite
+        heavy = F(15, 32)
+        mu = PLMeasure(X, [(X.point("e", F(1, 5)), heavy), (X.point("e", F(4, 5)), heavy)],
+                       {"e": [(F(0), F(1), F(1, 16))]})
+        threshold = F(15, 16)
+        assert _spread(mu, threshold) == F(3, 5) == spread_by_ball_mass(mu, threshold)
+        centers = [X.vertex_point("0"), X.vertex_point("1")] + [p for p, _ in mu.atoms]
+        assert any(mu.ball_mass(c, F(3, 5)) >= threshold for c in centers)
+        assert all(mu.ball_mass(c, F(221, 395)) < threshold for c in centers)

@@ -10,6 +10,7 @@ from dendrodyn.dendrite import Dendrite
 from dendrodyn.errors import NotCertifiedOrbit, NotProbability
 from dendrodyn.measure import (
     FolnerScheme,
+    _mixture,
     TestFunction,
     canonical_measure,
     dirac,
@@ -29,7 +30,7 @@ from dendrodyn.zoo import (
     unit_interval_dendrite,
 )
 
-from conftest import pl_maps
+from conftest import pl_maps, random_measures, random_trees
 
 F = Fraction
 
@@ -251,6 +252,18 @@ class TestFolnerAverage:
         mu0 = dirac(odo6.dendrite, leaf_point(odo6.dendrite, 6), F(1, 3))
         with pytest.raises(NotProbability):
             folner_average(odo6.generators, scheme, mu0, 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_single_merge_matches_add_chain(self, data):
+        # oracle: the scaled-and-added accumulation the one merge replaced
+        X = data.draw(random_trees(max_edges=5))
+        mus = [data.draw(random_measures(X)) for _ in range(data.draw(st.integers(1, 4)))]
+        share = F(1, len(mus))
+        chain = mus[0].scaled(share)
+        for mu in mus[1:]:
+            chain = chain.add(mu.scaled(share))
+        assert _mixture(mus[0], mus, share) == chain
 
 
 class TestBallMass:

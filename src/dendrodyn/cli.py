@@ -81,9 +81,12 @@ class ExperimentConfig:
         command = doc.get("command")
         if command not in COMMANDS:
             raise ConfigInvalid(f"unknown command {command!r}; expected one of {COMMANDS}")
+        parameters = doc.get("parameters", {})
+        if not isinstance(parameters, dict):
+            raise ConfigInvalid(f"parameters must be an object, got {parameters!r}")
         cfg = cls(command=command,
                   system=doc.get("system"),
-                  parameters=doc.get("parameters", {}) or {},
+                  parameters=parameters,
                   out=doc.get("out", "."),
                   format=doc.get("format", "json"),
                   seed=read_param(doc.get("seed", 0), "seed", minimum=None))
@@ -94,6 +97,16 @@ class ExperimentConfig:
         return cfg
 
 
+def _load_document(path, what: str):
+    """The JSON document at ``path``; a missing or undecodable file is a config error."""
+    if not os.path.exists(path):
+        raise ConfigInvalid(f"{what} file {path!r} does not exist")
+    try:
+        return ser.load_json(path)
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise ConfigInvalid(f"{what} file {path!r} is not valid JSON: {exc}") from None
+
+
 def _resolve_system(spec) -> ZooSystem:
     if isinstance(spec, str):
         return get_system(spec)
@@ -102,18 +115,14 @@ def _resolve_system(spec) -> ZooSystem:
         dpath = spec.get("dendrite")
         if dpath is None:
             raise ConfigInvalid("explicit system needs a 'dendrite' file path")
-        if not os.path.exists(dpath):
-            raise ConfigInvalid(f"dendrite file {dpath!r} does not exist")
-        dendrite = ser.dendrite_from_json(ser.load_json(dpath))
+        dendrite = ser.dendrite_from_json(_load_document(dpath, "dendrite"))
         gens = []
         for row in spec.get("generators", ()):
             symbol = row.get("symbol")
             if symbol is None:
                 raise ConfigInvalid("each generator needs a 'symbol'")
             if "file" in row:
-                if not os.path.exists(row["file"]):
-                    raise ConfigInvalid(f"homeo file {row['file']!r} does not exist")
-                doc = ser.load_json(row["file"])
+                doc = _load_document(row["file"], "homeo")
             else:
                 doc = row.get("homeo")
             gens.append((symbol, ser.homeo_from_json(doc, dendrite)))
@@ -150,11 +159,9 @@ def _resolve_measure(spec, system: ZooSystem):
     if isinstance(spec, dict):
         if "dirac" in spec:
             return dirac(system.dendrite, _resolve_point(spec["dirac"], system))
-        if "file" in spec and not os.path.exists(spec["file"]):
-            raise ConfigInvalid(f"measure file {spec['file']!r} does not exist")
+        if "file" in spec:
+            spec = _load_document(spec["file"], "measure")
         try:
-            if "file" in spec:
-                spec = ser.load_json(spec["file"])
             return ser.measure_from_json(spec, system.dendrite)
         except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ConfigInvalid(f"malformed measure document: {exc!r}") from None
@@ -343,6 +350,9 @@ def _cmd_certify(cfg, system):
     eps_grid = _param_list(params, "eps_grid", None)
     if eps_grid is not None:
         eps_grid = [read_param(e, "eps_grid", frac, None) for e in eps_grid]
+        if any(e <= 0 for e in eps_grid) or any(a <= b for a, b in zip(eps_grid, eps_grid[1:])):
+            raise ConfigInvalid(f"eps_grid must be positive and strictly decreasing, "
+                                f"got {[frac_str(e) for e in eps_grid]}")
     mesh_target = params.get("mesh_target")
     cert = equicontinuity_certificate(
         system.generators, m, n_max,
@@ -565,19 +575,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_config(path: str, overrides: dict) -> ExperimentConfig:
+    """The config file at ``path`` with the command-line flags laid over it."""
+    doc = _load_document(path, "config")
+    if not isinstance(doc, dict):
+        raise ConfigInvalid("config must be a JSON object")
+    doc.update((flag, value) for flag, value in overrides.items() if value is not None)
+    return ExperimentConfig.from_dict(doc)
+
+
 def main(argv=None) -> int:
     logging.basicConfig(level=os.environ.get("DENDRODYN_LOG", "WARNING").upper())
     args = _build_parser().parse_args(argv)
     try:
         if args.mode == "run":
-            if not os.path.exists(args.config):
-                raise ConfigInvalid(f"config file {args.config!r} does not exist")
-            doc = ser.load_json(args.config)
-            for flag in ("out", "format", "seed"):
-                value = getattr(args, flag)
-                if value is not None:
-                    doc[flag] = value
-            cfg = ExperimentConfig.from_dict(doc)
+            cfg = _read_config(args.config, {"out": args.out, "format": args.format,
+                                             "seed": args.seed})
             report, code = run_experiment(cfg)
             path = write_report(cfg, report)
             log.info("report written to %s", path)

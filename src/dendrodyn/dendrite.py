@@ -9,6 +9,7 @@ quantities (arc lengths, Hausdorff distances, cover meshes) are exact.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
@@ -418,7 +419,7 @@ class Dendrite:
             if self._lower(e) in marked:
                 ends = ends + [lower_end]
             portions[e.eid] = (min(ends), max(ends))
-        return Subdendrite._make(self, marked, portions)
+        return Subdendrite._trusted(self, marked, portions)
 
     def whole(self) -> "Subdendrite":
         return Subdendrite._make(self, set(self._vertices),
@@ -571,6 +572,20 @@ class Subdendrite:
         ordered = tuple(sorted(parts.items(), key=lambda it: id_key(it[0])))
         return cls(dendrite, frozenset(vset), ordered)
 
+    @classmethod
+    def _trusted(cls, dendrite: Dendrite, vertices: Iterable,
+                 portions: Mapping) -> "Subdendrite":
+        """Build from portions that are already canonical on ``dendrite``.
+
+        Precondition: every portion is an exact ``(lo, hi)`` with
+        ``0 <= lo <= hi <= 1`` on an edge of ``dendrite``, a degenerate portion
+        lies strictly inside its edge, and ``vertices`` are vertices of
+        ``dendrite`` that include each edge end a portion touches.  Only the
+        portions are sorted; nothing is checked.
+        """
+        ordered = tuple(sorted(portions.items(), key=lambda it: id_key(it[0])))
+        return cls(dendrite, frozenset(vertices), ordered)
+
     def __eq__(self, other):
         return (isinstance(other, Subdendrite)
                 and self.vertices == other.vertices
@@ -672,31 +687,40 @@ class Subdendrite:
         return FiniteClosedSet(self.dendrite, pts)
 
     def diameter(self) -> Fraction:
-        nodes, segments = self._node_graph()
-        if len(nodes) <= 1:
-            return ZERO
-        adj: dict = {n: [] for n in nodes}
-        for a, b, w in segments:
-            adj[a].append((b, w))
-            adj[b].append((a, w))
+        """The largest distance along the subdendrite, in one bottom-up pass.
 
-        def farthest(start):
-            dist = {start: ZERO}
-            stack = [start]
-            far, fard = start, ZERO
-            while stack:
-                cur = stack.pop()
-                for nxt, w in adj[cur]:
-                    if nxt not in dist:
-                        dist[nxt] = dist[cur] + w
-                        if dist[nxt] > fard:
-                            far, fard = nxt, dist[nxt]
-                        stack.append(nxt)
-            return far, fard
-
-        a, _ = farthest(next(iter(sorted(nodes))))
-        _, d = farthest(a)
-        return d
+        Each portion is a full edge, a stub hanging below its upper vertex, a
+        stub rising above its lower vertex, or a lone segment touching
+        neither end.  Stubs are branches of the vertex they touch; full edges
+        carry a vertex's longest downward reach to its parent.  Folding the
+        two longest branches per vertex, deepest vertices first, gives the
+        longest path through each vertex.  A disconnected subdendrite gets
+        the largest diameter of its pieces.
+        """
+        X = self.dendrite
+        branches: dict[object, list[Fraction]] = {v: [] for v in self.vertices}
+        up_edge: dict[object, Fraction] = {}  # lower vertex -> weight of its full parent edge
+        best = ZERO
+        for eid, (lo, hi) in self.portions:
+            e = X.edge(eid)
+            at_u, at_v = lo == 0, hi == 1
+            if at_u and at_v:
+                up_edge[X._lower(e)] = e.weight
+            elif at_u or at_v:
+                branches[e.u if at_u else e.v].append((hi - lo) * e.weight)
+            else:
+                best = max(best, (hi - lo) * e.weight)
+        for v in sorted(branches, key=X._depth.__getitem__, reverse=True):
+            reach = branches[v]
+            if len(reach) > 1:
+                reach.sort(reverse=True)
+                best = max(best, reach[0] + reach[1])
+            if v in up_edge:
+                w = up_edge[v]
+                branches[X._parent[v]].append(reach[0] + w if reach else w)
+            elif reach:
+                best = max(best, reach[0])
+        return best
 
     def sample_points(self) -> list[DPoint]:
         """Vertices plus portion boundaries and midpoints (for spot checks)."""
@@ -760,7 +784,7 @@ def weighted_metric(dendrite: Dendrite, a: DPoint, b: DPoint) -> Fraction:
 
 
 def _distance_to_set(dendrite: Dendrite, targets: Iterable[DPoint]):
-    """Per-vertex distance to the nearest target plus per-edge target lists."""
+    """Per-vertex distance to the nearest target plus sorted per-edge targets."""
     init: dict[object, Fraction] = {}
     on_edge: dict[object, list[Fraction]] = {}
 
@@ -781,6 +805,8 @@ def _distance_to_set(dendrite: Dendrite, targets: Iterable[DPoint]):
             on_edge.setdefault(p.edge, []).append(p.t)
     if count == 0:
         raise EmptySet("distance to an empty set")
+    for ts in on_edge.values():
+        ts.sort()
 
     dist: dict[object, Fraction | None] = {v: init.get(v) for v in dendrite.vertices}
     order = dendrite._order
@@ -815,8 +841,12 @@ def _point_to_set(dendrite: Dendrite, dist, on_edge, p: DPoint) -> Fraction:
             cands.append(dist[e.u] + p.t * e.weight)
         if dist[e.v] is not None:
             cands.append(dist[e.v] + (1 - p.t) * e.weight)
-        for s in on_edge.get(p.edge, ()):
-            cands.append(abs(p.t - s) * e.weight)
+        ts = on_edge.get(p.edge, ())
+        i = bisect_left(ts, p.t)  # only the targets either side of p can be nearest
+        if i < len(ts):
+            cands.append((ts[i] - p.t) * e.weight)
+        if i > 0:
+            cands.append((p.t - ts[i - 1]) * e.weight)
         d = min(cands) if cands else None
     if d is None:
         raise DendrodynError("target set unreachable from point")

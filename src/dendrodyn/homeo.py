@@ -27,7 +27,10 @@ class PLMap:
     ``xs`` is strictly increasing from 0 to 1; ``ys`` is strictly monotone with
     endpoint values {0, 1} (increasing maps are orientation-preserving).
     Stored in canonical form: collinear interior breakpoints are merged, so
-    equality of canonical maps is equality of functions.
+    equality of canonical maps is equality of functions.  A canonical map with
+    two breakpoints is therefore the identity or the flip t -> 1 - t
+    (:attr:`linear`); :meth:`identity` and :meth:`flip` return one shared
+    instance each, which is safe because nothing mutates a ``PLMap``.
     """
 
     __slots__ = ("xs", "ys")
@@ -54,17 +57,22 @@ class PLMap:
         self.xs = xs
         self.ys = ys
 
-    @classmethod
-    def identity(cls) -> "PLMap":
-        return cls((ZERO, ONE), (ZERO, ONE), _canonical=True)
+    @staticmethod
+    def identity() -> "PLMap":
+        return _IDENTITY
 
-    @classmethod
-    def flip(cls) -> "PLMap":
-        return cls((ZERO, ONE), (ONE, ZERO), _canonical=True)
+    @staticmethod
+    def flip() -> "PLMap":
+        return _FLIP
 
     @property
     def increasing(self) -> bool:
         return self.ys[0] == 0
+
+    @property
+    def linear(self) -> bool:
+        """True for the identity and the flip, the only canonical linear maps."""
+        return len(self.xs) == 2
 
     def __call__(self, t: Fraction) -> Fraction:
         t = frac(t)
@@ -78,12 +86,16 @@ class PLMap:
         return ys[-1]
 
     def inverse(self) -> "PLMap":
+        if self.linear:
+            return self
         if self.increasing:
             return PLMap(self.ys, self.xs)
         return PLMap(tuple(reversed(self.ys)), tuple(reversed(self.xs)))
 
     def after(self, other: "PLMap") -> "PLMap":
         """The composite self(other(t)), exact on the refined breakpoint grid."""
+        if self.linear and other.linear:
+            return _IDENTITY if self.increasing == other.increasing else _FLIP
         grid = set(other.xs)
         inv = other.inverse()
         for x in self.xs:
@@ -107,6 +119,10 @@ class PLMap:
 
     def __repr__(self):
         return f"PLMap({list(self.xs)} -> {list(self.ys)})"
+
+
+_IDENTITY = PLMap((ZERO, ONE), (ZERO, ONE), _canonical=True)
+_FLIP = PLMap((ZERO, ONE), (ONE, ZERO), _canonical=True)
 
 
 def _merge_collinear(xs, ys):
@@ -336,20 +352,25 @@ def is_isometry(h: Homeo) -> bool:
 
 
 def image_subdendrite(h: Homeo, sub: Subdendrite) -> Subdendrite:
-    """Exact image of a subdendrite (portions map to portions)."""
-    vertices = {h.vertex_map[v] for v in sub.vertices}
+    """Exact image of a subdendrite (portions map to portions).
+
+    ``h`` must be a validated homeomorphism, as every generator of a checked
+    ``GeneratorSet`` is: its edge map is injective and agrees with its vertex
+    map at the endpoints, so the image of a canonical subdendrite is canonical
+    with one portion per image edge.  Identity and flip reparametrizations
+    relabel a portion without evaluating the map.
+    """
     portions: dict = {}
     for eid, (lo, hi) in sub.portions:
         tgt, plm = h.edge_map[eid]
-        a, b = plm(lo), plm(hi)
-        if a > b:
-            a, b = b, a
-        if tgt in portions:
-            plo, phi = portions[tgt]
-            portions[tgt] = (min(plo, a), max(phi, b))
+        if plm.linear:
+            portions[tgt] = (lo, hi) if plm.increasing else (1 - hi, 1 - lo)
+        elif plm.increasing:
+            portions[tgt] = (plm(lo), plm(hi))
         else:
-            portions[tgt] = (a, b)
-    return Subdendrite._make(h.dendrite, vertices, portions)
+            portions[tgt] = (plm(hi), plm(lo))
+    return Subdendrite._trusted(h.dendrite, {h.vertex_map[v] for v in sub.vertices},
+                                portions)
 
 
 def image_point_set(h: Homeo, pts: FiniteClosedSet) -> FiniteClosedSet:

@@ -81,6 +81,13 @@ class TestConfigValidation:
             {"point": {"vertex": "0"}, "w": "-1"}]}}),
         ("proximality", "thompson", {"measure": {"atoms": [
             {"point": {"vertex": "0"}, "w": "1"}], "norm": "x"}}),
+        ("certify", "odometer:D=3", {"eps_grid": ["1/2", "1/2"]}),
+        ("certify", "odometer:D=3", {"eps_grid": ["1/4", "1/2"]}),
+        ("certify", "odometer:D=3", {"eps_grid": ["1/2", "0"]}),
+        ("orbit", "thompson", []),
+        ("orbit", "thompson", [{"R": 2}]),
+        ("orbit", "thompson", "R=2"),
+        ("orbit", "thompson", None),
     ])
     def test_malformed_values_are_config_errors(self, tmp_path, capsys,
                                                 command, system, parameters):
@@ -89,6 +96,40 @@ class TestConfigValidation:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert report is None
+
+    def test_config_that_is_not_json(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text('{"command": "orbit", ', encoding="utf-8")
+        assert main(["run", "--config", str(path)]) == 1
+        assert "is not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("role", ["dendrite", "homeo", "measure"])
+    def test_referenced_file_that_is_not_json(self, tmp_path, capsys, role):
+        from dendrodyn.zoo import thompson_generators, unit_interval_dendrite
+        X = unit_interval_dendrite()
+        f, _ = thompson_generators(X)
+        broken = tmp_path / "broken.json"
+        broken.write_text('{"vertices": [', encoding="utf-8")
+        dendrite = tmp_path / "dendrite.json"
+        ser.dump_json(ser.dendrite_to_json(X), dendrite)
+        generator = {"symbol": "f", "homeo": ser.homeo_to_json(f)}
+        if role == "homeo":
+            generator = {"symbol": "f", "file": str(broken)}
+        system = {"dendrite": str(broken if role == "dendrite" else dendrite),
+                  "generators": [generator]}
+        parameters = {"measure": {"file": str(broken)}} if role == "measure" else {}
+        code, report, _ = run(tmp_path, {"command": "proximality", "system": system,
+                                         "parameters": parameters})
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {role} file ")
+        assert report is None
+
+    @pytest.mark.parametrize("flags", [["--out", "elsewhere"], ["--format", "csv"],
+                                       ["--seed", "3"]])
+    def test_config_that_is_not_an_object(self, tmp_path, capsys, flags):
+        cfg = write_config(tmp_path, [])
+        assert main(["run", "--config", cfg] + flags) == 1
+        assert capsys.readouterr().err == "error: config must be a JSON object\n"
 
     def test_malformed_measure_file_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "measure.json"

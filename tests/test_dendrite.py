@@ -3,11 +3,14 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dendrodyn.dendrite import (
     Dendrite,
     FiniteClosedSet,
     Subdendrite,
+    _distance_to_set,
+    _point_to_set,
     arc_between,
     arc_decomposition,
     arc_diameter_modulus,
@@ -34,7 +37,7 @@ from dendrodyn.errors import (
 from dendrodyn.util import point_key
 from dendrodyn.zoo import gehman_dendrite
 
-from conftest import nx_metric_oracle, trees_with_points
+from conftest import nx_metric_oracle, random_trees, tree_points, trees_with_points
 
 F = Fraction
 
@@ -60,6 +63,47 @@ def arc_union_hull(X, points):
             cur = portions.get(eid)
             portions[eid] = (lo, hi) if cur is None else (min(cur[0], lo), max(cur[1], hi))
     return Subdendrite._make(X, vertices, portions)
+
+
+def double_sweep_diameter(sub):
+    """Reference diameter: two farthest-node searches on the portion graph."""
+    nodes, segments = sub._node_graph()
+    if len(nodes) <= 1:
+        return Fraction(0)
+    adj = {n: [] for n in nodes}
+    for a, b, w in segments:
+        adj[a].append((b, w))
+        adj[b].append((a, w))
+
+    def farthest(start):
+        dist = {start: Fraction(0)}
+        stack = [start]
+        far, fard = start, Fraction(0)
+        while stack:
+            cur = stack.pop()
+            for nxt, w in adj[cur]:
+                if nxt not in dist:
+                    dist[nxt] = dist[cur] + w
+                    if dist[nxt] > fard:
+                        far, fard = nxt, dist[nxt]
+                    stack.append(nxt)
+        return far, fard
+
+    a, _ = farthest(next(iter(sorted(nodes))))
+    return farthest(a)[1]
+
+
+def scanned_point_to_set(X, dist, on_edge, p):
+    """Reference point-to-set distance: every same-edge target is compared."""
+    if not hasattr(p, "t"):
+        return dist[p.vertex]
+    e = X.edge(p.edge)
+    cands = [abs(p.t - s) * e.weight for s in on_edge.get(p.edge, ())]
+    if dist[e.u] is not None:
+        cands.append(dist[e.u] + p.t * e.weight)
+    if dist[e.v] is not None:
+        cands.append(dist[e.v] + (1 - p.t) * e.weight)
+    return min(cands)
 
 
 class TestConstruction:
@@ -304,10 +348,48 @@ class TestWeightedMetric:
                        default=Fraction(0))
         assert sub.diameter() == pairwise
 
+    @settings(max_examples=150, deadline=None)
+    @given(trees_with_points(count=5, max_edges=7))
+    def test_diameter_matches_double_sweep_oracle(self, data):
+        X, pts = data
+        hulls = [X.hull(pts[:3]), X.hull(pts[2:]), X.hull(pts)]
+        subs = hulls + [hulls[0]._union_connected(hulls[1])]  # they share pts[2]
+        subs += [X.arc(p, q) for p, q in itertools.combinations(pts, 2)]
+        for sub in subs:
+            assert sub.diameter() == double_sweep_diameter(sub)
+
+    @settings(max_examples=150, deadline=None)
+    @given(trees_with_points(count=5, max_edges=7))
+    def test_hull_is_canonical(self, data):
+        X, pts = data
+        hull = X.hull(pts)
+        assert hull == Subdendrite._make(X, hull.vertices, hull.portion_map())
+
+    def test_disconnected_diameter_is_the_largest_piece(self, star3):
+        # a full edge, a stub below c on e2, and a lone segment on e3
+        sub = Subdendrite._make(star3, {"c"}, {"e1": (0, 1), "e2": (0, F(1, 4)),
+                                               "e3": (F(1, 8), F(7, 8))})
+        assert sub.diameter() == F(5, 4)
+        cut = Subdendrite._make(star3, {"c", "l1"}, {"e1": (F(1, 2), 1),
+                                                     "e3": (F(1, 4), F(3, 4))})
+        assert cut.diameter() == F(1, 2)
+
     def test_arc_length_equals_distance(self, star3):
         a = star3.point("e1", F(1, 4))
         b = star3.point("e3", F(2, 3))
         assert arc_between(star3, a, b).diameter() == weighted_metric(star3, a, b)
+
+
+class TestPointToSet:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_bisect_matches_linear_scan(self, data):
+        X = data.draw(random_trees(max_edges=3))
+        targets = data.draw(st.lists(tree_points(X), min_size=1, max_size=12))
+        queries = data.draw(st.lists(tree_points(X), min_size=1, max_size=12))
+        dist, on_edge = _distance_to_set(X, targets)
+        for p in queries:
+            assert _point_to_set(X, dist, on_edge, p) == scanned_point_to_set(X, dist, on_edge, p)
 
 
 class TestHausdorff:

@@ -227,6 +227,25 @@ class TestCertificate:
         for n in range(1, 7):
             assert table[F(2) ** (1 - n)] == F(2) ** (1 - n)
 
+    def test_certificate_evaluates_no_pl_map(self, monkeypatch):
+        # odometer reparametrizations are all identities and flips, so building
+        # the generators, relabelling cell images and measuring cells evaluate
+        # no map
+        from dendrodyn.homeo import PLMap
+        calls = []
+        evaluate = PLMap.__call__
+
+        def counting(self, t):
+            calls.append(t)
+            return evaluate(self, t)
+
+        monkeypatch.setattr(PLMap, "__call__", counting)
+        system = odometer_system(6)
+        cert = equicontinuity_certificate(system.generators, leaf_set(system, 6), 6)
+        assert cert.verdict == "Certified"
+        assert [lvl.cell_count for lvl in cert.levels] == [2, 4, 8, 16, 32]
+        assert calls == []
+
     def test_corrupted_cover_fails_with_witness(self):
         system = odometer_system(4)
         m = leaf_set(system, 4)

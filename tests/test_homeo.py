@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dendrodyn.dendrite import Dendrite
+from dendrodyn.dendrite import Dendrite, Subdendrite
 from dendrodyn.errors import DendriteMismatch, InvalidHomeo
 from dendrodyn.homeo import (
     Homeo,
@@ -29,7 +29,7 @@ from dendrodyn.zoo import (
     unit_interval_dendrite,
 )
 
-from conftest import pl_maps, random_trees
+from conftest import pl_maps, random_trees, tree_points
 
 F = Fraction
 
@@ -68,7 +68,27 @@ def mirrored_automorphisms(draw):
     X = Dendrite([f"{side}-{v}" for v in T.vertices for side in "ab"], edges, weights)
     swap = {"a": "b", "b": "a"} if draw(st.booleans()) else {"a": "a", "b": "b"}
     vm = {v: swap[v[0]] + v[1:] for v in X.vertices}
-    return tree_automorphism(X, vm, {e.eid: draw(pl_maps()) for e in X.edges})
+    # identity reparametrizations on edges stored against the swap become flips
+    reparams = {e.eid: draw(st.one_of(st.just(PLMap.identity()), pl_maps()))
+                for e in X.edges}
+    return tree_automorphism(X, vm, reparams)
+
+
+def evaluated_image(h, sub):
+    """Reference image: evaluate every portion end, merge, re-validate."""
+    vertices = {h.vertex_map[v] for v in sub.vertices}
+    portions = {}
+    for eid, (lo, hi) in sub.portions:
+        tgt, plm = h.edge_map[eid]
+        a, b = plm(lo), plm(hi)
+        if a > b:
+            a, b = b, a
+        if tgt in portions:
+            plo, phi = portions[tgt]
+            portions[tgt] = (min(plo, a), max(phi, b))
+        else:
+            portions[tgt] = (a, b)
+    return Subdendrite._make(h.dendrite, vertices, portions)
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +152,17 @@ class TestPLMap:
     @given(pl_maps())
     def test_inverse_law(self, m):
         assert m.after(m.inverse()) == PLMap.identity()
+
+    def test_linear_maps_are_the_shared_identity_and_flip(self):
+        ident, flip = PLMap.identity(), PLMap.flip()
+        assert PLMap.identity() is ident and PLMap.flip() is flip
+        assert ident.linear and flip.linear
+        assert not PLMap([0, F(1, 2), 1], [0, F(1, 4), 1]).linear
+        # collinear breakpoints merge, so a map given on a finer grid is linear too
+        assert PLMap([0, F(1, 3), 1], [1, F(2, 3), 0]).linear
+        assert ident.inverse() is ident and flip.inverse() is flip
+        assert ident.after(ident) is ident and flip.after(flip) is ident
+        assert ident.after(flip) is flip and flip.after(ident) is flip
 
 
 class TestApply:
@@ -306,6 +337,24 @@ class TestTreeAuto:
     def test_missing_image_edge_rejected(self, star3):
         with pytest.raises(InvalidHomeo):
             tree_automorphism(star3, {"c": "l1", "l1": "c", "l2": "l2", "l3": "l3"})
+
+    def test_image_subdendrite_thompson(self, X, fg):
+        # real PL maps: the image of an arc is the arc between the end images
+        sub = X.arc(ival(X, "1/3"), ival(X, "7/8"))
+        for g in fg:
+            for h in (g, invert(g)):
+                expect = X.arc(apply(h, ival(X, "1/3")), apply(h, ival(X, "7/8")))
+                assert image_subdendrite(h, sub) == expect == evaluated_image(h, sub)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_image_matches_evaluating_oracle(self, data):
+        h = data.draw(mirrored_automorphisms())
+        X = h.dendrite
+        pts = data.draw(st.lists(tree_points(X), min_size=1, max_size=4))
+        sub = X.hull(pts)
+        for g in (h, invert(h)):
+            assert image_subdendrite(g, sub) == evaluated_image(g, sub)
 
     def test_image_subdendrite_exact(self):
         X = gehman_dendrite(3)

@@ -194,11 +194,15 @@ class OrbitReport:
 
 
 def _orbit_layers(gens: GeneratorSet, x: DPoint, radius: int):
-    """BFS point layers; yields the cumulative set after each radius step."""
+    """BFS point layers; yields the cumulative set after each radius step.
+
+    Each layer is a dict whose keys are the points in BFS discovery order, so
+    iterating it does not depend on hashing (``PYTHONHASHSEED``).
+    """
     x = gens.dendrite.check_point(x)
-    seen = {x}
+    seen = {x: None}
     frontier = [x]
-    yield set(seen)
+    yield dict(seen)
     maps = [h for _, _, h in gens.signed()]
     for _ in range(radius):
         nxt = []
@@ -206,16 +210,21 @@ def _orbit_layers(gens: GeneratorSet, x: DPoint, radius: int):
             for h in maps:
                 q = apply(h, p)
                 if q not in seen:
-                    seen.add(q)
+                    seen[q] = None
                     nxt.append(q)
         frontier = nxt
-        yield set(seen)
+        yield dict(seen)
 
 
-def _is_closed(gens: GeneratorSet, points: set) -> bool:
-    """Strong invariance: every signed generator maps the set into itself."""
+def _is_closed(gens: GeneratorSet, points: dict) -> bool:
+    """Strong invariance: every signed generator maps the set into itself.
+
+    Points are tried newest first, in reverse BFS discovery order: the
+    outermost layer is where a point most likely leaves the set, and the
+    order does not depend on hashing, so the ``apply`` work is reproducible.
+    """
     for _, _, h in gens.signed():
-        for p in points:
+        for p in reversed(points):
             if apply(h, p) not in points:
                 return False
     return True

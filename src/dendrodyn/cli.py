@@ -27,7 +27,7 @@ from .action import (
     orbit,
     word_images,
 )
-from .dendrite import hausdorff_distance
+from .dendrite import eps_grid_values, hausdorff_distance
 from .equicontinuity import (
     build_tree_tower,
     equicontinuity_certificate,
@@ -350,9 +350,10 @@ def _cmd_certify(cfg, system):
     eps_grid = _param_list(params, "eps_grid", None)
     if eps_grid is not None:
         eps_grid = [read_param(e, "eps_grid", frac, None) for e in eps_grid]
-        if any(e <= 0 for e in eps_grid) or any(a <= b for a, b in zip(eps_grid, eps_grid[1:])):
-            raise ConfigInvalid(f"eps_grid must be positive and strictly decreasing, "
-                                f"got {[frac_str(e) for e in eps_grid]}")
+        try:
+            eps_grid_values(eps_grid)
+        except ValueError as exc:
+            raise ConfigInvalid(f"eps_grid: {exc}, got {[frac_str(e) for e in eps_grid]}") from None
     mesh_target = params.get("mesh_target")
     cert = equicontinuity_certificate(
         system.generators, m, n_max,

@@ -26,7 +26,7 @@ from .errors import (
     PointOffDendrite,
     QuotientDisconnected,
 )
-from .util import frac, id_key, point_key
+from .util import dyadic_candidates, frac, id_key, point_key
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -1004,6 +1004,16 @@ def arc_decomposition(dendrite: Dendrite) -> list[tuple[object, Fraction]]:
     return [(e.eid, e.weight) for e in dendrite.edges]
 
 
+def eps_grid_values(eps_grid: Sequence) -> list[Fraction]:
+    """An epsilon grid as Fractions; ValueError unless positive and strictly decreasing."""
+    eps_grid = [frac(e) for e in eps_grid]
+    if any(e <= 0 for e in eps_grid):
+        raise ValueError("epsilon grid entries must be positive")
+    if any(a <= b for a, b in zip(eps_grid, eps_grid[1:])):
+        raise ValueError("epsilon grid must be strictly decreasing")
+    return eps_grid
+
+
 def arc_diameter_modulus(dendrite: Dendrite, eps_grid: Sequence[Fraction],
                          max_exp: int = 12) -> list[tuple[Fraction, Fraction]]:
     """For each epsilon, the largest dyadic delta certified on the skeleton.
@@ -1012,13 +1022,7 @@ def arc_diameter_modulus(dendrite: Dendrite, eps_grid: Sequence[Fraction],
     delta, the arc it spans must have diameter below epsilon.  Delta 0 means
     no candidate could be certified.
     """
-    from .util import dyadic_candidates
-
-    eps_grid = [frac(e) for e in eps_grid]
-    if any(e <= 0 for e in eps_grid):
-        raise ValueError("epsilon grid entries must be positive")
-    if any(a <= b for a, b in zip(eps_grid, eps_grid[1:])):
-        raise ValueError("epsilon grid must be strictly decreasing")
+    eps_grid = eps_grid_values(eps_grid)
     probes: list[DPoint] = [VertexPoint(v) for v in sorted(dendrite.vertices, key=id_key)]
     for e in dendrite.edges:
         probes.extend(dendrite.point(e.eid, Fraction(k, 4)) for k in (1, 2, 3))
@@ -1028,7 +1032,6 @@ def arc_diameter_modulus(dendrite: Dendrite, eps_grid: Sequence[Fraction],
             pairs.append((dendrite.distance(p, q), dendrite.arc(p, q).diameter()))
     table = []
     for eps in eps_grid:
-        eps = frac(eps)
         chosen = ZERO
         for cand in dyadic_candidates(max_exp):
             if all(diam < eps for d, diam in pairs if d < cand):

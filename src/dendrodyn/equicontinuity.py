@@ -22,6 +22,7 @@ from .dendrite import (
     VertexPoint,
     _distance_to_set,
     _point_to_set,
+    eps_grid_values,
     mesh,
     subdendrite_gates,
 )
@@ -263,8 +264,11 @@ def equicontinuity_certificate(gens: GeneratorSet, m: FiniteClosedSet, n_max: in
     (reaching ``mesh_target`` when one is given); such a modulus is valid for
     the entire generated group, not just the sampled generators.  Failed
     states a witness.  ``cover_tamper`` deterministically corrupts each cover
-    before verification (negative-control hook).
+    before verification (negative-control hook).  A given ``eps_grid`` must be
+    positive and strictly decreasing (``ValueError`` otherwise).
     """
+    if eps_grid is not None:
+        eps_grid = eps_grid_values(eps_grid)
     tower = build_tree_tower(gens, m, n_max, minimal_class=minimal_class,
                              orbit_budget=orbit_budget)
     X = gens.dendrite

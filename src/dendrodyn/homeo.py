@@ -104,13 +104,6 @@ class PLMap:
         ys = tuple(self(other(x)) for x in xs)
         return PLMap(xs, ys)
 
-    def segments(self):
-        """(x0, x1, y0, y1, slope) per linear piece."""
-        for i in range(len(self.xs) - 1):
-            x0, x1 = self.xs[i], self.xs[i + 1]
-            y0, y1 = self.ys[i], self.ys[i + 1]
-            yield x0, x1, y0, y1, (y1 - y0) / (x1 - x0)
-
     def __eq__(self, other):
         return isinstance(other, PLMap) and self.xs == other.xs and self.ys == other.ys
 

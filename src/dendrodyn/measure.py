@@ -210,26 +210,66 @@ def canonical_measure(dendrite: Dendrite) -> PLMeasure:
 
 
 def push_forward(h: Homeo, mu: PLMeasure) -> PLMeasure:
-    """Exact image measure: atoms transport, densities pick up 1/|slope|."""
+    """Exact image measure: atoms transport, densities pick up 1/|slope|.
+
+    Each edge is one walk over its pieces and its map's segments
+    (:func:`_overlaps`); the density factor is computed once per segment.
+    """
     if not h.dendrite.same_space(mu.dendrite):
         raise DendriteMismatch("homeomorphism acts on a different dendrite")
     atoms = [(apply(h, p), w) for p, w in mu.atoms]
+    edge = mu.dendrite.edge
     dens: dict[object, list[Piece]] = {}
     for eid, pieces in mu.densities.items():
         tgt_id, plm = h.edge_map[eid]
-        w_src = mu.dendrite.edge(eid).weight
-        w_tgt = mu.dendrite.edge(tgt_id).weight
+        ratio = edge(eid).weight / edge(tgt_id).weight
         rows = dens.setdefault(tgt_id, [])
-        for a, b, r in pieces:
-            for x0, x1, _, _, slope in plm.segments():
-                aa, bb = max(a, x0), min(b, x1)
-                if aa >= bb:
-                    continue
-                ya, yb = plm(aa), plm(bb)
-                if ya > yb:
-                    ya, yb = yb, ya
-                rows.append((ya, yb, r * w_src / (abs(slope) * w_tgt)))
+        seen = factor = None
+        for _, _, r, ya, yb, slope in _overlaps(pieces, plm.xs, plm.ys):
+            if slope is not seen:  # once per segment
+                seen, factor = slope, ratio / abs(slope)
+            rows.append((ya, yb, r * factor) if ya < yb else (yb, ya, r * factor))
     return PLMeasure(mu.dendrite, atoms, dens, norm=mu.norm)
+
+
+def _overlaps(pieces: Sequence[Piece], xs: Sequence[Fraction], ys: Sequence[Fraction]):
+    """One two-pointer walk over density pieces and a PL graph's segments.
+
+    ``pieces`` are sorted and disjoint; ``(xs, ys)`` are the breakpoints of a
+    piecewise-linear function on [0, 1].  Yields ``(lo, hi, r, y_lo, y_hi,
+    slope)`` for every overlap of positive length between a piece of density
+    ``r`` and a segment, where ``y_lo``, ``y_hi`` are the function's values at
+    ``lo``, ``hi`` taken from the segment's own line, and ``slope`` is that
+    line's slope (one object per segment, computed once).
+    """
+    i, n = 0, len(pieces)
+    t_prev = y_prev = None  # the last overlap's right end and its value
+    for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:]):
+        if i == n:
+            return
+        if pieces[i][0] >= x1:
+            continue
+        slope = (y1 - y0) / (x1 - x0)
+        icpt = y0 - slope * x0
+        while i < n:
+            a, b, r = pieces[i]
+            if a >= x1:
+                break
+            if a <= x0:
+                lo, y_lo = x0, y0
+            elif a == t_prev:
+                lo, y_lo = a, y_prev
+            else:
+                lo, y_lo = a, slope * a + icpt
+            if b >= x1:
+                hi, y_hi = x1, y1
+            else:
+                hi, y_hi = b, slope * b + icpt
+            t_prev, y_prev = hi, y_hi
+            yield lo, hi, r, y_lo, y_hi, slope
+            if b > x1:  # the piece runs on into the next segment
+                break
+            i += 1
 
 
 class TestFunction:
@@ -291,7 +331,10 @@ class TestFunction:
         return cls(dendrite, vv, ed, name=f"dist({p!r})")
 
     def __call__(self, p: DPoint) -> Fraction:
-        p = self.dendrite.check_point(p)
+        return self._at(self.dendrite.check_point(p))
+
+    def _at(self, p: DPoint) -> Fraction:
+        """The value at a point already checked against the dendrite."""
         if isinstance(p, VertexPoint):
             return self.vertex_values[p.vertex]
         xs, ys = self.edge_data[p.edge]
@@ -309,21 +352,21 @@ class TestFunction:
 
 
 def integrate(mu: PLMeasure, f: TestFunction) -> Fraction:
-    """Exact integral: atoms weight point values, pieces are trapezoids."""
+    """Exact integral: atoms weight point values, pieces are trapezoids.
+
+    Each edge is one walk over its pieces and ``f``'s segments there
+    (:func:`_overlaps`).
+    """
     if not mu.dendrite.same_space(f.dendrite):
         raise DomainMismatch("function defined on a different dendrite")
     total = ZERO
     for p, w in mu.atoms:
-        total += w * f(p)
+        total += w * f._at(p)
     for eid, pieces in mu.densities.items():
-        weight = mu.dendrite.edge(eid).weight
-        xs, _ = f.edge_data[eid]
-        for a, b, r in pieces:
-            cuts = sorted({a, b} | {x for x in xs if a < x < b})
-            for lo, hi in zip(cuts, cuts[1:]):
-                flo = f(mu.dendrite.point(eid, lo))
-                fhi = f(mu.dendrite.point(eid, hi))
-                total += r * weight * (flo + fhi) / 2 * (hi - lo)
+        twice = ZERO  # twice the edge's integral in parameter units
+        for lo, hi, r, f_lo, f_hi, _ in _overlaps(pieces, *f.edge_data[eid]):
+            twice += r * (f_lo + f_hi) * (hi - lo)
+        total += twice * mu.dendrite.edge(eid).weight / 2
     return total
 
 
@@ -399,11 +442,12 @@ def _mixture(mu0: PLMeasure, measures: Iterable[PLMeasure], share: Fraction) -> 
 def invariance_defect(gens, mu: PLMeasure, fns: Sequence[TestFunction]) -> Fraction:
     """Worst one-generator transport discrepancy over the test dictionary."""
     mu.require_probability()
+    before = [integrate(mu, f) for f in fns]
     worst = ZERO
     for sym in gens.symbols:
         pushed = push_forward(gens.homeo(sym, 1), mu)
-        for f in fns:
-            gap = abs(integrate(pushed, f) - integrate(mu, f))
+        for f, base in zip(fns, before):
+            gap = abs(integrate(pushed, f) - base)
             if gap > worst:
                 worst = gap
     return worst

@@ -1,10 +1,16 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dendrodyn
 from dendrodyn.action import (
     GeneratorSet,
     Word,
@@ -287,6 +293,35 @@ class TestMinimalSetApprox:
         assert len(approx.increments) == 6
         assert all(tval(p).denominator & (tval(p).denominator - 1) == 0
                    for p in approx.points)  # dyadic orbit
+
+    def test_apply_work_independent_of_hash_seed(self):
+        # the closure check must not iterate points in hash order
+        script = textwrap.dedent("""
+            from fractions import Fraction
+            import dendrodyn.action as action
+            from dendrodyn.zoo import thompson_system
+            calls = 0
+            real_apply = action.apply
+            def counting(h, p):
+                global calls
+                calls += 1
+                return real_apply(h, p)
+            action.apply = counting
+            system = thompson_system()
+            x = system.dendrite.point("e", Fraction(2, 15))
+            approx = action.minimal_set_approx(system.generators, x, 8, Fraction(1, 16))
+            print(calls, sorted(map(repr, approx.points)), approx.increments)
+        """)
+        src = str(Path(dendrodyn.__file__).parents[1])
+        outputs = []
+        for seed in ("0", "1"):
+            env = {**os.environ, "PYTHONHASHSEED": seed,
+                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
 
 
 class TestClassify:

@@ -354,6 +354,38 @@ class TestDeterminism:
                 == (tmp_path / "t4" / "defect.json").read_bytes())
 
 
+class TestDefectGolden:
+    """Exact defect rows at denominators Hypothesis never reaches.
+
+    Recorded before push_forward and integrate became one merge walk per
+    edge; they pin both kernels on Thompson's group and on the odometer.
+    """
+
+    def test_thompson_canonical(self, tmp_path):
+        code, report, _ = run(tmp_path, {
+            "command": "defect", "system": "thompson",
+            "parameters": {"ns": list(range(1, 13)), "measure": "canonical"}})
+        assert code == 0
+        assert report["sup_norm"] == "1"
+        assert report["rows"] == [
+            [1, "7/48", "2/3"], [2, "83/640", "2/5"], [3, "101/896", "2/7"],
+            [4, "449/4608", "2/9"], [5, "119/1408", "2/11"],
+            [6, "1967/26624", "2/13"], [7, "2003/30720", "2/15"],
+            [8, "8093/139264", "2/17"], [9, "4069/77824", "2/19"],
+            [10, "32651/688128", "2/21"], [11, "32705/753664", "2/23"],
+            [12, "130937/3276800", "2/25"]]
+
+    def test_odometer_dirac(self, tmp_path):
+        code, report, _ = run(tmp_path, {
+            "command": "defect", "system": "odometer:D=5",
+            "parameters": {"ns": list(range(1, 7)), "measure": {"dirac": {"leaf": 0}}}})
+        assert code == 0
+        assert report["sup_norm"] == "2"
+        assert report["rows"] == [
+            [1, "2/3", "4/3"], [2, "3/10", "4/5"], [3, "3/14", "4/7"],
+            [4, "1/6", "4/9"], [5, "3/22", "4/11"], [6, "7/52", "4/13"]]
+
+
 class TestExportPlot:
     def test_mesh_csv(self, tmp_path):
         _, _, path = run(tmp_path, {

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dendrodyn.action import detect_finite_orbit, evaluate_word, word_ball
-from dendrodyn.dendrite import FiniteClosedSet, hausdorff_distance, mesh
+from dendrodyn.dendrite import FiniteClosedSet, arc_diameter_modulus, hausdorff_distance, mesh
 from dendrodyn.dendrite import VertexPoint
 from dendrodyn.equicontinuity import (
     _spread,
@@ -260,6 +260,17 @@ class TestCertificate:
         cert = equicontinuity_certificate(system.generators, m, 2,
                                           mesh_target=F(1, 64))
         assert cert.verdict == "Failed"
+
+    @pytest.mark.parametrize("eps_grid", [[F(1, 2), F(1, 2), -1], [F(1, 4), F(1, 2)],
+                                          [F(1, 2), 0]])
+    def test_bad_eps_grid_raises(self, eps_grid):
+        # the same check as dendrite.arc_diameter_modulus
+        system = odometer_system(3)
+        with pytest.raises(ValueError, match="epsilon grid"):
+            equicontinuity_certificate(system.generators, leaf_set(system, 3), 2,
+                                       eps_grid=eps_grid)
+        with pytest.raises(ValueError, match="epsilon grid"):
+            arc_diameter_modulus(system.dendrite, eps_grid)
 
 
 class TestProximalityScan:

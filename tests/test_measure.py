@@ -10,6 +10,7 @@ from dendrodyn.dendrite import Dendrite
 from dendrodyn.errors import NotCertifiedOrbit, NotProbability
 from dendrodyn.measure import (
     FolnerScheme,
+    PLMeasure,
     _mixture,
     TestFunction,
     canonical_measure,
@@ -150,6 +151,135 @@ class TestPushForward:
         h = interval_homeo(X, m.xs, m.ys)
         mu = canonical_measure(X)
         assert push_forward(h, mu).total_mass() == 1
+
+
+def push_forward_oracle(h, mu):
+    """The per-piece push-forward the one-walk version replaced.
+
+    For every piece it scans every segment of the edge's map and evaluates
+    the map at both ends of each overlap.
+    """
+    from dendrodyn.homeo import apply
+    atoms = [(apply(h, p), w) for p, w in mu.atoms]
+    dens = {}
+    for eid, pieces in mu.densities.items():
+        tgt_id, plm = h.edge_map[eid]
+        w_src = mu.dendrite.edge(eid).weight
+        w_tgt = mu.dendrite.edge(tgt_id).weight
+        rows = dens.setdefault(tgt_id, [])
+        for a, b, r in pieces:
+            for x0, x1, y0, y1 in zip(plm.xs, plm.xs[1:], plm.ys, plm.ys[1:]):
+                slope = (y1 - y0) / (x1 - x0)
+                aa, bb = max(a, x0), min(b, x1)
+                if aa >= bb:
+                    continue
+                ya, yb = plm(aa), plm(bb)
+                if ya > yb:
+                    ya, yb = yb, ya
+                rows.append((ya, yb, r * w_src / (abs(slope) * w_tgt)))
+    return PLMeasure(mu.dendrite, atoms, dens, norm=mu.norm)
+
+
+def integrate_oracle(mu, f):
+    """The per-point trapezoid integral the one-walk version replaced."""
+    total = F(0)
+    for p, w in mu.atoms:
+        total += w * f(p)
+    for eid, pieces in mu.densities.items():
+        weight = mu.dendrite.edge(eid).weight
+        xs, _ = f.edge_data[eid]
+        for a, b, r in pieces:
+            cuts = sorted({a, b} | {x for x in xs if a < x < b})
+            for lo, hi in zip(cuts, cuts[1:]):
+                flo = f(mu.dendrite.point(eid, lo))
+                fhi = f(mu.dendrite.point(eid, hi))
+                total += r * weight * (flo + fhi) / 2 * (hi - lo)
+    return total
+
+
+@st.composite
+def tree_automorphisms(draw, dendrite):
+    """A tree automorphism with random PL reparametrizations.
+
+    The vertex map is the identity or swaps two leaves that share a
+    neighbour; storage orientations are random, so some edges flip.
+    """
+    from dendrodyn.homeo import PLMap, tree_automorphism
+    vm = {v: v for v in dendrite.vertices}
+    leaves = {}
+    for e in dendrite.edges:
+        for leaf, hub in ((e.u, e.v), (e.v, e.u)):
+            if dendrite.degree(leaf) == 1:
+                leaves.setdefault(hub, []).append(leaf)
+    pairs = [sorted(group)[:2] for _, group in sorted(leaves.items())
+             if len(group) >= 2]
+    if pairs and draw(st.booleans()):
+        a, b = draw(st.sampled_from(pairs))
+        vm[a], vm[b] = b, a
+    reparams = {e.eid: draw(pl_maps()) if draw(st.booleans()) else PLMap.identity()
+                for e in dendrite.edges}
+    return tree_automorphism(dendrite, vm, reparams)
+
+
+@st.composite
+def pl_functions(draw, dendrite):
+    """A random continuous PL function with sixteenth breakpoints."""
+    values = st.integers(-8, 8).map(lambda k: F(k, 4))
+    vv = {v: draw(values) for v in dendrite.vertices}
+    ed = {}
+    for e in dendrite.edges:
+        mids = sorted(draw(st.sets(st.integers(1, 15), max_size=3)))
+        xs = [F(0)] + [F(x, 16) for x in mids] + [F(1)]
+        ys = [vv[e.u]] + [draw(values) for _ in mids] + [vv[e.v]]
+        ed[e.eid] = (xs, ys)
+    return TestFunction(dendrite, vv, ed)
+
+
+def thompson_words(gens):
+    letters = st.tuples(st.sampled_from(gens.symbols), st.sampled_from((1, -1)))
+    return st.lists(letters, min_size=1, max_size=6).map(lambda ls: Word(tuple(ls)))
+
+
+class TestOneWalkOracles:
+    """The one-walk kernels against the per-piece code they replaced."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_push_forward_tree_automorphisms(self, data):
+        X = data.draw(random_trees(max_edges=5))
+        mu = data.draw(random_measures(X))
+        h = data.draw(tree_automorphisms(X))
+        assert push_forward(h, mu) == push_forward_oracle(h, mu)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_push_forward_thompson_words(self, thomp, data):
+        X, gens = thomp.dendrite, thomp.generators
+        mu = data.draw(random_measures(X))
+        for w in (data.draw(thompson_words(gens)), data.draw(thompson_words(gens))):
+            h = evaluate_word(w, gens)
+            pushed = push_forward(h, mu)
+            assert pushed == push_forward_oracle(h, mu)
+            mu = pushed  # the second word acts on breakpoints off the sixteenths
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_integrate_tree_automorphisms(self, data):
+        X = data.draw(random_trees(max_edges=5))
+        mu = data.draw(random_measures(X))
+        f = data.draw(pl_functions(X))
+        assert integrate(mu, f) == integrate_oracle(mu, f)
+        pushed = push_forward(data.draw(tree_automorphisms(X)), mu)
+        assert integrate(pushed, f) == integrate_oracle(pushed, f)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_integrate_thompson_words(self, thomp, data):
+        X, gens = thomp.dendrite, thomp.generators
+        mu = data.draw(random_measures(X))
+        pushed = push_forward(evaluate_word(data.draw(thompson_words(gens)), gens), mu)
+        f = data.draw(pl_functions(X))
+        assert integrate(pushed, f) == integrate_oracle(pushed, f)
 
 
 class TestIntegrate:

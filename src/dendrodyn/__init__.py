@@ -7,16 +7,11 @@ from .dendrite import (
     FiniteClosedSet,
     Subdendrite,
     VertexPoint,
-    arc_between,
     arc_decomposition,
     arc_diameter_modulus,
     boundary_classification,
-    collapse_points,
-    convex_hull,
     hausdorff_distance,
     mesh,
-    retract,
-    weighted_metric,
 )
 from .homeo import (
     Homeo,

@@ -315,8 +315,7 @@ class Classification:
 
 
 def classify_minimal_set(dendrite: Dendrite, m: FiniteClosedSet, eps,
-                         *, certified_finite: bool = False,
-                         probes: Iterable[DPoint] | None = None) -> Classification:
+                         *, certified_finite: bool = False) -> Classification:
     """Resolution-bounded verdict on the character of an approximate minimal set.
 
     A certified closed orbit wins outright.  Otherwise the set is epsilon-dense
@@ -328,10 +327,8 @@ def classify_minimal_set(dendrite: Dendrite, m: FiniteClosedSet, eps,
         raise ValueError("cannot classify an empty set")
     if certified_finite:
         return Classification("finite-orbit", eps, {"size": len(m)})
-    probe_list = list(probes) if probes is not None else dendrite.skeleton_points()
     dist, on_edge = _distance_to_set(dendrite, m)
-    gaps = [(p, _point_to_set(dendrite, dist, on_edge, dendrite.check_point(p)))
-            for p in probe_list]
+    gaps = [(p, _point_to_set(dendrite, dist, on_edge, p)) for p in dendrite.skeleton_points()]
     worst_probe, worst_gap = max(gaps, key=lambda pg: (pg[1], point_key(pg[0])))
     if worst_gap <= eps:
         return Classification("whole-space", eps, {"max_probe_gap": worst_gap})

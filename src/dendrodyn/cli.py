@@ -14,6 +14,7 @@ import json
 import logging
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -107,6 +108,18 @@ def _load_document(path, what: str):
         raise ConfigInvalid(f"{what} file {path!r} is not valid JSON: {exc}") from None
 
 
+@contextmanager
+def _decoding(what: str):
+    """Decode a document from outside the program; a malformed one is a config error.
+
+    Dendrodyn errors raised while decoding pass through unchanged.
+    """
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ConfigInvalid(f"malformed {what} document: {exc!r}") from None
+
+
 def _resolve_system(spec) -> ZooSystem:
     if isinstance(spec, str):
         return get_system(spec)
@@ -115,17 +128,20 @@ def _resolve_system(spec) -> ZooSystem:
         dpath = spec.get("dendrite")
         if dpath is None:
             raise ConfigInvalid("explicit system needs a 'dendrite' file path")
-        dendrite = ser.dendrite_from_json(_load_document(dpath, "dendrite"))
+        with _decoding("dendrite"):
+            dendrite = ser.dendrite_from_json(_load_document(dpath, "dendrite"))
         gens = []
-        for row in spec.get("generators", ()):
-            symbol = row.get("symbol")
-            if symbol is None:
-                raise ConfigInvalid("each generator needs a 'symbol'")
-            if "file" in row:
-                doc = _load_document(row["file"], "homeo")
-            else:
-                doc = row.get("homeo")
-            gens.append((symbol, ser.homeo_from_json(doc, dendrite)))
+        with _decoding("generator"):
+            for row in spec.get("generators", ()):
+                symbol = row.get("symbol")
+                if symbol is None:
+                    raise ConfigInvalid("each generator needs a 'symbol'")
+                if "file" in row:
+                    doc = _load_document(row["file"], "homeo")
+                else:
+                    doc = row.get("homeo")
+                with _decoding("homeo"):
+                    gens.append((symbol, ser.homeo_from_json(doc, dendrite)))
         return ZooSystem("custom", dendrite, GeneratorSet(dendrite, gens), {})
     raise ConfigInvalid(f"cannot interpret system spec {spec!r}")
 
@@ -145,7 +161,8 @@ def _resolve_point(spec, system: ZooSystem):
             if depth is None:
                 raise ConfigInvalid("'leaf' points only apply to tree systems")
             return leaf_point(X, depth, read_param(spec["leaf"], "leaf", minimum=None))
-        return ser.point_from_json(spec, X)
+        with _decoding("point"):
+            return ser.point_from_json(spec, X)
     if isinstance(spec, (str, int)):
         if len(X.edges) != 1:
             raise ConfigInvalid("bare interval coordinates need a single-edge dendrite")
@@ -161,10 +178,8 @@ def _resolve_measure(spec, system: ZooSystem):
             return dirac(system.dendrite, _resolve_point(spec["dirac"], system))
         if "file" in spec:
             spec = _load_document(spec["file"], "measure")
-        try:
+        with _decoding("measure"):
             return ser.measure_from_json(spec, system.dendrite)
-        except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-            raise ConfigInvalid(f"malformed measure document: {exc!r}") from None
     raise ConfigInvalid(f"cannot interpret measure spec {spec!r}")
 
 
@@ -222,10 +237,8 @@ def _default_dictionary(system: ZooSystem, params: dict) -> list[TestFunction]:
                   X.vertex_point("0"), X.vertex_point("1"),
                   leaf_point(X, depth, 2 ** depth - 1)]
     else:
-        points = [X.point(X.edges[0].eid, Fraction(1, 2)),
-                  list(X.vertices)[0]]
-        points = [points[0]] + [X.vertex_point(v)
-                                for v in sorted(X.vertices, key=str)]
+        points = [X.point(X.edges[0].eid, Fraction(1, 2))] + [
+            X.vertex_point(v) for v in sorted(X.vertices, key=str)]
     return [TestFunction.distance_to(X, p) for p in points]
 
 
@@ -283,12 +296,9 @@ def _cmd_minimal_set(cfg, system):
 def _cmd_classify(cfg, system):
     params = cfg.parameters
     eps = read_param(params.get("eps", "1/8"), "eps", frac, None)
-    m, certified, _ = _minimal_set(system, params)
-    minimal_class = params.get("minimal_class",
-                               system.properties.get("expected_minimal_class"))
-    treat_finite = certified and minimal_class not in ("cantor-like", "whole-space")
+    m, certified, tower_class = _minimal_set(system, params)
     verdict = classify_minimal_set(system.dendrite, m, eps,
-                                   certified_finite=treat_finite)
+                                   certified_finite=tower_class == "finite")
     doc = {
         "eps": frac_str(eps),
         "size": len(m),
@@ -510,18 +520,14 @@ def export_plot_data(report_path: str, kind: str) -> str:
         raise ReportMissing(f"report has no {key!r} table for kind {kind!r}")
     lines = [header]
     for row in doc[key]:
-        if isinstance(row, dict):
-            lines.append(f"{row[xk]},{row[yk]}")
-        else:
-            lines.append(f"{row[xk]},{row[yk]}")
+        lines.append(f"{row[xk]},{row[yk]}")
     return "\n".join(lines) + "\n"
 
 
 def run_experiment(cfg: ExperimentConfig):
     """Execute one command; returns (report dict, exit code)."""
-    system = _resolve_system(cfg.system) if cfg.command not in SYSTEMLESS else None
-    if cfg.command in SYSTEMLESS and cfg.system is not None:
-        system = _resolve_system(cfg.system)
+    system = (None if cfg.command in SYSTEMLESS and cfg.system is None
+              else _resolve_system(cfg.system))
     handler = _HANDLERS[cfg.command]
     body, code = handler(cfg, system)
     report = {
@@ -601,14 +607,12 @@ def main(argv=None) -> int:
             cfg = ExperimentConfig(command="zoo", parameters=(
                 {"action": "list"} if args.zoo_action == "list"
                 else {"action": "export", "name": args.name}))
-            if args.out is not None:
-                cfg.out = args.out
-                report, code = run_experiment(cfg)
-                path = write_report(cfg, report)
-                print(path)
-                return code
             report, code = run_experiment(cfg)
-            print(json.dumps(report, sort_keys=True, indent=2))
+            if args.out is None:
+                print(json.dumps(report, sort_keys=True, indent=2))
+            else:
+                cfg.out = args.out
+                print(write_report(cfg, report))
             return code
         if args.mode == "export-plot":
             text = export_plot_data(args.report, args.kind)

@@ -26,7 +26,7 @@ from .errors import (
     PointOffDendrite,
     QuotientDisconnected,
 )
-from .util import dyadic_candidates, frac, id_key, point_key
+from .util import frac, id_key, point_key
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -243,10 +243,9 @@ class Dendrite:
             return self.point(p.edge, p.t)
         raise PointOffDendrite(f"not a dendrite point: {p!r}")
 
-    def skeleton_points(self, include_midpoints: bool = True) -> list[DPoint]:
+    def skeleton_points(self) -> list[DPoint]:
         pts: list[DPoint] = [VertexPoint(v) for v in sorted(self._vertices, key=id_key)]
-        if include_midpoints:
-            pts.extend(self.point(e.eid, Fraction(1, 2)) for e in self._edges)
+        pts.extend(self.point(e.eid, Fraction(1, 2)) for e in self._edges)
         return pts
 
     # -- metric --------------------------------------------------------------
@@ -762,27 +761,6 @@ class FiniteClosedSet:
         return f"FiniteClosedSet({sorted(self.points, key=point_key)})"
 
 
-# -- module-level operation surface --------------------------------------------
-
-
-def arc_between(dendrite: Dendrite, x: DPoint, y: DPoint) -> Subdendrite:
-    return dendrite.arc(x, y)
-
-
-def convex_hull(dendrite: Dendrite, points) -> Subdendrite:
-    if isinstance(points, FiniteClosedSet):
-        points = list(points)
-    return dendrite.hull(points)
-
-
-def retract(dendrite: Dendrite, sub: Subdendrite, x: DPoint) -> DPoint:
-    return dendrite.retract_point(sub, x)
-
-
-def weighted_metric(dendrite: Dendrite, a: DPoint, b: DPoint) -> Fraction:
-    return dendrite.distance(a, b)
-
-
 def _distance_to_set(dendrite: Dendrite, targets: Iterable[DPoint]):
     """Per-vertex distance to the nearest target plus sorted per-edge targets."""
     init: dict[object, Fraction] = {}
@@ -915,7 +893,7 @@ def subdendrite_gates(dendrite: Dendrite, sub: Subdendrite,
                       points: Iterable[DPoint]) -> list[DPoint]:
     """Nearest point of ``sub`` for each query point, via one tree sweep.
 
-    Equivalent to :func:`retract` per point but amortised: a two-pass dynamic
+    Equivalent to :meth:`Dendrite.retract_point` per point but amortised: a two-pass dynamic
     program carries (distance, gate) labels over the whole tree.
     """
     if sub.is_empty():
@@ -1014,8 +992,8 @@ def eps_grid_values(eps_grid: Sequence) -> list[Fraction]:
     return eps_grid
 
 
-def arc_diameter_modulus(dendrite: Dendrite, eps_grid: Sequence[Fraction],
-                         max_exp: int = 12) -> list[tuple[Fraction, Fraction]]:
+def arc_diameter_modulus(dendrite: Dendrite, eps_grid: Sequence[Fraction]
+                         ) -> list[tuple[Fraction, Fraction]]:
     """For each epsilon, the largest dyadic delta certified on the skeleton.
 
     Checks every pair of skeleton probes: whenever the pair is closer than
@@ -1033,21 +1011,9 @@ def arc_diameter_modulus(dendrite: Dendrite, eps_grid: Sequence[Fraction],
     table = []
     for eps in eps_grid:
         chosen = ZERO
-        for cand in dyadic_candidates(max_exp):
+        for cand in (Fraction(1, 2**k) for k in range(13)):  # 1, 1/2, ..., 2**-12
             if all(diam < eps for d, diam in pairs if d < cand):
                 chosen = cand
                 break
         table.append((eps, chosen))
     return table
-
-
-def collapse_points(dendrite: Dendrite, points, z):
-    if isinstance(points, FiniteClosedSet):
-        vids = []
-        for p in points:
-            if not isinstance(p, VertexPoint):
-                raise PointOffDendrite("collapse targets must be vertices")
-            vids.append(p.vertex)
-    else:
-        vids = list(points)
-    return dendrite.collapse(vids, z)

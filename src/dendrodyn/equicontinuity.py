@@ -33,7 +33,7 @@ from .errors import (
     NoFiniteOrbitFound,
     NotProbability,
 )
-from .homeo import apply, image_point_set, image_subdendrite
+from .homeo import apply, image_subdendrite
 from .action import GeneratorSet, detect_finite_orbit, word_ball, word_images
 from .measure import PLMeasure, push_forward
 from .util import point_key
@@ -56,32 +56,31 @@ class TreeTower:
     hull: Subdendrite
     minimal_set: FiniteClosedSet
     levels: tuple[TowerLevel, ...]
-    scan_root: object
 
     def __len__(self):
         return len(self.levels)
 
 
 def _frontier_closed(gens: GeneratorSet, frontier: FiniteClosedSet) -> bool:
-    return all(image_point_set(gens.homeo(sym, sign), frontier) == frontier
-               for sym in gens.symbols for sign in (1, -1))
+    homeos = (gens.homeo(sym, sign) for sym in gens.symbols for sign in (1, -1))
+    return all(FiniteClosedSet(gens.dendrite, (apply(h, p) for p in frontier)) == frontier
+               for h in homeos)
 
 
 def build_tree_tower(gens: GeneratorSet, m: FiniteClosedSet, n_max: int,
                      *, minimal_class: str = "cantor-like",
-                     orbit_budget: int | None = None,
-                     scan_root=None) -> TreeTower:
+                     orbit_budget: int | None = None) -> TreeTower:
     """Nested sub-trees of the hull of ``m`` with finite-orbit frontiers.
 
     ``minimal_class`` "finite" short-circuits to the one-level tower [m].
-    Branch points are scanned in increasing distance from ``scan_root`` (the
-    smallest vertex id by default); the first certified orbits win.
+    Branch points are scanned in increasing distance from the hull's smallest
+    vertex; the first certified orbits win.
     """
     X = gens.dendrite
     hull = X.hull(m)
     if minimal_class == "finite":
         level = TowerLevel(1, m, hull, hull.endpoint_set(), strict=True)
-        return TreeTower(X, hull, m, (level,), scan_root)
+        return TreeTower(X, hull, m, (level,))
 
     budget = orbit_budget if orbit_budget is not None else max(64, 2 ** n_max)
     degree: dict[object, int] = {}
@@ -94,9 +93,7 @@ def build_tree_tower(gens: GeneratorSet, m: FiniteClosedSet, n_max: int,
     branch_points = [v for v, d in degree.items() if d >= 3]
     if not branch_points:
         raise NoFiniteOrbitFound("the hull has no branch points to scan")
-    if scan_root is None:
-        scan_root = min(hull.vertices, key=lambda v: (point_key(VertexPoint(v))))
-    root_pt = X.vertex_point(scan_root)
+    root_pt = min((VertexPoint(v) for v in hull.vertices), key=point_key)
     branch_points.sort(key=lambda v: (X.distance(root_pt, VertexPoint(v)),
                                       point_key(VertexPoint(v))))
 
@@ -135,7 +132,7 @@ def build_tree_tower(gens: GeneratorSet, m: FiniteClosedSet, n_max: int,
             raise CoverageGap(f"frontier at level {i} is not generator-closed")
         levels.append(TowerLevel(i, orb, tree, frontier, strict))
         prev_tree = tree
-    return TreeTower(X, hull, m, tuple(levels), scan_root)
+    return TreeTower(X, hull, m, tuple(levels))
 
 
 @dataclass(frozen=True)
@@ -327,9 +324,12 @@ def tamper_remove_edge(cover: FrontierCover) -> FrontierCover:
     return FrontierCover(cover.level, cover.tree, tuple(cells))
 
 
+# a measure's spread is the radius of the smallest ball holding this share of its mass
+MASS_THRESHOLD = Fraction(15, 16)
+
+
 @dataclass(frozen=True)
 class ProximalityTrace:
-    mass_threshold: Fraction
     rows: tuple[tuple[int, Fraction, str], ...]  # (radius, spread, best word)
 
     def spreads(self) -> list[Fraction]:
@@ -400,8 +400,7 @@ def _spread(mu: PLMeasure, threshold: Fraction) -> Fraction:
     return best
 
 
-def strong_proximality_scan(gens: GeneratorSet, mu0: PLMeasure, radius: int,
-                            mass_threshold: Fraction = Fraction(15, 16)
+def strong_proximality_scan(gens: GeneratorSet, mu0: PLMeasure, radius: int
                             ) -> ProximalityTrace:
     """Greedy contraction trace: the running-minimum spread over the word ball.
 
@@ -414,8 +413,8 @@ def strong_proximality_scan(gens: GeneratorSet, mu0: PLMeasure, radius: int,
     best = best_word = None
     rows = {}  # by radius; the ball lists words by length, so the last one sets the row
     for w, mu in word_images(gens, word_ball(gens, radius), mu0, push_forward):
-        s = _spread(mu, mass_threshold)
+        s = _spread(mu, MASS_THRESHOLD)
         if best is None or s < best:
             best, best_word = s, w
         rows[len(w)] = (len(w), best, str(best_word))
-    return ProximalityTrace(mass_threshold, tuple(rows.values()))
+    return ProximalityTrace(tuple(rows.values()))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .dendrite import Dendrite, DPoint, FiniteClosedSet, Subdendrite, VertexPoint
+from .dendrite import Dendrite, DPoint, Subdendrite, VertexPoint
 from .errors import DendriteMismatch, InvalidHomeo, PointOffDendrite
 from .util import frac, id_key
 
@@ -339,11 +339,6 @@ def validate(h: Homeo) -> ValidationReport:
                             notes=tuple(notes))
 
 
-def is_isometry(h: Homeo) -> bool:
-    X = h.dendrite
-    return all(X.edge(h.edge_map[e.eid][0]).weight == e.weight for e in X.edges)
-
-
 def image_subdendrite(h: Homeo, sub: Subdendrite) -> Subdendrite:
     """Exact image of a subdendrite (portions map to portions).
 
@@ -364,7 +359,3 @@ def image_subdendrite(h: Homeo, sub: Subdendrite) -> Subdendrite:
             portions[tgt] = (plm(hi), plm(lo))
     return Subdendrite._trusted(h.dendrite, {h.vertex_map[v] for v in sub.vertices},
                                 portions)
-
-
-def image_point_set(h: Homeo, pts: FiniteClosedSet) -> FiniteClosedSet:
-    return FiniteClosedSet(h.dendrite, (apply(h, p) for p in pts))

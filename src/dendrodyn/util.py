@@ -11,7 +11,7 @@ def frac(value) -> Fraction:
     """Coerce ints, strings like ``"3/4"`` and Fractions to an exact Fraction."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         return Fraction(value)
@@ -21,6 +21,8 @@ def frac(value) -> Fraction:
 def read_param(value, key: str, parse=int, minimum=0):
     """A parsed config value; malformed or too small values are ConfigInvalid."""
     try:
+        if isinstance(value, (bool, float)):  # int() truncates 2.7 and reads True as 1
+            raise TypeError
         value = parse(value)
     except (TypeError, ValueError, ZeroDivisionError):
         raise ConfigInvalid(f"malformed value {value!r} for {key}") from None
@@ -48,9 +50,3 @@ def point_key(point):
     if t is None:
         return (0, id_key(point.vertex), Fraction(0))
     return (1, id_key(point.edge), t)
-
-
-def dyadic_candidates(max_exp: int = 12) -> list[Fraction]:
-    """Candidate moduli 1, 1/2, ..., 2**-max_exp in decreasing order."""
-    return [Fraction(1, 2**k) for k in range(max_exp + 1)]
-

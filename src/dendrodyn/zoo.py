@@ -250,16 +250,11 @@ def verify_paradox_partition(max_length: int) -> ParadoxReport:
                          literal_overlap=tuple(sorted(overlap)))
 
 
-def folner_scheme_Z(symbol: str = "g", n_max: int | None = None) -> FolnerScheme:
-    """F_n = the symmetric power window {symbol**k : -n <= k <= n}.
-
-    An optional ``n_max`` caps the family; indices beyond it are rejected.
-    """
+def folner_scheme_Z(symbol: str = "g") -> FolnerScheme:
+    """F_n = the symmetric power window {symbol**k : -n <= k <= n}."""
     def family(n: int):
         if n < 0:
             raise ValueError("index must be non-negative")
-        if n_max is not None and n > n_max:
-            raise ValueError(f"index {n} exceeds the scheme bound {n_max}")
         return tuple(word_power(symbol, k) for k in range(-n, n + 1))
     return FolnerScheme(name=f"z-powers({symbol})", symbols=(symbol,), family=family)
 

@@ -21,7 +21,6 @@ from dendrodyn.action import (
 from dendrodyn.dendrite import (
     FiniteClosedSet,
     hausdorff_distance,
-    weighted_metric,
 )
 from dendrodyn.equicontinuity import (
     build_tree_tower,
@@ -206,7 +205,7 @@ def test_criterion_06_measure_metric_identity():
     for _ in range(20):
         a, b = rng.choice(pts), rng.choice(pts)
         pairs.append((a, b))
-    ok = all(mu.arc_mass(a, b) == weighted_metric(X, a, b) / mu.norm
+    ok = all(mu.arc_mass(a, b) == X.distance(a, b) / mu.norm
              for a, b in pairs)
     report(6, ok, "arc mass equals normalised arc length on 20 random pairs")
     assert ok
@@ -316,9 +315,8 @@ def test_criterion_11_metric_axioms_random_triples():
                 for _ in range(12)]
         for _ in range(500 // len(spaces) + 1):
             a, b, c = (rng.choice(pts) for _ in range(3))
-            dab, dac, dcb = (weighted_metric(X, a, b), weighted_metric(X, a, c),
-                             weighted_metric(X, c, b))
-            ok = ok and dab >= 0 and dab == weighted_metric(X, b, a)
+            dab, dac, dcb = X.distance(a, b), X.distance(a, c), X.distance(c, b)
+            ok = ok and dab >= 0 and dab == X.distance(b, a)
             ok = ok and (dab == 0) == (a == b)
             ok = ok and dab <= dac + dcb
             A, B, C = (rng.choice(sets) for _ in range(3))

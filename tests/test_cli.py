@@ -13,6 +13,7 @@ from dendrodyn.cli import ExperimentConfig, export_plot_data, main
 from dendrodyn.errors import ConfigInvalid, ReportMissing
 
 F = Fraction
+INTERVAL = {"vertices": ["0", "1"], "edges": [{"id": "e", "u": "0", "v": "1"}]}
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -88,9 +89,27 @@ class TestConfigValidation:
         ("orbit", "thompson", [{"R": 2}]),
         ("orbit", "thompson", "R=2"),
         ("orbit", "thompson", None),
+        ("orbit", "thompson", {"R": 2.7}),
+        ("orbit", "thompson", {"R": True}),
+        ("classify", "thompson", {"eps": True}),
+        ("orbit", {"dendrite": INTERVAL, "generators": ["f"]}, {}),
+        ("orbit", {"dendrite": INTERVAL, "generators": {"a": 1}}, {}),
+        ("orbit", {"dendrite": INTERVAL, "generators": [
+            {"symbol": "f", "homeo": {"interval_pl": {"x": [0, 1]}}}]}, {}),
+        ("orbit", {"dendrite": INTERVAL, "generators": [{"symbol": "f", "homeo": 5}]}, {}),
+        ("orbit", "thompson", {"x": {"edge": "e"}}),
+        ("orbit", "thompson", {"x": {"edge": "e", "t": 0.5}}),
+        ("orbit", "thompson", {"x": {"edge": "e", "t": True}}),
+        ("proximality", "thompson", {"measure": {"atoms": [
+            {"point": {"vertex": "0"}, "w": True}]}}),
+        ("orbit", {"dendrite": {**INTERVAL, "weight_rule": {"custom": ["x"]}},
+                   "generators": []}, {}),
     ])
     def test_malformed_values_are_config_errors(self, tmp_path, capsys,
                                                 command, system, parameters):
+        if isinstance(system, dict):  # an explicit system names its dendrite file
+            system = {**system, "dendrite": write_config(tmp_path, system["dendrite"],
+                                                         "dendrite.json")}
         code, report, _ = run(tmp_path, {"command": command, "system": system,
                                          "parameters": parameters})
         assert code == 1
@@ -175,6 +194,15 @@ class TestCommands:
         assert report["max_probe_gap"] == "1"
         assert report["sparse_witness"] == {"vertex": "r"}
         assert "isolated_point" not in report
+
+    def test_classify_null_minimal_class_is_the_default(self, tmp_path):
+        verdicts = []
+        for parameters in ({}, {"minimal_class": None}):
+            code, report, _ = run(tmp_path, {
+                "command": "classify", "system": "odometer:D=4", "parameters": parameters})
+            assert code == 0
+            verdicts.append(report["verdict"])
+        assert verdicts == ["inconclusive", "inconclusive"]
 
     def test_classify_isolated_point(self, tmp_path):
         code, report, _ = run(tmp_path, {

@@ -11,18 +11,13 @@ from dendrodyn.dendrite import (
     Subdendrite,
     _distance_to_set,
     _point_to_set,
-    arc_between,
     arc_decomposition,
     arc_diameter_modulus,
     boundary_classification,
-    collapse_points,
-    convex_hull,
     hausdorff_distance,
     mesh,
     nearest_other_distances,
-    retract,
     set_distance,
-    weighted_metric,
 )
 from dendrodyn.errors import (
     ChainingViolation,
@@ -144,10 +139,10 @@ class TestConstruction:
 class TestArc:
     def test_degenerate(self, star3):
         v = star3.vertex_point("c")
-        assert arc_between(star3, v, v).contains(v)
+        assert star3.arc(v, v).contains(v)
 
     def test_three_star_path(self, star3):
-        arc = arc_between(star3, star3.vertex_point("l1"), star3.vertex_point("l2"))
+        arc = star3.arc(star3.vertex_point("l1"), star3.vertex_point("l2"))
         assert arc.vertices == frozenset({"l1", "c", "l2"})
         assert dict(arc.portions) == {"e1": (F(0), F(1)), "e2": (F(0), F(1))}
 
@@ -155,26 +150,24 @@ class TestArc:
         # brute force tree path between sibling leaves at depth 3
         X = gehman_dendrite(3)
         a, b = X.vertex_point("000"), X.vertex_point("001")
-        arc = arc_between(X, a, b)
+        arc = X.arc(a, b)
         assert arc.vertices == frozenset({"000", "001", "00"})
         assert set(dict(arc.portions)) == {"e000", "e001"}
 
     def test_interior_to_interior_same_edge(self, interval):
-        arc = arc_between(interval, interval.point("e", F(1, 4)),
-                          interval.point("e", F(3, 4)))
+        arc = interval.arc(interval.point("e", F(1, 4)), interval.point("e", F(3, 4)))
         assert dict(arc.portions) == {"e": (F(1, 4), F(3, 4))}
 
     def test_interior_across_edges(self, star3):
-        arc = arc_between(star3, star3.point("e1", F(1, 2)),
-                          star3.point("e2", F(1, 2)))
+        arc = star3.arc(star3.point("e1", F(1, 2)), star3.point("e2", F(1, 2)))
         assert dict(arc.portions) == {"e1": (F(0), F(1, 2)), "e2": (F(0), F(1, 2))}
         assert "c" in arc.vertices
 
     def test_interior_to_vertex_same_edge(self, interval):
         p = interval.point("e", F(1, 3))
-        arc = arc_between(interval, p, interval.vertex_point("0"))
+        arc = interval.arc(p, interval.vertex_point("0"))
         assert dict(arc.portions) == {"e": (F(0), F(1, 3))}
-        arc = arc_between(interval, p, interval.vertex_point("1"))
+        arc = interval.arc(p, interval.vertex_point("1"))
         assert dict(arc.portions) == {"e": (F(1, 3), F(1))}
 
     def test_unknown_edge_raises(self, star3):
@@ -185,30 +178,30 @@ class TestArc:
 class TestConvexHull:
     def test_singleton(self, star3):
         p = star3.vertex_point("l1")
-        assert convex_hull(star3, [p]).contains(p)
+        assert star3.hull([p]).contains(p)
 
     def test_pair_is_arc(self, star3):
         x, y = star3.vertex_point("l1"), star3.vertex_point("l3")
-        assert convex_hull(star3, [x, y]) == arc_between(star3, x, y)
+        assert star3.hull([x, y]) == star3.arc(x, y)
 
     def test_depth2_leaves_fill_tree(self):
         X = gehman_dendrite(2)
         leaves = [X.vertex_point(v) for v in gehman_leaves(X, 2)]
-        assert convex_hull(X, FiniteClosedSet(X, leaves)) == X.whole()
+        assert X.hull(FiniteClosedSet(X, leaves)) == X.whole()
 
     def test_empty_raises(self, star3):
         with pytest.raises(EmptySet):
-            convex_hull(star3, [])
+            star3.hull([])
 
     @settings(max_examples=40, deadline=None)
     @given(trees_with_points(count=5, max_edges=6))
     def test_matches_pairwise_union(self, data):
         X, pts = data
-        hull = convex_hull(X, pts)
+        hull = X.hull(pts)
         acc_vertices = set()
         acc_portions = {}
         for x, y in itertools.combinations_with_replacement(pts, 2):
-            arc = arc_between(X, x, y)
+            arc = X.arc(x, y)
             acc_vertices |= set(arc.vertices)
             for eid, (lo, hi) in arc.portions:
                 cur = acc_portions.get(eid)
@@ -240,34 +233,34 @@ class TestConvexHull:
     @given(trees_with_points(count=5, max_edges=6))
     def test_hull_is_connected(self, data):
         X, pts = data
-        assert convex_hull(X, pts).is_connected()
+        assert X.hull(pts).is_connected()
 
     @settings(max_examples=30, deadline=None)
     @given(trees_with_points(count=4, max_edges=6))
     def test_monotone(self, data):
         X, pts = data
-        small = convex_hull(X, pts[:2])
-        large = convex_hull(X, pts)
+        small = X.hull(pts[:2])
+        large = X.hull(pts)
         assert small._union_connected(large) == large
 
 
 class TestRetract:
     def test_identity_on_member(self, star3):
-        sub = arc_between(star3, star3.vertex_point("l1"), star3.vertex_point("c"))
+        sub = star3.arc(star3.vertex_point("l1"), star3.vertex_point("c"))
         p = star3.point("e1", F(1, 3))
-        assert retract(star3, sub, p) == p
+        assert star3.retract_point(sub, p) == p
 
     def test_branch_point_forced(self, star3):
-        sub = arc_between(star3, star3.vertex_point("l1"), star3.vertex_point("c"))
-        assert retract(star3, sub, star3.vertex_point("l2")) == star3.vertex_point("c")
+        sub = star3.arc(star3.vertex_point("l1"), star3.vertex_point("c"))
+        assert star3.retract_point(sub, star3.vertex_point("l2")) == star3.vertex_point("c")
 
     def test_gehman_leaf_to_level1_hull(self):
         # exhaustive nearest-point search oracle over skeleton samples
         X = gehman_dendrite(3)
-        hull = convex_hull(X, [X.vertex_point("0"), X.vertex_point("1")])
+        hull = X.hull([X.vertex_point("0"), X.vertex_point("1")])
         for leaf in gehman_leaves(X, 3):
             p = X.vertex_point(leaf)
-            got = retract(X, hull, p)
+            got = X.retract_point(hull, p)
             best = min(hull.sample_points(), key=lambda q: (X.distance(p, q), str(q)))
             assert X.distance(p, got) == X.distance(p, best)
             assert got == X.vertex_point(leaf[0])
@@ -276,62 +269,62 @@ class TestRetract:
         from dendrodyn.dendrite import Subdendrite
         empty = Subdendrite._make(star3, set(), {})
         with pytest.raises(EmptySubdendrite):
-            retract(star3, empty, star3.vertex_point("c"))
+            star3.retract_point(empty, star3.vertex_point("c"))
 
     @settings(max_examples=40, deadline=None)
     @given(trees_with_points(count=5, max_edges=6))
     def test_bulk_gates_agree_with_retract(self, data):
         from dendrodyn.dendrite import subdendrite_gates
         X, pts = data
-        sub = convex_hull(X, pts[:2])
+        sub = X.hull(pts[:2])
         queries = pts[2:]
         gates = subdendrite_gates(X, sub, queries)
-        assert gates == [retract(X, sub, q) for q in queries]
+        assert gates == [X.retract_point(sub, q) for q in queries]
 
     @settings(max_examples=40, deadline=None)
     @given(trees_with_points(count=3, max_edges=6))
     def test_idempotent_and_fixes_target(self, data):
         X, pts = data
-        sub = convex_hull(X, pts[:2])
+        sub = X.hull(pts[:2])
         x = pts[2]
-        r1 = retract(X, sub, x)
+        r1 = X.retract_point(sub, x)
         assert sub.contains(r1)
-        assert retract(X, sub, r1) == r1
+        assert X.retract_point(sub, r1) == r1
 
 
 class TestWeightedMetric:
     def test_reflexive(self, star3):
         p = star3.point("e1", F(1, 3))
-        assert weighted_metric(star3, p, p) == 0
+        assert star3.distance(p, p) == 0
 
     def test_half_weight_edge(self):
         X = Dendrite(["a", "b"], [("e", "a", "b")], [F(1, 2)])
-        assert weighted_metric(X, X.vertex_point("a"), X.vertex_point("b")) == F(1, 2)
+        assert X.distance(X.vertex_point("a"), X.vertex_point("b")) == F(1, 2)
 
     def test_gehman_sibling_leaves_plain(self):
         X = gehman_dendrite(3, leaf_weight="level")
-        d = weighted_metric(X, X.vertex_point("000"), X.vertex_point("001"))
+        d = X.distance(X.vertex_point("000"), X.vertex_point("001"))
         assert d == 2 * F(1, 8)
 
     def test_gehman_sibling_leaves_tail(self):
         X = gehman_dendrite(3, leaf_weight="tail")
-        d = weighted_metric(X, X.vertex_point("000"), X.vertex_point("001"))
+        d = X.distance(X.vertex_point("000"), X.vertex_point("001"))
         assert d == 2 * F(1, 4)
 
     @settings(max_examples=50, deadline=None)
     @given(trees_with_points(count=2, max_edges=6))
     def test_against_graph_oracle(self, data):
         X, (a, b) = data
-        assert weighted_metric(X, a, b) == nx_metric_oracle(X, a, b)
+        assert X.distance(a, b) == nx_metric_oracle(X, a, b)
 
     @settings(max_examples=50, deadline=None)
     @given(trees_with_points(count=3, max_edges=6))
     def test_metric_axioms(self, data):
         X, (a, b, c) = data
-        dab = weighted_metric(X, a, b)
-        dba = weighted_metric(X, b, a)
-        dac = weighted_metric(X, a, c)
-        dcb = weighted_metric(X, c, b)
+        dab = X.distance(a, b)
+        dba = X.distance(b, a)
+        dac = X.distance(a, c)
+        dcb = X.distance(c, b)
         assert dab >= 0
         assert dab == dba
         assert (dab == 0) == (a == b)
@@ -342,7 +335,7 @@ class TestWeightedMetric:
     def test_diameter_attained_at_endpoint_pairs(self, data):
         # dual route: double-sweep diameter vs the endpoint-pair supremum
         X, pts = data
-        sub = convex_hull(X, pts)
+        sub = X.hull(pts)
         ends = list(sub.endpoint_set())
         pairwise = max((X.distance(p, q) for p in ends for q in ends),
                        default=Fraction(0))
@@ -377,7 +370,7 @@ class TestWeightedMetric:
     def test_arc_length_equals_distance(self, star3):
         a = star3.point("e1", F(1, 4))
         b = star3.point("e3", F(2, 3))
-        assert arc_between(star3, a, b).diameter() == weighted_metric(star3, a, b)
+        assert star3.arc(a, b).diameter() == star3.distance(a, b)
 
 
 class TestPointToSet:
@@ -456,7 +449,7 @@ class TestCrossDendrite:
 
 class TestMesh:
     def test_singleton_cells(self, star3):
-        cells = [arc_between(star3, p, p) for p in
+        cells = [star3.arc(p, p) for p in
                  [star3.vertex_point("l1"), star3.vertex_point("c")]]
         assert mesh(cells) == 0
 
@@ -470,7 +463,7 @@ class TestMesh:
         for side in "01":
             pts = [X.vertex_point(v) for v in X.vertices
                    if v != "r" and v[0] == side]
-            cells.append(convex_hull(X, pts))
+            cells.append(X.hull(pts))
         per_cell = 2 * (F(1, 4) + F(1, 8) + F(1, 16))
         leaves = gehman_leaves(X, 4)
         brute = max(X.distance(X.vertex_point(a), X.vertex_point(b))
@@ -575,14 +568,14 @@ class TestArcDiameterModulus:
 
 class TestCollapse:
     def test_single_vertex_relabel(self, star3):
-        Y, proj = collapse_points(star3, ["l1"], "z")
+        Y, proj = star3.collapse(["l1"], "z")
         assert Y.vertices == frozenset({"c", "z", "l2", "l3"})
         assert proj(star3.vertex_point("l1")) == Y.vertex_point("z")
 
     def test_two_edges_glued_to_path(self):
         X = Dendrite.forest(["a", "b", "c", "d"],
                             [("e1", "a", "b"), ("e2", "c", "d")], [1, 1])
-        Y, proj = collapse_points(X, ["b", "c"], "z")
+        Y, proj = X.collapse(["b", "c"], "z")
         assert Y.degree("z") == 2
         assert proj(X.vertex_point("b")) == Y.vertex_point("z")
         assert proj(X.vertex_point("c")) == Y.vertex_point("z")
@@ -591,15 +584,15 @@ class TestCollapse:
         X = Dendrite.forest(["a1", "b1", "a2", "b2", "a3", "b3"],
                             [("e1", "a1", "b1"), ("e2", "a2", "b2"),
                              ("e3", "a3", "b3")], [1, 1, 1])
-        Y, _ = collapse_points(X, ["b1", "b2", "b3"], "z")
+        Y, _ = X.collapse(["b1", "b2", "b3"], "z")
         assert Y.degree("z") == 3
 
     def test_cycle_detected(self, star3):
         with pytest.raises(CycleCreated):
-            collapse_points(star3, ["l1", "l2"], "z")
+            star3.collapse(["l1", "l2"], "z")
 
     def test_projection_bijective_off_collapsed(self, star3):
-        Y, proj = collapse_points(star3, ["l1"], "z")
+        Y, proj = star3.collapse(["l1"], "z")
         images = {proj(p) for p in star3.skeleton_points()}
         assert len(images) == len(star3.skeleton_points())
 
@@ -607,7 +600,7 @@ class TestCollapse:
         # continuity surrogate: collapsing never increases sampled distances
         X = Dendrite.forest(["a1", "b1", "a2", "b2"],
                             [("e1", "a1", "b1"), ("e2", "a2", "b2")], [1, 1])
-        Y, proj = collapse_points(X, ["b1", "b2"], "z")
+        Y, proj = X.collapse(["b1", "b2"], "z")
         samples = [X.point("e1", F(k, 4)) for k in range(5)]
         for p, q in zip(samples, samples[1:]):
             assert Y.distance(proj(p), proj(q)) <= X.distance(p, q)
@@ -616,7 +609,7 @@ class TestCollapse:
 class TestIntegerVertexIds:
     def test_construction_and_metric(self):
         X = Dendrite([1, 2, 3], [(10, 1, 2), (11, 2, 3)], [1, 1])
-        assert weighted_metric(X, X.vertex_point(1), X.vertex_point(3)) == 2
+        assert X.distance(X.vertex_point(1), X.vertex_point(3)) == 2
         ends, _ = boundary_classification(X)
         assert {p.vertex for p in ends} == {1, 3}
 
@@ -639,4 +632,4 @@ class TestMeasureMetricIdentity:
         pts = X.skeleton_points()
         for _ in range(20):
             a, b = rng.choice(pts), rng.choice(pts)
-            assert mu.arc_mass(a, b) == weighted_metric(X, a, b) / mu.norm
+            assert mu.arc_mass(a, b) == X.distance(a, b) / mu.norm

@@ -16,7 +16,6 @@ from dendrodyn.homeo import (
     image_subdendrite,
     interval_homeo,
     invert,
-    is_isometry,
     tree_automorphism,
     validate,
 )
@@ -46,7 +45,7 @@ def round_trip_failure(h, seed=0, samples=8):
     X = h.dendrite
     inv = invert(h)
     rng = random.Random(seed)
-    probes = X.skeleton_points(include_midpoints=True)
+    probes = X.skeleton_points()
     for e in X.edges:
         probes.extend(X.point(e.eid, sample_dyadic(rng)) for _ in range(samples))
     return next((p for p in probes if apply(inv, apply(h, p)) != p), None)
@@ -307,7 +306,6 @@ class TestValidate:
         report = validate(g)
         assert report.valid
         assert "isometric" in report.notes
-        assert is_isometry(g)
 
 
 class TestTreeAuto:

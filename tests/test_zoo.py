@@ -224,12 +224,6 @@ class TestFolnerSchemeZ:
         for n in (1, 3, 7):
             assert len(scheme.words(n)) == 2 * n + 1
 
-    def test_bound_enforced(self):
-        scheme = folner_scheme_Z("g", n_max=4)
-        assert len(scheme.words(4)) == 9
-        with pytest.raises(ValueError):
-            scheme.words(5)
-
     def test_words_are_powers(self):
         scheme = folner_scheme_Z("g")
         ws = scheme.words(2)

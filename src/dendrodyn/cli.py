@@ -14,7 +14,6 @@ import json
 import logging
 import os
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -108,18 +107,6 @@ def _load_document(path, what: str):
         raise ConfigInvalid(f"{what} file {path!r} is not valid JSON: {exc}") from None
 
 
-@contextmanager
-def _decoding(what: str):
-    """Decode a document from outside the program; a malformed one is a config error.
-
-    Dendrodyn errors raised while decoding pass through unchanged.
-    """
-    try:
-        yield
-    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ConfigInvalid(f"malformed {what} document: {exc!r}") from None
-
-
 def _resolve_system(spec) -> ZooSystem:
     if isinstance(spec, str):
         return get_system(spec)
@@ -128,10 +115,9 @@ def _resolve_system(spec) -> ZooSystem:
         dpath = spec.get("dendrite")
         if dpath is None:
             raise ConfigInvalid("explicit system needs a 'dendrite' file path")
-        with _decoding("dendrite"):
-            dendrite = ser.dendrite_from_json(_load_document(dpath, "dendrite"))
+        dendrite = ser.dendrite_from_json(_load_document(dpath, "dendrite"))
         gens = []
-        with _decoding("generator"):
+        with ser.decoding("generator"):
             for row in spec.get("generators", ()):
                 symbol = row.get("symbol")
                 if symbol is None:
@@ -140,8 +126,7 @@ def _resolve_system(spec) -> ZooSystem:
                     doc = _load_document(row["file"], "homeo")
                 else:
                     doc = row.get("homeo")
-                with _decoding("homeo"):
-                    gens.append((symbol, ser.homeo_from_json(doc, dendrite)))
+                gens.append((symbol, ser.homeo_from_json(doc, dendrite)))
         return ZooSystem("custom", dendrite, GeneratorSet(dendrite, gens), {})
     raise ConfigInvalid(f"cannot interpret system spec {spec!r}")
 
@@ -160,9 +145,11 @@ def _resolve_point(spec, system: ZooSystem):
             depth = system.properties.get("depth")
             if depth is None:
                 raise ConfigInvalid("'leaf' points only apply to tree systems")
-            return leaf_point(X, depth, read_param(spec["leaf"], "leaf", minimum=None))
-        with _decoding("point"):
-            return ser.point_from_json(spec, X)
+            index = read_param(spec["leaf"], "leaf")
+            if index >= 2 ** depth:
+                raise ConfigInvalid(f"leaf must be below 2**{depth} = {2 ** depth}, got {index}")
+            return leaf_point(X, depth, index)
+        return ser.point_from_json(spec, X)
     if isinstance(spec, (str, int)):
         if len(X.edges) != 1:
             raise ConfigInvalid("bare interval coordinates need a single-edge dendrite")
@@ -178,8 +165,7 @@ def _resolve_measure(spec, system: ZooSystem):
             return dirac(system.dendrite, _resolve_point(spec["dirac"], system))
         if "file" in spec:
             spec = _load_document(spec["file"], "measure")
-        with _decoding("measure"):
-            return ser.measure_from_json(spec, system.dendrite)
+        return ser.measure_from_json(spec, system.dendrite)
     raise ConfigInvalid(f"cannot interpret measure spec {spec!r}")
 
 

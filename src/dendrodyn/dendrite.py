@@ -785,28 +785,38 @@ def _distance_to_set(dendrite: Dendrite, targets: Iterable[DPoint]):
         raise EmptySet("distance to an empty set")
     for ts in on_edge.values():
         ts.sort()
+    weight = {e.eid: e.weight for e in dendrite.edges}
+    return _sweep_distances(dendrite, init, weight), on_edge
 
-    dist: dict[object, Fraction | None] = {v: init.get(v) for v in dendrite.vertices}
-    order = dendrite._order
+
+def _sweep_distances(dendrite: Dendrite, init: Mapping, weight: Mapping) -> dict:
+    """Least ``init[s] + d(s, v)`` over the seed vertices ``s``, for every vertex ``v``.
+
+    Two passes over the rooted tree, up then down.  Edge lengths come from
+    ``weight`` (edge id -> length), so exact weights and integer-scaled ones
+    share this walk.  ``None`` marks a vertex that no seed reaches.
+    """
+    dist = dict.fromkeys(dendrite.vertices)
+    dist.update(init)
+    order, parent, parent_edge = dendrite._order, dendrite._parent, dendrite._parent_edge
     for v in reversed(order):
-        pe = dendrite._parent_edge[v]
-        if pe is None:
+        pe = parent_edge[v]
+        if pe is None or dist[v] is None:
             continue
-        parent = dendrite._parent[v]
-        if dist[v] is not None:
-            cand = dist[v] + pe.weight
-            if dist[parent] is None or cand < dist[parent]:
-                dist[parent] = cand
+        cand = dist[v] + weight[pe.eid]
+        up = parent[v]
+        if dist[up] is None or cand < dist[up]:
+            dist[up] = cand
     for v in order:
-        pe = dendrite._parent_edge[v]
+        pe = parent_edge[v]
         if pe is None:
             continue
-        parent = dendrite._parent[v]
-        if dist[parent] is not None:
-            cand = dist[parent] + pe.weight
+        up = parent[v]
+        if dist[up] is not None:
+            cand = dist[up] + weight[pe.eid]
             if dist[v] is None or cand < dist[v]:
                 dist[v] = cand
-    return dist, on_edge
+    return dist
 
 
 def _point_to_set(dendrite: Dendrite, dist, on_edge, p: DPoint) -> Fraction:

@@ -12,16 +12,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Sequence
 
 from .dendrite import (
     Dendrite,
     DPoint,
+    EdgePoint,
     FiniteClosedSet,
     Subdendrite,
     VertexPoint,
-    _distance_to_set,
-    _point_to_set,
+    _sweep_distances,
     eps_grid_values,
     mesh,
     subdendrite_gates,
@@ -36,7 +37,7 @@ from .errors import (
 from .homeo import apply, image_subdendrite
 from .action import GeneratorSet, detect_finite_orbit, word_ball, word_images
 from .measure import PLMeasure, push_forward
-from .util import point_key
+from .util import integer_scale, point_key
 
 ZERO = Fraction(0)
 
@@ -345,59 +346,92 @@ def _spread(mu: PLMeasure, threshold: Fraction) -> Fraction:
     slope r over the radii at which the ball sweeps across it.  One sorted
     pass over those breakpoints finds the exact crossing, comparing the
     threshold against the left limit before adding a breakpoint's jumps.
+
+    All of it runs on integers.  Radii are scaled by one common denominator
+    ``L`` (edge weights, and piece ends and atom parameters times their edge's
+    weight), masses per unit of radius by another, ``M`` (densities, atom
+    weights and the threshold), so masses are integers over ``L*M``.  Only
+    the crossing becomes a ``Fraction``.
     """
     X = mu.dendrite
-    centers = [VertexPoint(v) for v in sorted(X.vertices, key=lambda v: point_key(VertexPoint(v)))]
-    centers.extend(p for p, _ in mu.atoms)
-    best = None
-    for c in centers:
-        dist, on_edge = _distance_to_set(X, [c])
-        events: dict[Fraction, list[Fraction]] = {}  # radius -> [jump, slope change]
-
-        def ramp(lo, hi, r):
-            events.setdefault(lo, [ZERO, ZERO])[1] += r
-            events.setdefault(hi, [ZERO, ZERO])[1] -= r
-
-        for p, w in mu.atoms:
-            events.setdefault(_point_to_set(X, dist, on_edge, p), [ZERO, ZERO])[0] += w
-        for eid, pieces in mu.densities.items():
-            e = X.edge(eid)
-            if getattr(c, "edge", None) == eid:
-                # the centre's own edge is swept outwards on both sides of c.t
-                for a, b, r in pieces:
-                    if b > c.t:
-                        ramp((max(a, c.t) - c.t) * e.weight, (b - c.t) * e.weight, r)
-                    if a < c.t:
-                        ramp((c.t - min(b, c.t)) * e.weight, (c.t - a) * e.weight, r)
+    weight = {e.eid: e.weight for e in X.edges}
+    spans = [(eid, [(a * weight[eid], b * weight[eid], r) for a, b, r in pieces])
+             for eid, pieces in mu.densities.items()]
+    inside = {p: p.t * weight[p.edge] for p, _ in mu.atoms if isinstance(p, EdgePoint)}
+    scale, length = integer_scale(chain(
+        weight.values(), (x for _, rows in spans for a, b, _ in rows for x in (a, b)),
+        inside.values()))
+    _, rate = integer_scale(chain((r for _, rows in spans for _, _, r in rows),
+                                  (w for _, w in mu.atoms), (threshold,)))
+    W = {eid: length(w) for eid, w in weight.items()}
+    ramps = [(X.edge(eid), W[eid], [(length(a), length(b), rate(r)) for a, b, r in rows])
+             for eid, rows in spans]
+    # an atom is (vertex, None, jump) or (edge, scaled distance from its u end, jump)
+    atoms = [(p.vertex, None, rate(w) * scale) if p not in inside
+             else (X.edge(p.edge), length(inside[p]), rate(w) * scale)
+             for p, w in mu.atoms]
+    theta = rate(threshold) * scale
+    # centres: every vertex, then every atom inside an edge (an atom at a
+    # vertex is already a centre)
+    centers = [(None, v) for v in sorted(X.vertices, key=lambda v: point_key(VertexPoint(v)))]
+    centers.extend((X.edge(p.edge), length(s)) for p, s in inside.items())
+    best_num, best_den = 1, 0  # the best radius so far times L, as a ratio; 1/0 is none yet
+    for own, c in centers:
+        if own is None:
+            init = {c: 0}
+        else:
+            init = {own.u: c, own.v: W[own.eid] - c}
+        dist = _sweep_distances(X, init, W)
+        events = []  # (radius, jump, slope change)
+        for where, s, jump in atoms:
+            if s is None:
+                d = dist[where]
+            elif where is own:
+                d = abs(s - c)
+            else:
+                d = min(dist[where.u] + s, dist[where.v] + W[where.eid] - s)
+            events.append((d, jump, 0))
+        for e, w, rows in ramps:
+            if e is own:
+                # the centre's own edge is swept outwards on both sides of c
+                for a, b, r in rows:
+                    if b > c:
+                        events.append((max(a, c) - c, 0, r))
+                        events.append((b - c, 0, -r))
+                    if a < c:
+                        events.append((c - min(b, c), 0, r))
+                        events.append((c - a, 0, -r))
                 continue
             # in a tree the far endpoint is exactly one edge weight farther,
             # so the ball enters every other edge from its nearer endpoint
             du, dv = dist[e.u], dist[e.v]
-            for a, b, r in pieces:
+            for a, b, r in rows:
                 if du < dv:
-                    ramp(du + a * e.weight, du + b * e.weight, r)
+                    events.append((du + a, 0, r))
+                    events.append((du + b, 0, -r))
                 else:
-                    ramp(dv + (1 - b) * e.weight, dv + (1 - a) * e.weight, r)
-        mass = slope = prev = ZERO
-        for r in sorted(events):
-            if best is not None and prev >= best:
+                    events.append((dv + w - b, 0, r))
+                    events.append((dv + w - a, 0, -r))
+        events.sort()
+        mass = slope = prev = 0
+        for r, jump, dslope in events:
+            if prev * best_den >= best_num:
                 break
-            jump, dslope = events[r]
             left = mass + slope * (r - prev)
-            if left >= threshold:
-                # mass < threshold <= left, so slope > 0, unless the
+            if left >= theta:
+                # mass < theta <= left, so slope > 0, unless the
                 # threshold is already met by the empty walk
-                found = prev + (threshold - mass) / slope if slope else prev
-            elif left + jump >= threshold:
-                found = r
+                num, den = (prev * slope + theta - mass, slope) if slope else (prev, 1)
+            elif left + jump >= theta:
+                num, den = r, 1
             else:
                 mass, slope, prev = left + jump, slope + dslope, r
                 continue
-            if best is None or found < best:
-                best = found
+            if num * best_den < best_num * den:
+                best_num, best_den = num, den
             break
-    assert best is not None, "a ball of full diameter always reaches the threshold"
-    return best
+    assert best_den, "a ball of full diameter always reaches the threshold"
+    return Fraction(best_num, best_den * scale)
 
 
 def strong_proximality_scan(gens: GeneratorSet, mu0: PLMeasure, radius: int

@@ -21,7 +21,7 @@ from .errors import (
     NotProbability,
 )
 from .homeo import Homeo, apply
-from .util import frac, id_key, point_key
+from .util import frac, id_key, integer_scale, point_key
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -75,6 +75,42 @@ class PLMeasure:
         self.atoms = tuple(sorted(merged.items(), key=lambda kv: point_key(kv[0])))
         self.densities = dict(sorted(dens.items(), key=lambda kv: id_key(kv[0])))
         self.norm = frac(norm)
+
+    @classmethod
+    def _trusted(cls, dendrite: Dendrite, atoms: Iterable[tuple[DPoint, Fraction]],
+                 densities: Mapping[object, Sequence[Piece]], norm: Fraction) -> "PLMeasure":
+        """Build from atoms and rows this library computed itself; nothing is checked.
+
+        Precondition: every atom is a canonical point of ``dendrite`` with a
+        positive ``Fraction`` weight, and each edge's rows are exact
+        ``(lo, hi, density)`` with ``0 <= lo < hi <= 1`` and a positive density,
+        disjoint and listed in increasing or decreasing order.  Repeated atoms
+        are added, a decreasing edge's rows reversed and touching rows of equal
+        density merged, which gives what the validating constructor gives.
+        """
+        merged: dict[DPoint, Fraction] = {}
+        for p, w in atoms:
+            merged[p] = merged[p] + w if p in merged else w
+        dens: dict[object, tuple[Piece, ...]] = {}
+        for eid, rows in densities.items():
+            if not rows:
+                continue
+            if rows[0][0] > rows[-1][0]:
+                rows = rows[::-1]
+            out = [rows[0]]
+            for row in rows[1:]:
+                lo, hi, r = out[-1]
+                if hi == row[0] and r == row[2]:
+                    out[-1] = (lo, row[1], r)
+                else:
+                    out.append(row)
+            dens[eid] = tuple(out)
+        mu = cls.__new__(cls)
+        mu.dendrite = dendrite
+        mu.atoms = tuple(sorted(merged.items(), key=lambda kv: point_key(kv[0])))
+        mu.densities = dict(sorted(dens.items(), key=lambda kv: id_key(kv[0])))
+        mu.norm = norm
+        return mu
 
     def total_mass(self) -> Fraction:
         total = sum((w for _, w in self.atoms), ZERO)
@@ -213,7 +249,9 @@ def push_forward(h: Homeo, mu: PLMeasure) -> PLMeasure:
     """Exact image measure: atoms transport, densities pick up 1/|slope|.
 
     Each edge is one walk over its pieces and its map's segments
-    (:func:`_overlaps`); the density factor is computed once per segment.
+    (:func:`_overlaps`); the density factor is computed once per segment.  A
+    decreasing map lists an edge's rows right to left, which
+    :meth:`PLMeasure._trusted` reverses.
     """
     if not h.dendrite.same_space(mu.dendrite):
         raise DendriteMismatch("homeomorphism acts on a different dendrite")
@@ -229,7 +267,7 @@ def push_forward(h: Homeo, mu: PLMeasure) -> PLMeasure:
             if slope is not seen:  # once per segment
                 seen, factor = slope, ratio / abs(slope)
             rows.append((ya, yb, r * factor) if ya < yb else (yb, ya, r * factor))
-    return PLMeasure(mu.dendrite, atoms, dens, norm=mu.norm)
+    return PLMeasure._trusted(mu.dendrite, atoms, dens, mu.norm)
 
 
 def _overlaps(pieces: Sequence[Piece], xs: Sequence[Fraction], ys: Sequence[Fraction]):
@@ -414,29 +452,36 @@ def folner_average(gens, scheme: FolnerScheme, mu0: PLMeasure, n: int) -> PLMeas
 def _mixture(mu0: PLMeasure, measures: Iterable[PLMeasure], share: Fraction) -> PLMeasure:
     """``share`` times the sum of ``measures`` (on ``mu0``'s space), in one merge.
 
-    Atoms are concatenated; each edge's pieces become steps of a difference
-    map, which one sorted pass turns back into a piecewise-constant density.
+    Atoms are concatenated.  Per edge, the piece ends of every input are
+    scaled to one common denominator and the densities to another, so the
+    pieces become integer steps of a difference map; one sorted pass turns it
+    back into a piecewise-constant density, building each row's ``Fraction``s once.
     """
     atoms: list[tuple[DPoint, Fraction]] = []
-    steps: dict[object, dict[Fraction, Fraction]] = {}  # edge -> parameter -> jump
+    by_edge: dict[object, list[Sequence[Piece]]] = {}
     for mu in measures:
-        atoms.extend(mu.atoms)
+        atoms.extend((p, w * share) for p, w in mu.atoms)
         for eid, pieces in mu.densities.items():
-            diff = steps.setdefault(eid, {})
-            for a, b, r in pieces:
-                diff[a] = diff.get(a, ZERO) + r
-                diff[b] = diff.get(b, ZERO) - r
+            by_edge.setdefault(eid, []).append(pieces)
     dens: dict[object, list[Piece]] = {}
-    for eid, diff in steps.items():
+    for eid, inputs in by_edge.items():
+        scale, at = integer_scale(x for pieces in inputs for a, b, _ in pieces for x in (a, b))
+        per, level_of = integer_scale(r for pieces in inputs for _, _, r in pieces)
+        diff: dict[int, int] = {}  # scaled parameter -> scaled density jump
+        for pieces in inputs:
+            for a, b, r in pieces:
+                step, a, b = level_of(r), at(a), at(b)
+                diff[a] = diff.get(a, 0) + step
+                diff[b] = diff.get(b, 0) - step
+        cuts = sorted(x for x, step in diff.items() if step)
         rows = dens[eid] = []
-        level = ZERO
-        cuts = sorted(diff)
-        for lo, hi in zip(cuts, cuts[1:]):
-            level += diff[lo]
+        level, hi, den = 0, Fraction(cuts[0], scale), per * share.denominator
+        for x, y in zip(cuts, cuts[1:]):
+            level += diff[x]
+            lo, hi = hi, Fraction(y, scale)
             if level:
-                rows.append((lo, hi, level * share))
-    return PLMeasure(mu0.dendrite, [(p, w * share) for p, w in atoms], dens,
-                     norm=mu0.norm)
+                rows.append((lo, hi, Fraction(level * share.numerator, den)))
+    return PLMeasure._trusted(mu0.dendrite, atoms, dens, mu0.norm)
 
 
 def invariance_defect(gens, mu: PLMeasure, fns: Sequence[TestFunction]) -> Fraction:

@@ -7,12 +7,26 @@ ids pass through unchanged (strings or integers).
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 
 from .dendrite import Dendrite, DPoint, VertexPoint
 from .errors import ConfigInvalid
 from .homeo import Homeo, PLMap
 from .measure import PLMeasure
 from .util import frac, frac_str, id_key
+
+
+@contextmanager
+def decoding(what: str):
+    """Decode a document from outside the program; a malformed one is a config error.
+
+    Dendrodyn errors raised while decoding pass through unchanged.  Every
+    ``*_from_json`` below runs under it (as a decorator).
+    """
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ConfigInvalid(f"malformed {what} document: {exc!r}") from None
 
 
 def dendrite_to_json(dendrite: Dendrite) -> dict:
@@ -28,14 +42,12 @@ def dendrite_to_json(dendrite: Dendrite) -> dict:
     return doc
 
 
+@decoding("dendrite")
 def dendrite_from_json(doc: dict) -> Dendrite:
-    try:
-        vertices = doc["vertices"]
-        edges = [(e["id"], e["u"], e["v"], e.get("level", i + 1))
-                 for i, e in enumerate(doc["edges"])]
-        rule = doc.get("weight_rule", "dyadic")
-    except (KeyError, TypeError) as exc:
-        raise ConfigInvalid(f"malformed dendrite document: {exc}") from exc
+    vertices = doc["vertices"]
+    edges = [(e["id"], e["u"], e["v"], e.get("level", i + 1))
+             for i, e in enumerate(doc["edges"])]
+    rule = doc.get("weight_rule", "dyadic")
     if rule == "dyadic":
         return Dendrite(vertices, edges, "dyadic")
     if isinstance(rule, dict) and "custom" in rule:
@@ -52,6 +64,7 @@ def point_to_json(p: DPoint) -> dict:
     return {"edge": p.edge, "t": frac_str(p.t)}
 
 
+@decoding("point")
 def point_from_json(doc: dict, dendrite: Dendrite) -> DPoint:
     if "vertex" in doc:
         return dendrite.vertex_point(doc["vertex"])
@@ -85,6 +98,7 @@ def homeo_to_json(h: Homeo) -> dict:
     }}
 
 
+@decoding("homeo")
 def homeo_from_json(doc: dict, dendrite: Dendrite) -> Homeo:
     if "interval_pl" in doc:
         from .homeo import interval_homeo
@@ -111,6 +125,7 @@ def measure_to_json(mu: PLMeasure) -> dict:
     }
 
 
+@decoding("measure")
 def measure_from_json(doc: dict, dendrite: Dendrite) -> PLMeasure:
     atoms = [(point_from_json(row["point"], dendrite), frac(row["w"]))
              for row in doc.get("atoms", ())]

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from typing import Callable, Iterable
 
 from .errors import ConfigInvalid
 
@@ -16,6 +18,16 @@ def frac(value) -> Fraction:
     if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+def integer_scale(values: Iterable[Fraction]) -> tuple[int, Callable[[Fraction], int]]:
+    """The least common denominator ``L`` of ``values`` and the exact map ``x -> x*L``.
+
+    The map returns an ``int`` only for rationals whose denominator divides
+    ``L``: the ``values`` themselves and integer combinations of them.
+    """
+    scale = lcm(*{v.denominator for v in values})
+    return scale, lambda x: x.numerator * (scale // x.denominator)
 
 
 def read_param(value, key: str, parse=int, minimum=0):

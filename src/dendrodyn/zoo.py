@@ -126,8 +126,9 @@ def odometer(depth: int, dendrite: Dendrite | None = None) -> Homeo:
 
 
 def leaf_point(dendrite: Dendrite, depth: int, index: int = 0) -> DPoint:
-    """The leaf whose label encodes ``index`` (LSB first)."""
-    index %= 2 ** depth
+    """The leaf whose label encodes ``index`` (LSB first), for ``0 <= index < 2**depth``."""
+    if not 0 <= index < 2 ** depth:
+        raise ValueError(f"leaf index {index} outside [0, {2 ** depth})")
     label = "".join("1" if index & (1 << i) else "0" for i in range(depth))
     return dendrite.vertex_point(label)
 

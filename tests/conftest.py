@@ -43,11 +43,12 @@ def odo4():
 
 
 @st.composite
-def random_trees(draw, max_edges=7):
+def random_trees(draw, max_edges=7, denominators=(1, 2, 4, 8)):
     """A random connected weighted tree with chained edge enumeration.
 
     Each edge is stored parent-to-child or child-to-parent at random, so
-    storage orientation and root orientation disagree on some edges.
+    storage orientation and root orientation disagree on some edges.  Edge
+    weights are k/d with d drawn from ``denominators``.
     """
     n = draw(st.integers(min_value=1, max_value=max_edges))
     edges = []
@@ -57,21 +58,21 @@ def random_trees(draw, max_edges=7):
         ends = (f"v{parent}", f"v{i}")
         edges.append((f"e{i}",) + (ends[::-1] if draw(st.booleans()) else ends))
         num = draw(st.integers(min_value=1, max_value=8))
-        den = draw(st.sampled_from([1, 2, 4, 8]))
+        den = draw(st.sampled_from(denominators))
         weights.append(Fraction(num, den))
     vertices = [f"v{k}" for k in range(n + 1)]
     return Dendrite(vertices, edges, weights)
 
 
 @st.composite
-def tree_points(draw, dendrite):
-    """A random exact point of the given dendrite."""
+def tree_points(draw, dendrite, steps=16):
+    """A random exact point of the given dendrite (edge parameters k/steps)."""
     use_vertex = draw(st.booleans())
     if use_vertex or not dendrite.edges:
         vid = draw(st.sampled_from(sorted(dendrite.vertices, key=str)))
         return dendrite.vertex_point(vid)
     e = draw(st.sampled_from([e.eid for e in dendrite.edges]))
-    t = Fraction(draw(st.integers(min_value=0, max_value=16)), 16)
+    t = Fraction(draw(st.integers(min_value=0, max_value=steps)), steps)
     return dendrite.point(e, t)
 
 
@@ -83,18 +84,23 @@ def trees_with_points(draw, count=3, max_edges=7):
 
 
 @st.composite
-def random_measures(draw, dendrite, max_atoms=3):
-    """A random non-zero measure: vertex and edge atoms plus density pieces."""
-    atoms = [(draw(tree_points(dendrite)), Fraction(draw(st.integers(1, 8)), 8))
+def random_measures(draw, dendrite, max_atoms=3, steps=16, density_denominators=(4,)):
+    """A random non-zero measure: vertex and edge atoms plus density pieces.
+
+    Atom parameters and piece ends are k/steps; densities are k/d for
+    k = 0..4, with d drawn per piece from ``density_denominators``.
+    """
+    atoms = [(draw(tree_points(dendrite, steps)), Fraction(draw(st.integers(1, 8)), 8))
              for _ in range(draw(st.integers(min_value=0, max_value=max_atoms)))]
     densities = {}
     for e in dendrite.edges:
-        cuts = sorted(draw(st.sets(st.integers(min_value=0, max_value=16), max_size=4)))
-        densities[e.eid] = [(Fraction(a, 16), Fraction(b, 16),
-                             Fraction(draw(st.integers(0, 4)), 4))
+        cuts = sorted(draw(st.sets(st.integers(min_value=0, max_value=steps), max_size=4)))
+        densities[e.eid] = [(Fraction(a, steps), Fraction(b, steps),
+                             Fraction(draw(st.integers(0, 4)),
+                                      draw(st.sampled_from(density_denominators))))
                             for a, b in zip(cuts, cuts[1:])]
     if not atoms and not any(r for rows in densities.values() for _, _, r in rows):
-        atoms = [(draw(tree_points(dendrite)), Fraction(1))]
+        atoms = [(draw(tree_points(dendrite, steps)), Fraction(1))]
     return PLMeasure(dendrite, atoms, densities)
 
 

@@ -69,6 +69,9 @@ class TestConfigValidation:
         ("certify", "odometer:D=3", {"mesh_target": "tiny"}),
         ("paradox-check", None, {"L": 0}),
         ("orbit", "odometer:D=3,leaf=deep", {}),
+        ("finite-orbit", "odometer:D=3", {"x": {"leaf": 1000}}),
+        ("finite-orbit", "odometer:D=3", {"x": {"leaf": 8}}),
+        ("finite-orbit", "odometer:D=3", {"x": {"leaf": -1}}),
         ("certify", "odometer:D=3", {"orbit_budget": "many"}),
         ("defect", "odometer:D=3", {"ns": 3}),
         ("defect", "odometer:D=3", {"dictionary": 3}),

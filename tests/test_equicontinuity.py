@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from dendrodyn.action import detect_finite_orbit, evaluate_word, word_ball
 from dendrodyn.dendrite import FiniteClosedSet, arc_diameter_modulus, hausdorff_distance, mesh
-from dendrodyn.dendrite import VertexPoint
+from dendrodyn.dendrite import VertexPoint, _distance_to_set, _point_to_set
 from dendrodyn.equicontinuity import (
     _spread,
     build_tree_tower,
@@ -19,6 +19,7 @@ from dendrodyn.equicontinuity import (
 from dendrodyn.errors import NoFiniteOrbitFound
 from dendrodyn.homeo import apply, image_subdendrite
 from dendrodyn.measure import PLMeasure, canonical_measure, dirac
+from dendrodyn.util import point_key
 from dendrodyn.zoo import (
     corrupted_leaf_collapse,
     leaf_point,
@@ -339,6 +340,60 @@ def spread_by_ball_mass(mu, threshold):
     return best
 
 
+def spread_event_oracle(mu, threshold):
+    """Oracle: the event walk of ``_spread`` on exact ``Fraction`` radii and masses.
+
+    The same sweep and walk as the integer kernel, before the scaling to
+    common denominators: events are keyed by ``Fraction`` radius.
+    """
+    X = mu.dendrite
+    centers = [VertexPoint(v) for v in sorted(X.vertices, key=lambda v: point_key(VertexPoint(v)))]
+    centers.extend(p for p, _ in mu.atoms)
+    best = None
+    for c in centers:
+        dist, on_edge = _distance_to_set(X, [c])
+        events = {}  # radius -> [jump, slope change]
+
+        def ramp(lo, hi, r):
+            events.setdefault(lo, [F(0), F(0)])[1] += r
+            events.setdefault(hi, [F(0), F(0)])[1] -= r
+
+        for p, w in mu.atoms:
+            events.setdefault(_point_to_set(X, dist, on_edge, p), [F(0), F(0)])[0] += w
+        for eid, pieces in mu.densities.items():
+            e = X.edge(eid)
+            if getattr(c, "edge", None) == eid:
+                for a, b, r in pieces:
+                    if b > c.t:
+                        ramp((max(a, c.t) - c.t) * e.weight, (b - c.t) * e.weight, r)
+                    if a < c.t:
+                        ramp((c.t - min(b, c.t)) * e.weight, (c.t - a) * e.weight, r)
+                continue
+            du, dv = dist[e.u], dist[e.v]
+            for a, b, r in pieces:
+                if du < dv:
+                    ramp(du + a * e.weight, du + b * e.weight, r)
+                else:
+                    ramp(dv + (1 - b) * e.weight, dv + (1 - a) * e.weight, r)
+        mass = slope = prev = F(0)
+        for r in sorted(events):
+            if best is not None and prev >= best:
+                break
+            jump, dslope = events[r]
+            left = mass + slope * (r - prev)
+            if left >= threshold:
+                found = prev + (threshold - mass) / slope if slope else prev
+            elif left + jump >= threshold:
+                found = r
+            else:
+                mass, slope, prev = left + jump, slope + dslope, r
+                continue
+            if best is None or found < best:
+                best = found
+            break
+    return best
+
+
 class TestSpread:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -349,6 +404,20 @@ class TestSpread:
         mu = data.draw(random_measures(X))
         threshold = mu.total_mass() * F(data.draw(st.integers(1, 16)), 16)
         assert _spread(mu, threshold) == spread_by_ball_mass(mu, threshold)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_integer_kernel_matches_event_oracle(self, data):
+        # denominators that no power of two covers: weights over 3, 5, 7 and
+        # 12, cuts and atom parameters over 35, densities over 11, thresholds
+        # over 17 and 3, so every part of the common denominators is needed
+        X = data.draw(random_trees(max_edges=6, denominators=(3, 5, 7, 12)))
+        mu = data.draw(random_measures(X, steps=35, density_denominators=(11, 4)))
+        den = data.draw(st.sampled_from((17, 3)))
+        threshold = mu.total_mass() * F(data.draw(st.integers(1, den)), den)
+        got = _spread(mu, threshold)
+        assert type(got) is F
+        assert got == spread_event_oracle(mu, threshold)
 
     def test_atom_at_the_crossing_radius(self):
         # two heavy atoms: the crossing is the jump at the second one, not an

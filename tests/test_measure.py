@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from dendrodyn.action import Word, detect_finite_orbit, evaluate_word, orbit
 from dendrodyn.dendrite import Dendrite
 from dendrodyn.errors import NotCertifiedOrbit, NotProbability
+from dendrodyn.homeo import interval_homeo, invert
 from dendrodyn.measure import (
     FolnerScheme,
     PLMeasure,
@@ -147,7 +149,6 @@ class TestPushForward:
     @given(pl_maps())
     def test_mass_conserved_random_pl(self, m):
         X = unit_interval_dendrite()
-        from dendrodyn.homeo import interval_homeo
         h = interval_homeo(X, m.xs, m.ys)
         mu = canonical_measure(X)
         assert push_forward(h, mu).total_mass() == 1
@@ -282,6 +283,34 @@ class TestOneWalkOracles:
         assert integrate(pushed, f) == integrate_oracle(pushed, f)
 
 
+def fields(mu):
+    """Everything a measure stores, in order (``==`` ignores ``norm`` and edge order)."""
+    return mu.dendrite, mu.atoms, list(mu.densities.items()), mu.norm
+
+
+class TestTrustedConstruction:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_push_forward_rows_give_the_validated_measure(self, data):
+        # the rows push_forward hands to _trusted, read back through the
+        # validating constructor: a decreasing map lists rows right to left,
+        # and pushing back by the inverse leaves touching rows of equal density
+        if data.draw(st.booleans()):
+            X = data.draw(random_trees(max_edges=5))
+            h = data.draw(tree_automorphisms(X))
+        else:
+            X = unit_interval_dendrite()
+            m = data.draw(pl_maps())
+            h = interval_homeo(X, m.xs, [1 - y for y in m.ys])
+        mu = data.draw(random_measures(X))
+        with mock.patch.object(PLMeasure, "_trusted", wraps=PLMeasure._trusted) as spy:
+            pushed = push_forward(h, mu)
+            back = push_forward(invert(h), pushed)
+        assert [fields(pushed), fields(back)] == [
+            fields(PLMeasure(*call.args)) for call in spy.call_args_list]
+        assert fields(back) == fields(mu)
+
+
 class TestIntegrate:
     def test_total_mass(self, thomp):
         mu = canonical_measure(thomp.dendrite)
@@ -358,6 +387,30 @@ class TestUniformOrbitMeasure:
             uniform_orbit_measure(res)
 
 
+def mixture_oracle(mu0, measures, share):
+    """The ``Fraction``-keyed merge the integer one replaced."""
+    atoms = []
+    steps = {}  # edge -> parameter -> jump
+    for mu in measures:
+        atoms.extend(mu.atoms)
+        for eid, pieces in mu.densities.items():
+            diff = steps.setdefault(eid, {})
+            for a, b, r in pieces:
+                diff[a] = diff.get(a, F(0)) + r
+                diff[b] = diff.get(b, F(0)) - r
+    dens = {}
+    for eid, diff in steps.items():
+        rows = dens[eid] = []
+        level = F(0)
+        cuts = sorted(diff)
+        for lo, hi in zip(cuts, cuts[1:]):
+            level += diff[lo]
+            if level:
+                rows.append((lo, hi, level * share))
+    return PLMeasure(mu0.dendrite, [(p, w * share) for p, w in atoms], dens,
+                     norm=mu0.norm)
+
+
 class TestFolnerAverage:
     def test_index_zero_returns_seed(self, odo6):
         scheme = folner_scheme_Z("g")
@@ -382,6 +435,17 @@ class TestFolnerAverage:
         mu0 = dirac(odo6.dendrite, leaf_point(odo6.dendrite, 6), F(1, 3))
         with pytest.raises(NotProbability):
             folner_average(odo6.generators, scheme, mu0, 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_integer_merge_matches_fraction_merge(self, data):
+        # non-dyadic weights, piece ends and densities, so the per-edge common
+        # denominators are exercised; the share is not a unit fraction
+        X = data.draw(random_trees(max_edges=5, denominators=(3, 5, 7, 12)))
+        mus = [data.draw(random_measures(X, steps=35, density_denominators=(11, 4)))
+               for _ in range(data.draw(st.integers(1, 4)))]
+        share = F(data.draw(st.integers(1, 6)), data.draw(st.sampled_from((7, 9))))
+        assert fields(_mixture(mus[0], mus, share)) == fields(mixture_oracle(mus[0], mus, share))
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())

@@ -104,6 +104,29 @@ class TestMeasureRoundTrip:
         assert doc["edges"][0]["pieces"][0] == {"a": "0", "b": "1", "density": "1"}
 
 
+class TestMalformedDocuments:
+    @pytest.mark.parametrize("what, doc", [
+        ("dendrite", {"vertices": ["0", "1"], "edges": [{"id": "e", "u": "0"}]}),
+        ("dendrite", {"vertices": ["0", "1"], "edges": [{"id": "e", "u": "0", "v": "1"}],
+                      "weight_rule": {"custom": ["1/0"]}}),
+        ("point", {"edge": "e"}),
+        ("point", {"edge": "e", "t": "half"}),
+        ("homeo", {"interval_pl": {"x": [0, 1]}}),
+        ("homeo", {"tree_auto": {"vertex_map": 3}}),
+        ("measure", {"atoms": [{"point": {"vertex": "0"}}]}),
+        ("measure", {"edges": [{"id": "e", "pieces": [{"a": "0", "b": "1"}]}]}),
+        ("point", {"atoms": [{"point": {"edge": "e"}, "w": "1"}]}),  # inside a measure
+    ])
+    def test_library_decoders_raise_config_errors(self, what, doc):
+        X = unit_interval_dendrite()
+        decode = {"dendrite": lambda: ser.dendrite_from_json(doc),
+                  "point": lambda: ser.point_from_json(doc, X),
+                  "homeo": lambda: ser.homeo_from_json(doc, X),
+                  "measure": lambda: ser.measure_from_json(doc, X)}
+        with pytest.raises(ConfigInvalid, match=f"malformed {what} document"):
+            decode["measure" if "atoms" in doc else what]()
+
+
 class TestDumpDeterminism:
     def test_byte_identical(self, tmp_path):
         X = gehman_dendrite(2)

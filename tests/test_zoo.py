@@ -122,6 +122,11 @@ class TestGehmanDendrite:
             c = leaf_point(X, depth, 2)
             assert X.distance(a, c) == 1  # branch at level one
 
+    @pytest.mark.parametrize("index", [-1, 8, 1000])
+    def test_leaf_index_out_of_range(self, index):
+        with pytest.raises(ValueError, match="leaf index"):
+            leaf_point(gehman_dendrite(3), 3, index)
+
 
 class TestOdometer:
     def test_depth1_swap(self):

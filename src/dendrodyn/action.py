@@ -7,7 +7,6 @@ them, so orbit sets are deduplicated by image rather than by word.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -23,16 +22,26 @@ from .dendrite import (
 )
 from .errors import DendriteMismatch, UnknownSymbol
 from .homeo import Homeo, apply, compose, identity_homeo, invert, validate
-from .util import point_key
+from .util import Record, Value, point_key, set_field
 
 ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(Value):
     """A signed word in the generators; letters are (symbol, +1|-1)."""
 
-    letters: tuple[tuple[str, int], ...] = ()
+    __slots__ = _fields = ("letters",)
+
+    def __init__(self, letters: tuple[tuple[str, int], ...] = ()):
+        set_field(self, "letters", letters)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.letters == other.letters
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.letters,))
 
     @classmethod
     def identity(cls) -> "Word":
@@ -184,8 +193,7 @@ def word_images(gens: GeneratorSet, words: Iterable[Word], start, step):
         yield w, images[letters]
 
 
-@dataclass(frozen=True)
-class OrbitReport:
+class OrbitReport(Record):
     base: DPoint
     radius: int
     points: FiniteClosedSet
@@ -240,8 +248,7 @@ def orbit(gens: GeneratorSet, x: DPoint, radius: int) -> OrbitReport:
                        growth=tuple(len(layer) for layer in layers))
 
 
-@dataclass(frozen=True)
-class FiniteOrbitResult:
+class FiniteOrbitResult(Record):
     found: bool
     orbit: FiniteClosedSet | None
     radius: int | None
@@ -270,8 +277,7 @@ def detect_finite_orbit(gens: GeneratorSet, x: DPoint, budget: int) -> FiniteOrb
     return FiniteOrbitResult(False, None, None, tuple(growth[:budget + 1]))
 
 
-@dataclass(frozen=True)
-class MinimalSetApprox:
+class MinimalSetApprox(Record):
     points: FiniteClosedSet
     radius: int
     increments: tuple[Fraction, ...]
@@ -307,11 +313,10 @@ def minimal_set_approx(gens: GeneratorSet, x: DPoint, radius: int,
                             closed_radius=closed_radius)
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(Record, uncompared=("details",)):
     kind: str  # "finite-orbit" | "whole-space" | "cantor-like" | "inconclusive"
     eps: Fraction
-    details: dict = field(compare=False, default_factory=dict)
+    details: dict
 
 
 def classify_minimal_set(dendrite: Dendrite, m: FiniteClosedSet, eps,
@@ -343,15 +348,13 @@ def classify_minimal_set(dendrite: Dendrite, m: FiniteClosedSet, eps,
                           {"max_probe_gap": worst_gap, "isolated_point": witness})
 
 
-@dataclass(frozen=True)
-class RecurrenceWitness:
+class RecurrenceWitness(Record):
     word: Word
     image: DPoint
     distance: Fraction
 
 
-@dataclass(frozen=True)
-class RecurrenceDiagnostic:
+class RecurrenceDiagnostic(Record):
     base: DPoint
     eps: Fraction
     max_length: int

@@ -14,7 +14,6 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -46,7 +45,7 @@ from .measure import (
     invariance_defect,
     push_forward,
 )
-from .util import frac, frac_str, read_param
+from .util import Record, frac, frac_str, read_param
 from .zoo import (
     ZooSystem,
     folner_scheme_Z,
@@ -65,11 +64,10 @@ COMMANDS = ("orbit", "finite-orbit", "minimal-set", "classify", "tower", "cover"
 SYSTEMLESS = {"paradox-check", "folner-ratio", "zoo"}
 
 
-@dataclass
-class ExperimentConfig:
+class ExperimentConfig(Record, frozen=False):  # mutable: main() sets ``out``
     command: str
     system: object = None
-    parameters: dict = field(default_factory=dict)
+    parameters: dict
     out: str = "."
     format: str = "json"
     seed: int = 0
@@ -183,7 +181,7 @@ def _minimal_set(system: ZooSystem, params: dict):
     default_budget = 2 ** depth + 1 if depth is not None else 16
     budget = read_param(params.get("budget", default_budget), "budget", minimum=1)
     radius = read_param(params.get("R", 6), "R")
-    eps = read_param(params.get("eps", "1/16"), "eps", frac, None)
+    eps = _resolution(params, "eps", "1/16")
     result = detect_finite_orbit(system.generators, x, budget)
     if result.found:
         points, certified = result.orbit, True
@@ -198,6 +196,14 @@ def _minimal_set(system: ZooSystem, params: dict):
     else:
         tower_class = "finite" if certified else "cantor-like"
     return points, certified, tower_class
+
+
+def _resolution(params: dict, key: str, default):
+    """A positive rational resolution (``eps``, ``mesh_target``) read from ``params``."""
+    value = read_param(params.get(key, default), key, frac, None)
+    if value <= 0:
+        raise ConfigInvalid(f"{key} must be positive, got {frac_str(value)}")
+    return value
 
 
 def _orbit_budget(params: dict) -> int | None:
@@ -266,7 +272,7 @@ def _cmd_minimal_set(cfg, system):
     params = cfg.parameters
     x = _resolve_point(params.get("x"), system)
     radius = read_param(params.get("R", 4), "R", minimum=2)
-    eps = read_param(params.get("eps", "1/16"), "eps", frac, None)
+    eps = _resolution(params, "eps", "1/16")
     approx = minimal_set_approx(system.generators, x, radius, eps)
     return {
         "base": ser.point_to_json(system.dendrite.check_point(x)),
@@ -281,7 +287,7 @@ def _cmd_minimal_set(cfg, system):
 
 def _cmd_classify(cfg, system):
     params = cfg.parameters
-    eps = read_param(params.get("eps", "1/8"), "eps", frac, None)
+    eps = _resolution(params, "eps", "1/8")
     m, certified, tower_class = _minimal_set(system, params)
     verdict = classify_minimal_set(system.dendrite, m, eps,
                                    certified_finite=tower_class == "finite")
@@ -350,11 +356,10 @@ def _cmd_certify(cfg, system):
             eps_grid_values(eps_grid)
         except ValueError as exc:
             raise ConfigInvalid(f"eps_grid: {exc}, got {[frac_str(e) for e in eps_grid]}") from None
-    mesh_target = params.get("mesh_target")
     cert = equicontinuity_certificate(
         system.generators, m, n_max,
-        mesh_target=(read_param(mesh_target, "mesh_target", frac, None)
-                     if mesh_target is not None else None),
+        mesh_target=(None if params.get("mesh_target") is None
+                     else _resolution(params, "mesh_target", None)),
         eps_grid=eps_grid,
         minimal_class=tower_class,
         orbit_budget=_orbit_budget(params),
@@ -577,10 +582,19 @@ def _read_config(path: str, overrides: dict) -> ExperimentConfig:
     return ExperimentConfig.from_dict(doc)
 
 
+def _log_level() -> str:
+    """The logging level named by ``DENDRODYN_LOG`` (default WARNING)."""
+    name = os.environ.get("DENDRODYN_LOG", "WARNING")
+    if not isinstance(logging.getLevelName(name.upper()), int):  # a known name maps to a number
+        raise ConfigInvalid(f"unknown DENDRODYN_LOG level {name!r}; expected one of "
+                            "DEBUG, INFO, WARNING, ERROR, CRITICAL")
+    return name.upper()
+
+
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("DENDRODYN_LOG", "WARNING").upper())
     args = _build_parser().parse_args(argv)
     try:
+        logging.basicConfig(level=_log_level())
         if args.mode == "run":
             cfg = _read_config(args.config, {"out": args.out, "format": args.format,
                                              "seed": args.seed})

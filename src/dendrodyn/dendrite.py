@@ -10,7 +10,6 @@ quantities (arc lengths, Hausdorff distances, cover meshes) are exact.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -26,24 +25,44 @@ from .errors import (
     PointOffDendrite,
     QuotientDisconnected,
 )
-from .util import frac, id_key, point_key
+from .util import Value, frac, id_key, point_key, set_field
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class VertexPoint:
-    vertex: object
+class VertexPoint(Value):
+    __slots__ = _fields = ("vertex",)
+
+    def __init__(self, vertex):
+        set_field(self, "vertex", vertex)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.vertex == other.vertex
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.vertex,))
 
     def __repr__(self):
         return f"V({self.vertex})"
 
 
-@dataclass(frozen=True)
-class EdgePoint:
-    edge: object
-    t: Fraction
+class EdgePoint(Value):
+    __slots__ = _fields = ("edge", "t")
+
+    def __init__(self, edge, t: Fraction):
+        set_field(self, "edge", edge)
+        set_field(self, "t", t)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.edge == other.edge and self.t == other.t
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.edge, self.t))
 
     def __repr__(self):
         return f"P({self.edge}@{self.t})"
@@ -52,13 +71,24 @@ class EdgePoint:
 DPoint = VertexPoint | EdgePoint
 
 
-@dataclass(frozen=True)
-class Edge:
-    eid: object
-    u: object
-    v: object
-    level: int
-    weight: Fraction
+class Edge(Value):
+    __slots__ = _fields = ("eid", "u", "v", "level", "weight")
+
+    def __init__(self, eid, u, v, level: int, weight: Fraction):
+        set_field(self, "eid", eid)
+        set_field(self, "u", u)
+        set_field(self, "v", v)
+        set_field(self, "level", level)
+        set_field(self, "weight", weight)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.eid, self.u, self.v, self.level, self.weight)
+                    == (other.eid, other.u, other.v, other.level, other.weight))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.eid, self.u, self.v, self.level, self.weight))
 
 
 class Dendrite:

@@ -10,7 +10,6 @@ works for the whole generated group, which is the certificate's content.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from typing import Sequence
@@ -37,13 +36,12 @@ from .errors import (
 from .homeo import apply, image_subdendrite
 from .action import GeneratorSet, detect_finite_orbit, word_ball, word_images
 from .measure import PLMeasure, push_forward
-from .util import integer_scale, point_key
+from .util import Record, integer_scale, point_key
 
 ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class TowerLevel:
+class TowerLevel(Record):
     index: int
     orbit: FiniteClosedSet
     tree: Subdendrite
@@ -51,8 +49,7 @@ class TowerLevel:
     strict: bool
 
 
-@dataclass(frozen=True)
-class TreeTower:
+class TreeTower(Record):
     dendrite: Dendrite
     hull: Subdendrite
     minimal_set: FiniteClosedSet
@@ -136,8 +133,7 @@ def build_tree_tower(gens: GeneratorSet, m: FiniteClosedSet, n_max: int,
     return TreeTower(X, hull, m, tuple(levels))
 
 
-@dataclass(frozen=True)
-class FrontierCover:
+class FrontierCover(Record):
     level: int
     tree: Subdendrite
     cells: tuple[tuple[DPoint, Subdendrite], ...]
@@ -176,16 +172,14 @@ def frontier_cover(dendrite: Dendrite, m: FiniteClosedSet,
     return FrontierCover(level=level, tree=tree, cells=tuple(cells))
 
 
-@dataclass(frozen=True)
-class EquivarianceEntry:
+class EquivarianceEntry(Record):
     symbol: str
     sign: int
     anchor: DPoint
     ok: bool
 
 
-@dataclass(frozen=True)
-class EquivarianceReport:
+class EquivarianceReport(Record):
     level: int
     ok: bool
     entries: tuple[EquivarianceEntry, ...]
@@ -221,8 +215,7 @@ def verify_cover_equivariance(gens: GeneratorSet, cover: FrontierCover
     return EquivarianceReport(cover.level, all_ok, tuple(entries), counterexample)
 
 
-@dataclass(frozen=True)
-class CertificateLevel:
+class CertificateLevel(Record):
     index: int
     mesh: Fraction
     equivariant: bool
@@ -230,15 +223,14 @@ class CertificateLevel:
     cell_count: int
 
 
-@dataclass(frozen=True)
-class EquicontinuityCertificate:
+class EquicontinuityCertificate(Record, uncompared=("tower", "covers")):
     verdict: str  # "Certified" | "Empirical" | "Failed"
     levels: tuple[CertificateLevel, ...]
     delta_table: tuple[tuple[Fraction, Fraction], ...]
     explanation: str
     witness: tuple | None = None
-    tower: TreeTower | None = field(default=None, compare=False)
-    covers: tuple[FrontierCover, ...] = field(default=(), compare=False)
+    tower: TreeTower | None = None
+    covers: tuple[FrontierCover, ...] = ()
 
 
 def _delta_table(meshes: Sequence[Fraction], eps_grid: Sequence[Fraction]):
@@ -329,8 +321,7 @@ def tamper_remove_edge(cover: FrontierCover) -> FrontierCover:
 MASS_THRESHOLD = Fraction(15, 16)
 
 
-@dataclass(frozen=True)
-class ProximalityTrace:
+class ProximalityTrace(Record):
     rows: tuple[tuple[int, Fraction, str], ...]  # (radius, spread, best word)
 
     def spreads(self) -> list[Fraction]:

@@ -9,13 +9,12 @@ canonical equality are uniform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .dendrite import Dendrite, DPoint, Subdendrite, VertexPoint
 from .errors import DendriteMismatch, InvalidHomeo, PointOffDendrite
-from .util import frac, id_key
+from .util import Record, frac, id_key
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -130,14 +129,12 @@ def _merge_collinear(xs, ys):
     return tuple(xs[i] for i in keep), tuple(ys[i] for i in keep)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     kind: str
     detail: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     valid: bool
     violations: tuple[Violation, ...]
     notes: tuple[str, ...] = ()

@@ -8,7 +8,6 @@ Mass of a density piece is density x parameter length x edge weight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -21,7 +20,7 @@ from .errors import (
     NotProbability,
 )
 from .homeo import Homeo, apply
-from .util import frac, id_key, integer_scale, point_key
+from .util import Record, frac, id_key, integer_scale, point_key
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -424,8 +423,7 @@ def uniform_orbit_measure(orbit_result) -> PLMeasure:
     return PLMeasure(points.dendrite, [(p, Fraction(1, n)) for p in points])
 
 
-@dataclass(frozen=True)
-class FolnerScheme:
+class FolnerScheme(Record):
     """An indexed family n -> finite word list, adapted to named generators."""
 
     name: str

@@ -12,7 +12,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .action import GeneratorSet, Word, word_ball, word_power
@@ -20,7 +19,7 @@ from .dendrite import Dendrite, DPoint, VertexPoint
 from .errors import ConfigInvalid, NotReduced
 from .homeo import Homeo, PLMap, interval_homeo, tree_automorphism
 from .measure import FolnerScheme
-from .util import frac, read_param
+from .util import Record, frac, read_param
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -160,11 +159,10 @@ def free_group_cylinder(w: Word, letter: tuple[str, int]) -> bool:
     return w.first_letter() == letter
 
 
-@dataclass(frozen=True)
-class ParadoxReport:
+class ParadoxReport(Record, uncompared=("first_letter_counts",)):
     max_length: int
     total_words: int
-    first_letter_counts: dict = field(compare=False)
+    first_letter_counts: dict
     partition_ok: bool
     two_piece_checked: int
     two_piece_ok: bool
@@ -263,12 +261,11 @@ def folner_scheme_Z(symbol: str = "g") -> FolnerScheme:
 # -- registry ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ZooSystem:
+class ZooSystem(Record, uncompared=("properties",)):
     name: str
     dendrite: Dendrite
     generators: GeneratorSet
-    properties: dict = field(compare=False, default_factory=dict)
+    properties: dict
     corrupt_cover: bool = False
 
 

@@ -107,6 +107,12 @@ class TestConfigValidation:
             {"point": {"vertex": "0"}, "w": True}]}}),
         ("orbit", {"dendrite": {**INTERVAL, "weight_rule": {"custom": ["x"]}},
                    "generators": []}, {}),
+        ("classify", "odometer:D=4", {"eps": "-1"}),
+        ("classify", "thompson", {"eps": "0"}),
+        ("minimal-set", "thompson", {"eps": "-1"}),
+        ("tower", "odometer:D=3", {"eps": "-1"}),
+        ("certify", "odometer:D=3", {"mesh_target": "0"}),
+        ("certify", "odometer:D=3", {"mesh_target": "-1/2"}),
     ])
     def test_malformed_values_are_config_errors(self, tmp_path, capsys,
                                                 command, system, parameters):
@@ -118,6 +124,23 @@ class TestConfigValidation:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert report is None
+
+    @pytest.mark.parametrize("level", ["verbose", "10", ""])
+    def test_unknown_log_level_is_config_error(self, monkeypatch, capsys, level):
+        monkeypatch.setenv("DENDRODYN_LOG", level)
+        assert main(["zoo", "list"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: unknown DENDRODYN_LOG level {level!r}; "
+            "expected one of DEBUG, INFO, WARNING, ERROR, CRITICAL\n")
+
+    def test_unknown_log_level_in_a_fresh_interpreter(self):
+        env = {**os.environ, "DENDRODYN_LOG": "verbose", "PYTHONPATH": os.pathsep.join(
+            [str(Path(dendrodyn.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-m", "dendrodyn.cli", "zoo", "list"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: unknown DENDRODYN_LOG level 'verbose'")
+        assert "Traceback" not in proc.stderr
 
     def test_config_that_is_not_json(self, tmp_path, capsys):
         path = tmp_path / "config.json"

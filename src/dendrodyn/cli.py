@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import sys
 from fractions import Fraction
@@ -55,13 +54,13 @@ from .zoo import (
     verify_paradox_partition,
 )
 
-log = logging.getLogger("dendrodyn")
-
 COMMANDS = ("orbit", "finite-orbit", "minimal-set", "classify", "tower", "cover",
             "certify", "measure", "pushforward", "folner-average", "defect",
             "paradox-check", "folner-ratio", "proximality", "zoo")
 
 SYSTEMLESS = {"paradox-check", "folner-ratio", "zoo"}
+
+MINIMAL_CLASSES = ("finite", "finite-orbit", "cantor-like", "whole-space")
 
 
 class ExperimentConfig(Record, frozen=False):  # mutable: main() sets ``out``
@@ -191,6 +190,9 @@ def _minimal_set(system: ZooSystem, params: dict):
     minimal_class = params.get("minimal_class")
     if minimal_class is None:
         minimal_class = system.properties.get("expected_minimal_class")
+    elif minimal_class not in MINIMAL_CLASSES:
+        raise ConfigInvalid(f"minimal_class must be one of {MINIMAL_CLASSES}, "
+                            f"got {minimal_class!r}")
     if minimal_class in ("cantor-like", "whole-space"):
         tower_class = "cantor-like"
     else:
@@ -209,6 +211,13 @@ def _resolution(params: dict, key: str, default):
 def _orbit_budget(params: dict) -> int | None:
     budget = params.get("orbit_budget")
     return None if budget is None else read_param(budget, "orbit_budget", minimum=1)
+
+
+def _param_text(params: dict, key: str, default) -> str:
+    value = params.get(key, default)
+    if not isinstance(value, str):
+        raise ConfigInvalid(f"{key} must be a string, got {value!r}")
+    return value
 
 
 def _param_list(params: dict, key: str, default):
@@ -377,10 +386,7 @@ def _cmd_measure(cfg, system):
 def _cmd_pushforward(cfg, system):
     params = cfg.parameters
     mu = _resolve_measure(params.get("measure"), system)
-    text = params.get("word", "e")
-    if not isinstance(text, str):
-        raise ConfigInvalid(f"word must be a string, got {text!r}")
-    w = Word.parse(text)
+    w = Word.parse(_param_text(params, "word", "e"))
     _, pushed = next(word_images(system.generators, [w], mu, push_forward))
     return {"word": str(w),
             "measure": ser.measure_to_json(pushed),
@@ -437,9 +443,9 @@ def _cmd_paradox(cfg, system):
 def _cmd_folner_ratio(cfg, system):
     params = cfg.parameters
     ns = [read_param(n, "ns") for n in _param_list(params, "ns", [2, 10, 50])]
-    symbol = params.get("scheme_symbol", "g")
+    symbol = _param_text(params, "scheme_symbol", "g")
     scheme = folner_scheme_Z(symbol)
-    g = params.get("g", symbol)
+    g = _param_text(params, "g", symbol)
     rows = [[n, frac_str(folner_ratio(scheme, g, n))] for n in ns]
     return {"g": g, "rows": rows}, 0
 
@@ -459,7 +465,7 @@ def _cmd_zoo(cfg, system):
     if action == "list":
         return {"systems": list_systems()}, 0
     if action == "export":
-        name = params.get("name")
+        name = _param_text(params, "name", "")
         if not name:
             raise ConfigInvalid("zoo export needs a 'name'")
         target = get_system(name)
@@ -582,10 +588,13 @@ def _read_config(path: str, overrides: dict) -> ExperimentConfig:
     return ExperimentConfig.from_dict(doc)
 
 
+_LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "WARN", "ERROR", "CRITICAL", "FATAL", "NOTSET")
+
+
 def _log_level() -> str:
     """The logging level named by ``DENDRODYN_LOG`` (default WARNING)."""
     name = os.environ.get("DENDRODYN_LOG", "WARNING")
-    if not isinstance(logging.getLevelName(name.upper()), int):  # a known name maps to a number
+    if name.upper() not in _LOG_LEVELS:
         raise ConfigInvalid(f"unknown DENDRODYN_LOG level {name!r}; expected one of "
                             "DEBUG, INFO, WARNING, ERROR, CRITICAL")
     return name.upper()
@@ -594,13 +603,19 @@ def _log_level() -> str:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        logging.basicConfig(level=_log_level())
+        level = _log_level()
+        log = None
+        if level in ("DEBUG", "INFO", "NOTSET"):  # only these show the one INFO line
+            import logging
+            logging.basicConfig(level=level)
+            log = logging.getLogger("dendrodyn")
         if args.mode == "run":
             cfg = _read_config(args.config, {"out": args.out, "format": args.format,
                                              "seed": args.seed})
             report, code = run_experiment(cfg)
             path = write_report(cfg, report)
-            log.info("report written to %s", path)
+            if log is not None:
+                log.info("report written to %s", path)
             print(path)
             return code
         if args.mode == "zoo":

@@ -347,42 +347,8 @@ class Dendrite:
     # -- arcs and hulls --------------------------------------------------------
 
     def arc(self, x: DPoint, y: DPoint) -> "Subdendrite":
-        """The unique arc [x, y]; degenerate when x == y."""
-        x = self.check_point(x)
-        y = self.check_point(y)
-        if x == y:
-            if isinstance(x, VertexPoint):
-                return Subdendrite._make(self, {x.vertex}, {})
-            return Subdendrite._make(self, set(), {x.edge: (x.t, x.t)})
-        if isinstance(x, EdgePoint) and isinstance(y, EdgePoint) and x.edge == y.edge:
-            lo, hi = sorted((x.t, y.t))
-            return Subdendrite._make(self, set(), {x.edge: (lo, hi)})
-
-        best = None
-        for va, ca in self._anchors(x):
-            for vb, cb in self._anchors(y):
-                d = ca + self.vertex_distance(va, vb) + cb
-                if best is None or d < best[0]:
-                    best = (d, va, vb)
-        _, va, vb = best
-        chain = self.vertex_path(va, vb)
-        vertices = set(chain)
-        portions: dict[object, tuple[Fraction, Fraction]] = {}
-        for a, b in zip(chain, chain[1:]):
-            e = self.edge_between(a, b)
-            portions[e.eid] = (ZERO, ONE)
-        for p, anchor in ((x, va), (y, vb)):
-            if isinstance(p, EdgePoint):
-                e = self.edge(p.edge)
-                if anchor == e.u:
-                    part = (ZERO, p.t)
-                else:
-                    part = (p.t, ONE)
-                prev = portions.get(p.edge)
-                if prev is not None:
-                    part = (min(prev[0], part[0]), max(prev[1], part[1]))
-                portions[p.edge] = part
-        return Subdendrite._make(self, vertices, portions)
+        """The unique arc [x, y]: the hull of its two ends, degenerate when x == y."""
+        return self.hull((x, y))
 
     def _lower(self, e: Edge):
         """The endpoint of ``e`` farther from the root of its component."""
@@ -457,31 +423,10 @@ class Dendrite:
     # -- retraction ------------------------------------------------------------
 
     def retract_point(self, sub: "Subdendrite", x: DPoint) -> DPoint:
-        """Nearest-point projection of ``x`` onto the connected subdendrite."""
+        """The gate of ``x`` on the connected ``sub``, which is its nearest point."""
         if sub.dendrite is not self and not self.same_space(sub.dendrite):
             raise DendriteMismatch("subdendrite lives on a different dendrite")
-        if sub.is_empty():
-            raise EmptySubdendrite("cannot retract onto an empty subdendrite")
-        x = self.check_point(x)
-        if sub.contains(x):
-            return x
-        candidates: list[tuple[Fraction, DPoint]] = []
-        for v in sub.vertices:
-            candidates.append((self.distance(x, VertexPoint(v)), VertexPoint(v)))
-        for eid, (lo, hi) in sub.portions:
-            e = self.edge(eid)
-            if isinstance(x, EdgePoint) and x.edge == eid:
-                t = min(max(x.t, lo), hi)
-                candidates.append((abs(x.t - t) * e.weight, self.point(eid, t)))
-                continue
-            du = self.distance(x, VertexPoint(e.u))
-            dv = self.distance(x, VertexPoint(e.v))
-            candidates.append((du + lo * e.weight, self.point(eid, lo)))
-            candidates.append((dv + (1 - hi) * e.weight, self.point(eid, hi)))
-        best = min(d for d, _ in candidates)
-        winners = {p for d, p in candidates if d == best}
-        assert len(winners) == 1, "nearest point on a subtree must be unique"
-        return winners.pop()
+        return subdendrite_gates(self, sub, [x])[0]
 
     # -- quotients ---------------------------------------------------------------
 
@@ -931,60 +876,63 @@ def nearest_other_distances(dendrite: Dendrite, points: Sequence[DPoint]
 
 def subdendrite_gates(dendrite: Dendrite, sub: Subdendrite,
                       points: Iterable[DPoint]) -> list[DPoint]:
-    """Nearest point of ``sub`` for each query point, via one tree sweep.
+    """The gate of each query point on the connected ``sub``: its first point of ``sub``.
 
-    Equivalent to :meth:`Dendrite.retract_point` per point but amortised: a two-pass dynamic
-    program carries (distance, gate) labels over the whole tree.
+    In a tree the gate is also the nearest point, yet it needs no distance.
+    A point on an edge that ``sub`` covers part of is clamped into that
+    portion.  Any other point climbs towards the root (memoised per vertex)
+    to the first point of ``sub`` it meets, or to ``sub``'s top point, the
+    one nearest the root, if its root path misses ``sub``.
     """
     if sub.is_empty():
         raise EmptySubdendrite("cannot retract onto an empty subdendrite")
-    best: dict[object, tuple[Fraction, DPoint]] = {}
-
-    def relax(v, d, gate):
-        cur = best.get(v)
-        if cur is None or d < cur[0] or (d == cur[0] and point_key(gate) < point_key(cur[1])):
-            best[v] = (d, gate)
-
-    for v in sub.vertices:
-        relax(v, ZERO, VertexPoint(v))
+    parent, parent_edge, lower = dendrite._parent, dendrite._parent_edge, dendrite._lower
     portions = sub.portion_map()
+    # a top point has nothing of sub right above it; each component of sub has one
+    tops: list[DPoint] = []
+    entry: dict[object, DPoint] = {}  # edge id -> first point of sub met climbing the edge
     for eid, (lo, hi) in portions.items():
         e = dendrite.edge(eid)
-        if lo > 0:
-            relax(e.u, lo * e.weight, dendrite.point(eid, lo))
-        if hi < 1:
-            relax(e.v, (1 - hi) * e.weight, dendrite.point(eid, hi))
-    order = dendrite._order
-    for v in reversed(order):
-        pe = dendrite._parent_edge[v]
-        if pe is not None and v in best:
-            d, g = best[v]
-            relax(dendrite._parent[v], d + pe.weight, g)
-    for v in order:
-        pe = dendrite._parent_edge[v]
-        if pe is not None and dendrite._parent[v] in best:
-            d, g = best[dendrite._parent[v]]
-            relax(v, d + pe.weight, g)
+        first, last = (lo, hi) if lower(e) == e.u else (hi, lo)
+        entry[eid] = dendrite.point(eid, first)
+        if isinstance(dendrite.point(eid, last), EdgePoint):  # stops below the upper vertex
+            tops.append(dendrite.point(eid, last))
+    gate_of = {v: VertexPoint(v) for v in sub.vertices}  # memo: vertex -> its gate
+    tops += [g for v, g in gate_of.items()
+             if parent_edge[v] is None or entry.get(parent_edge[v].eid) != g]
+    if len(tops) != 1:
+        raise DendrodynError("cannot retract onto a disconnected subdendrite")
+    top = tops[0]
+    home = dendrite._component[top.vertex if isinstance(top, VertexPoint)
+                               else dendrite.edge(top.edge).u]
+
+    def climb(v) -> DPoint:
+        path = []
+        while v not in gate_of:
+            path.append(v)
+            pe = parent_edge[v]
+            if pe is None or pe.eid in entry:
+                gate_of[v] = top if pe is None else entry[pe.eid]
+                break
+            v = parent[v]
+        for w in path:
+            gate_of[w] = gate_of[v]
+        return gate_of[v]
 
     gates = []
     for p in points:
         p = dendrite.check_point(p)
         if isinstance(p, VertexPoint):
-            gates.append(best[p.vertex][1])
-            continue
-        e = dendrite.edge(p.edge)
-        cands: list[tuple[Fraction, DPoint]] = []
-        if e.u in best:
-            d, g = best[e.u]
-            cands.append((d + p.t * e.weight, g))
-        if e.v in best:
-            d, g = best[e.v]
-            cands.append((d + (1 - p.t) * e.weight, g))
-        if p.edge in portions:
-            lo, hi = portions[p.edge]
-            t = min(max(p.t, lo), hi)
-            cands.append((abs(p.t - t) * e.weight, dendrite.point(p.edge, t)))
-        gates.append(min(cands, key=lambda dg: (dg[0], point_key(dg[1])))[1])
+            start = p.vertex
+        else:
+            part = portions.get(p.edge)
+            if part is not None:
+                gates.append(dendrite.point(p.edge, min(max(p.t, part[0]), part[1])))
+                continue
+            start = parent[lower(dendrite.edge(p.edge))]
+        if dendrite._component[start] != home:
+            raise DendrodynError("query point lies in another component than the subdendrite")
+        gates.append(climb(start))
     return gates
 
 

@@ -328,16 +328,21 @@ def get_system(spec: str) -> ZooSystem:
             if not value:
                 raise ConfigInvalid(f"bad system parameter {part!r} in {spec!r}")
             params[key.strip()] = value.strip()
+    known = {"thompson": (), "thompson-f": (), "odometer": ("D", "leaf"),
+             "odometer-corrupt": ("D", "leaf")}
+    if name not in known:
+        raise ConfigInvalid(f"unknown zoo system {spec!r}")
+    for key in params:
+        if key not in known[name]:
+            raise ConfigInvalid(f"unknown parameter {key!r} for {name} in {spec!r}")
     if name == "thompson":
         return thompson_system()
     if name == "thompson-f":
         return thompson_f_system()
-    if name in ("odometer", "odometer-corrupt"):
-        if "D" not in params:
-            raise ConfigInvalid(f"{name} needs a depth, e.g. {name}:D=6")
-        depth = read_param(params["D"], f"depth D in {spec!r}", minimum=1)
-        leaf = params.get("leaf", "tail")
-        if leaf not in ("tail", "level"):
-            raise ConfigInvalid(f"leaf must be 'tail' or 'level' in {spec!r}")
-        return odometer_system(depth, leaf, corrupt_cover=(name == "odometer-corrupt"))
-    raise ConfigInvalid(f"unknown zoo system {spec!r}")
+    if "D" not in params:
+        raise ConfigInvalid(f"{name} needs a depth, e.g. {name}:D=6")
+    depth = read_param(params["D"], f"depth D in {spec!r}", minimum=1)
+    leaf = params.get("leaf", "tail")
+    if leaf not in ("tail", "level"):
+        raise ConfigInvalid(f"leaf must be 'tail' or 'level' in {spec!r}")
+    return odometer_system(depth, leaf, corrupt_cover=(name == "odometer-corrupt"))

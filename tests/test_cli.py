@@ -113,6 +113,13 @@ class TestConfigValidation:
         ("tower", "odometer:D=3", {"eps": "-1"}),
         ("certify", "odometer:D=3", {"mesh_target": "0"}),
         ("certify", "odometer:D=3", {"mesh_target": "-1/2"}),
+        ("folner-ratio", None, {"g": 5}),
+        ("folner-ratio", None, {"scheme_symbol": 5}),
+        ("zoo", None, {"action": "export", "name": 5}),
+        ("certify", "odometer:D=3", {"minimal_class": 5}),
+        ("classify", "odometer:D=3", {"minimal_class": "cantor"}),
+        ("orbit", "thompson:D=3", {}),
+        ("orbit", "odometer:D=3,lef=level", {}),
     ])
     def test_malformed_values_are_config_errors(self, tmp_path, capsys,
                                                 command, system, parameters):
@@ -141,6 +148,16 @@ class TestConfigValidation:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: unknown DENDRODYN_LOG level 'verbose'")
         assert "Traceback" not in proc.stderr
+
+    def test_info_log_line_in_a_fresh_interpreter(self, tmp_path):
+        cfg = write_config(tmp_path, {"command": "orbit", "system": "thompson",
+                                      "parameters": {"R": 1}, "out": str(tmp_path / "out")})
+        env = {**os.environ, "DENDRODYN_LOG": "info", "PYTHONPATH": os.pathsep.join(
+            [str(Path(dendrodyn.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-m", "dendrodyn.cli", "run", "--config", cfg],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "report written to" in proc.stderr
 
     def test_config_that_is_not_json(self, tmp_path, capsys):
         path = tmp_path / "config.json"

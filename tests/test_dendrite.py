@@ -18,11 +18,13 @@ from dendrodyn.dendrite import (
     mesh,
     nearest_other_distances,
     set_distance,
+    subdendrite_gates,
 )
 from dendrodyn.errors import (
     ChainingViolation,
     CycleCreated,
     DendriteMismatch,
+    DendrodynError,
     EmptyCover,
     EmptySet,
     EmptySubdendrite,
@@ -30,9 +32,10 @@ from dendrodyn.errors import (
     PointOffDendrite,
 )
 from dendrodyn.util import point_key
-from dendrodyn.zoo import gehman_dendrite
+from dendrodyn.zoo import gehman_dendrite, leaf_point, odometer_system
 
 from conftest import nx_metric_oracle, random_trees, tree_points, trees_with_points
+from oracles import metric_arc, metric_retract_point, swept_gates
 
 F = Fraction
 
@@ -42,7 +45,7 @@ def gehman_leaves(X, depth):
 
 
 def arc_union_hull(X, points):
-    """Reference hull: the union of the arcs from the first point to the others."""
+    """Reference hull: the union of the metric arcs from the first point to the others."""
     pts = sorted({X.check_point(p) for p in points}, key=point_key)
     base = pts[0]
     vertices = set()
@@ -52,7 +55,7 @@ def arc_union_hull(X, points):
     else:
         vertices.add(base.vertex)
     for p in pts[1:]:
-        arc = X.arc(base, p)
+        arc = metric_arc(X, base, p)
         vertices.update(arc.vertices)
         for eid, (lo, hi) in arc.portions:
             cur = portions.get(eid)
@@ -174,6 +177,13 @@ class TestArc:
         with pytest.raises(PointOffDendrite):
             star3.point("nope", F(1, 2))
 
+    @settings(max_examples=150, deadline=None)
+    @given(trees_with_points(count=3, max_edges=7))
+    def test_matches_metric_arc(self, data):
+        X, pts = data
+        for x, y in itertools.product(pts, repeat=2):
+            assert X.arc(x, y) == metric_arc(X, x, y)
+
 
 class TestConvexHull:
     def test_singleton(self, star3):
@@ -182,7 +192,7 @@ class TestConvexHull:
 
     def test_pair_is_arc(self, star3):
         x, y = star3.vertex_point("l1"), star3.vertex_point("l3")
-        assert star3.hull([x, y]) == star3.arc(x, y)
+        assert star3.hull([x, y]) == metric_arc(star3, x, y)
 
     def test_depth2_leaves_fill_tree(self):
         X = gehman_dendrite(2)
@@ -201,7 +211,7 @@ class TestConvexHull:
         acc_vertices = set()
         acc_portions = {}
         for x, y in itertools.combinations_with_replacement(pts, 2):
-            arc = X.arc(x, y)
+            arc = metric_arc(X, x, y)
             acc_vertices |= set(arc.vertices)
             for eid, (lo, hi) in arc.portions:
                 cur = acc_portions.get(eid)
@@ -274,12 +284,11 @@ class TestRetract:
     @settings(max_examples=40, deadline=None)
     @given(trees_with_points(count=5, max_edges=6))
     def test_bulk_gates_agree_with_retract(self, data):
-        from dendrodyn.dendrite import subdendrite_gates
         X, pts = data
         sub = X.hull(pts[:2])
         queries = pts[2:]
         gates = subdendrite_gates(X, sub, queries)
-        assert gates == [X.retract_point(sub, q) for q in queries]
+        assert gates == [metric_retract_point(X, sub, q) for q in queries]
 
     @settings(max_examples=40, deadline=None)
     @given(trees_with_points(count=3, max_edges=6))
@@ -290,6 +299,65 @@ class TestRetract:
         r1 = X.retract_point(sub, x)
         assert sub.contains(r1)
         assert X.retract_point(sub, r1) == r1
+
+
+@st.composite
+def hulls_with_queries(draw, queries=6):
+    """A random tree, the hull of one to three of its points, and query points."""
+    X = draw(random_trees())
+    ends = [draw(tree_points(X)) for _ in range(draw(st.integers(1, 3)))]
+    return X, X.hull(ends), [draw(tree_points(X)) for _ in range(queries)]
+
+
+def odometer_tower(depth):
+    """The odometer tree, its minimal set (one leaf orbit) and its tower of sub-trees."""
+    from dendrodyn.action import detect_finite_orbit
+    from dendrodyn.equicontinuity import build_tree_tower
+
+    system = odometer_system(depth)
+    X = system.dendrite
+    m = detect_finite_orbit(system.generators, leaf_point(X, depth, 0), 2 ** depth + 1).orbit
+    return X, m, build_tree_tower(system.generators, m, depth - 2)
+
+
+class TestGates:
+    @settings(max_examples=150, deadline=None)
+    @given(hulls_with_queries())
+    def test_match_metric_oracles(self, data):
+        X, sub, queries = data
+        gates = subdendrite_gates(X, sub, queries)
+        assert gates == swept_gates(X, sub, queries)
+        assert gates == [metric_retract_point(X, sub, q) for q in queries]
+
+    @pytest.mark.parametrize("depth", range(4, 9))
+    def test_match_metric_oracles_on_odometer_tower(self, depth):
+        X, m, tower = odometer_tower(depth)
+        points = list(m)
+        for level in tower.levels:
+            gates = subdendrite_gates(X, level.tree, points)
+            assert gates == swept_gates(X, level.tree, points)
+            assert gates == [metric_retract_point(X, level.tree, x) for x in points]
+
+    @pytest.mark.parametrize("vertices, portions", [
+        ({"l1", "l2"}, {}),
+        (set(), {"e1": (F(1, 4), F(1, 2)), "e2": (F(1, 4), F(1, 4))}),
+        ({"c"}, {"e1": (F(1, 2), F(1))}),
+    ])
+    def test_disconnected_sub_raises(self, star3, vertices, portions):
+        sub = Subdendrite._make(star3, vertices, portions)
+        with pytest.raises(DendrodynError):
+            subdendrite_gates(star3, sub, [star3.vertex_point("l3")])
+        with pytest.raises(DendrodynError):
+            star3.retract_point(sub, star3.vertex_point("l3"))
+
+    def test_query_in_another_component_raises(self):
+        X = Dendrite.forest(["a", "b", "c", "d"],
+                            [("e1", "a", "b"), ("e2", "c", "d")], [1, 1])
+        sub = X.hull([X.point("e1", F(1, 3)), X.vertex_point("b")])
+        assert subdendrite_gates(X, sub, [X.vertex_point("a")]) == [X.point("e1", F(1, 3))]
+        for q in (X.vertex_point("c"), X.vertex_point("d"), X.point("e2", F(1, 2))):
+            with pytest.raises(DendrodynError):
+                subdendrite_gates(X, sub, [q])
 
 
 class TestWeightedMetric:

@@ -63,7 +63,7 @@ def sample(cls, **changed):
 def test_startup_loads_neither_dataclasses_nor_inspect():
     env = {**os.environ, "PYTHONPATH": str(Path(dendrodyn.__file__).parents[1])}
     code = ("import sys, dendrodyn.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'logging'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -375,12 +375,14 @@ def detect_recurrence(gens: GeneratorSet, x: DPoint, eps, max_length: int
     if max_length < 1:
         raise ValueError("max_length must be at least 1")
     eps = Fraction(eps)
-    x = gens.dendrite.check_point(x)
+    X = gens.dendrite
+    x = X.check_point(x)
+    from_x, on_edge = _distance_to_set(X, [x])
     witnesses = []
     for w, image in word_images(gens, word_ball(gens, max_length)[1:], x, apply):
         if image == x:
             continue
-        d = gens.dendrite.distance(image, x)
+        d = _point_to_set(X, from_x, on_edge, image)
         if d < eps:
             witnesses.append(RecurrenceWitness(w, image, d))
     witnesses.sort(key=lambda wit: (wit.distance, len(wit.word), str(wit.word)))

@@ -172,7 +172,6 @@ class Dendrite:
         parent: dict[object, object | None] = {}
         parent_edge: dict[object, Edge | None] = {}
         depth: dict[object, int] = {}
-        rootdist: dict[object, Fraction] = {}
         component: dict[object, object] = {}
         for root in sorted(self._vertices, key=id_key):
             if root in parent:
@@ -180,7 +179,6 @@ class Dendrite:
             parent[root] = None
             parent_edge[root] = None
             depth[root] = 0
-            rootdist[root] = ZERO
             component[root] = root
             queue = [root]
             while queue:
@@ -193,14 +191,12 @@ class Dendrite:
                     parent[other] = head
                     parent_edge[other] = e
                     depth[other] = depth[head] + 1
-                    rootdist[other] = rootdist[head] + e.weight
                     component[other] = component[root]
                     queue.append(other)
         self._order = order
         self._parent = parent
         self._parent_edge = parent_edge
         self._depth = depth
-        self._rootdist = rootdist
         self._component = component
         roots = {component[v] for v in self._vertices}
         return len(roots) == 1
@@ -280,27 +276,6 @@ class Dendrite:
 
     # -- metric --------------------------------------------------------------
 
-    def _lca(self, a, b):
-        if self._component[a] != self._component[b]:
-            raise DendrodynError("vertices lie in different components")
-        da, db = self._depth[a], self._depth[b]
-        while da > db:
-            a = self._parent[a]
-            da -= 1
-        while db > da:
-            b = self._parent[b]
-            db -= 1
-        while a != b:
-            a = self._parent[a]
-            b = self._parent[b]
-        return a
-
-    def vertex_distance(self, a, b) -> Fraction:
-        if a == b:
-            return ZERO
-        lca = self._lca(a, b)
-        return self._rootdist[a] + self._rootdist[b] - 2 * self._rootdist[lca]
-
     def _anchors(self, p: DPoint) -> list[tuple[object, Fraction]]:
         """(vertex, cost from p to that vertex) pairs; one entry for vertices."""
         if isinstance(p, VertexPoint):
@@ -309,34 +284,20 @@ class Dendrite:
         return [(e.u, p.t * e.weight), (e.v, (1 - p.t) * e.weight)]
 
     def distance(self, a: DPoint, b: DPoint) -> Fraction:
-        a = self.check_point(a)
-        b = self.check_point(b)
-        if a == b:
-            return ZERO
-        if isinstance(a, EdgePoint) and isinstance(b, EdgePoint) and a.edge == b.edge:
-            return abs(a.t - b.t) * self.edge(a.edge).weight
-        best = None
-        for va, ca in self._anchors(a):
-            for vb, cb in self._anchors(b):
-                d = ca + self.vertex_distance(va, vb) + cb
-                if best is None or d < best:
-                    best = d
-        return best
+        """The length of the arc [a, b]."""
+        return self.arc(a, b).diameter()
 
     def vertex_path(self, a, b) -> list:
         """Vertex chain from ``a`` to ``b`` along the unique tree path."""
-        lca = self._lca(a, b)
-        up = []
-        x = a
-        while x != lca:
-            up.append(x)
-            x = self._parent[x]
-        down = []
-        x = b
-        while x != lca:
-            down.append(x)
-            x = self._parent[x]
-        return up + [lca] + list(reversed(down))
+        if self._component[a] != self._component[b]:
+            raise DendrodynError("vertices lie in different components")
+        up, down = [a], [b]
+        while up[-1] != down[-1]:  # climb from the deeper end until the ends meet
+            if self._depth[up[-1]] >= self._depth[down[-1]]:
+                up.append(self._parent[up[-1]])
+            else:
+                down.append(self._parent[down[-1]])
+        return up + down[-2::-1]
 
     def edge_between(self, a, b) -> Edge:
         for e, other in self._adj[a]:
@@ -598,23 +559,11 @@ class Subdendrite:
         return Subdendrite._make(self.dendrite, set(self.vertices) | set(other.vertices),
                                  parts)
 
-    def intersection(self, other: "Subdendrite") -> "Subdendrite":
-        parts: dict[object, tuple[Fraction, Fraction]] = {}
-        mine = dict(self.portions)
-        for eid, (lo, hi) in other.portions:
-            if eid in mine:
-                plo, phi = mine[eid]
-                nlo, nhi = max(plo, lo), min(phi, hi)
-                if nlo <= nhi:
-                    parts[eid] = (nlo, nhi)
-        vertices = self.vertices & other.vertices
-        return Subdendrite._make(self.dendrite, vertices, parts)
-
-    # -- derived node graph (endpoints / diameter / connectivity) ---------------
+    # -- derived node graph (endpoints) ------------------------------------------
 
     def _node_graph(self):
         nodes: set = set()
-        segments: list[tuple[object, object, Fraction]] = []
+        segments: list[tuple[object, object]] = []
         for v in self.vertices:
             nodes.add(("v", v))
         for eid, (lo, hi) in self.portions:
@@ -624,7 +573,7 @@ class Subdendrite:
             nodes.add(n_lo)
             nodes.add(n_hi)
             if lo < hi:
-                segments.append((n_lo, n_hi, (hi - lo) * e.weight))
+                segments.append((n_lo, n_hi))
         return nodes, segments
 
     def _node_point(self, node) -> DPoint:
@@ -632,29 +581,11 @@ class Subdendrite:
             return VertexPoint(node[1])
         return EdgePoint(node[1], node[2])
 
-    def is_connected(self) -> bool:
-        nodes, segments = self._node_graph()
-        if len(nodes) <= 1:
-            return True
-        adj: dict = {n: [] for n in nodes}
-        for a, b, _ in segments:
-            adj[a].append(b)
-            adj[b].append(a)
-        start = next(iter(nodes))
-        seen = {start}
-        stack = [start]
-        while stack:
-            for nxt in adj[stack.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return len(seen) == len(nodes)
-
     def endpoint_set(self) -> "FiniteClosedSet":
         """Points whose removal keeps the subdendrite connected (tree leaves)."""
         nodes, segments = self._node_graph()
         degree = {n: 0 for n in nodes}
-        for a, b, _ in segments:
+        for a, b in segments:
             degree[a] += 1
             degree[b] += 1
         pts = [self._node_point(n) for n, d in degree.items() if d <= 1]
@@ -695,15 +626,6 @@ class Subdendrite:
             elif reach:
                 best = max(best, reach[0])
         return best
-
-    def sample_points(self) -> list[DPoint]:
-        """Vertices plus portion boundaries and midpoints (for spot checks)."""
-        pts = {VertexPoint(v) for v in self.vertices}
-        for eid, (lo, hi) in self.portions:
-            pts.add(self.dendrite.point(eid, lo))
-            pts.add(self.dendrite.point(eid, hi))
-            pts.add(self.dendrite.point(eid, (lo + hi) / 2))
-        return sorted(pts, key=point_key)
 
 
 class FiniteClosedSet:
@@ -985,22 +907,23 @@ def arc_diameter_modulus(dendrite: Dendrite, eps_grid: Sequence[Fraction]
     """For each epsilon, the largest dyadic delta certified on the skeleton.
 
     Checks every pair of skeleton probes: whenever the pair is closer than
-    delta, the arc it spans must have diameter below epsilon.  Delta 0 means
-    no candidate could be certified.
+    delta, the arc it spans must have diameter below epsilon.  An arc of a
+    tree is a geodesic, so its diameter is the pair's distance, read from one
+    sweep per probe.  Delta 0 means no candidate could be certified.
     """
     eps_grid = eps_grid_values(eps_grid)
     probes: list[DPoint] = [VertexPoint(v) for v in sorted(dendrite.vertices, key=id_key)]
     for e in dendrite.edges:
         probes.extend(dendrite.point(e.eid, Fraction(k, 4)) for k in (1, 2, 3))
-    pairs = []
+    dists = []
     for i, p in enumerate(probes):
-        for q in probes[i + 1:]:
-            pairs.append((dendrite.distance(p, q), dendrite.arc(p, q).diameter()))
+        dist, on_edge = _distance_to_set(dendrite, [p])
+        dists.extend(_point_to_set(dendrite, dist, on_edge, q) for q in probes[i + 1:])
     table = []
     for eps in eps_grid:
         chosen = ZERO
         for cand in (Fraction(1, 2**k) for k in range(13)):  # 1, 1/2, ..., 2**-12
-            if all(diam < eps for d, diam in pairs if d < cand):
+            if all(d < eps for d in dists if d < cand):
                 chosen = cand
                 break
         table.append((eps, chosen))

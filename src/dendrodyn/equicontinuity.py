@@ -21,6 +21,7 @@ from .dendrite import (
     FiniteClosedSet,
     Subdendrite,
     VertexPoint,
+    _distance_to_set,
     _sweep_distances,
     eps_grid_values,
     mesh,
@@ -34,7 +35,7 @@ from .errors import (
     NotProbability,
 )
 from .homeo import apply, image_subdendrite
-from .action import GeneratorSet, detect_finite_orbit, word_ball, word_images
+from .action import GeneratorSet, _is_closed, detect_finite_orbit, word_ball, word_images
 from .measure import PLMeasure, push_forward
 from .util import Record, integer_scale, point_key
 
@@ -57,12 +58,6 @@ class TreeTower(Record):
 
     def __len__(self):
         return len(self.levels)
-
-
-def _frontier_closed(gens: GeneratorSet, frontier: FiniteClosedSet) -> bool:
-    homeos = (gens.homeo(sym, sign) for sym in gens.symbols for sign in (1, -1))
-    return all(FiniteClosedSet(gens.dendrite, (apply(h, p) for p in frontier)) == frontier
-               for h in homeos)
 
 
 def build_tree_tower(gens: GeneratorSet, m: FiniteClosedSet, n_max: int,
@@ -92,8 +87,8 @@ def build_tree_tower(gens: GeneratorSet, m: FiniteClosedSet, n_max: int,
     if not branch_points:
         raise NoFiniteOrbitFound("the hull has no branch points to scan")
     root_pt = min((VertexPoint(v) for v in hull.vertices), key=point_key)
-    branch_points.sort(key=lambda v: (X.distance(root_pt, VertexPoint(v)),
-                                      point_key(VertexPoint(v))))
+    from_root, _ = _distance_to_set(X, [root_pt])
+    branch_points.sort(key=lambda v: (from_root[v], point_key(VertexPoint(v))))
 
     orbits: list[FiniteClosedSet] = []
     visited: set[DPoint] = set()
@@ -126,7 +121,7 @@ def build_tree_tower(gens: GeneratorSet, m: FiniteClosedSet, n_max: int,
             raise CoverageGap(f"tower nesting broken at level {i}")
         frontier = tree.endpoint_set()
         strict = frontier == orb
-        if not _frontier_closed(gens, frontier):
+        if not _is_closed(gens, dict.fromkeys(frontier)):
             raise CoverageGap(f"frontier at level {i} is not generator-closed")
         levels.append(TowerLevel(i, orb, tree, frontier, strict))
         prev_tree = tree

@@ -12,8 +12,9 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .action import Word, reduce_word, word_images
-from .dendrite import Dendrite, DPoint, EdgePoint, VertexPoint
+from .dendrite import Dendrite, DPoint, EdgePoint, VertexPoint, _distance_to_set
 from .errors import (
+    DendrodynError,
     DendriteMismatch,
     DomainMismatch,
     NotCertifiedOrbit,
@@ -348,7 +349,9 @@ class TestFunction:
     def distance_to(cls, dendrite: Dendrite, p: DPoint) -> "TestFunction":
         """The exact distance function x -> d(x, p)."""
         p = dendrite.check_point(p)
-        vv = {v: dendrite.distance(VertexPoint(v), p) for v in dendrite.vertices}
+        vv, _ = _distance_to_set(dendrite, [p])
+        if None in vv.values():
+            raise DendrodynError("vertices lie in different components")
         ed = {}
         for e in dendrite.edges:
             du, dv = vv[e.u], vv[e.v]

@@ -305,36 +305,43 @@ def odometer_system(depth: int, leaf_weight: str = "tail",
     }, corrupt_cover=corrupt_cover)
 
 
+# the parameters each system spec accepts, read by list_systems and get_system
+_SYSTEM_PARAMETERS = {"thompson": (), "thompson-f": (), "odometer": ("D", "leaf"),
+                     "odometer-corrupt": ("D", "leaf")}
+
+
 def list_systems() -> list[dict]:
-    return [
-        {"name": "thompson", "parameters": [],
-         "summary": "Thompson generators f, g on [0, 1]"},
-        {"name": "thompson-f", "parameters": [],
-         "summary": "the single generator f on [0, 1]"},
-        {"name": "odometer:D=<depth>", "parameters": ["D", "leaf"],
-         "summary": "binary adding machine on the depth-D tree"},
-        {"name": "odometer-corrupt:D=<depth>", "parameters": ["D"],
-         "summary": "odometer with a deliberately corrupted cover (negative control)"},
+    rows = [
+        ("thompson", "Thompson generators f, g on [0, 1]"),
+        ("thompson-f", "the single generator f on [0, 1]"),
+        ("odometer:D=<depth>", "binary adding machine on the depth-D tree"),
+        ("odometer-corrupt:D=<depth>",
+         "odometer with a deliberately corrupted cover (negative control)"),
     ]
+    return [{"name": name, "parameters": list(_SYSTEM_PARAMETERS[name.partition(":")[0]]),
+             "summary": summary}
+            for name, summary in rows]
 
 
 def get_system(spec: str) -> ZooSystem:
     """Resolve a system name like ``odometer:D=8`` or ``thompson``."""
     name, _, args = spec.partition(":")
-    params = {}
+    pairs = []
     if args:
         for part in args.split(","):
             key, _, value = part.partition("=")
             if not value:
                 raise ConfigInvalid(f"bad system parameter {part!r} in {spec!r}")
-            params[key.strip()] = value.strip()
-    known = {"thompson": (), "thompson-f": (), "odometer": ("D", "leaf"),
-             "odometer-corrupt": ("D", "leaf")}
-    if name not in known:
+            pairs.append((key.strip(), value.strip()))
+    if name not in _SYSTEM_PARAMETERS:
         raise ConfigInvalid(f"unknown zoo system {spec!r}")
-    for key in params:
-        if key not in known[name]:
+    params = {}
+    for key, value in pairs:
+        if key not in _SYSTEM_PARAMETERS[name]:
             raise ConfigInvalid(f"unknown parameter {key!r} for {name} in {spec!r}")
+        if key in params:
+            raise ConfigInvalid(f"repeated parameter {key!r} in {spec!r}")
+        params[key] = value
     if name == "thompson":
         return thompson_system()
     if name == "thompson-f":

@@ -1,20 +1,89 @@
-"""Metric reference versions of the dendrite's arc and nearest-point queries.
+"""Reference versions of the dendrite's metric, arc and nearest-point queries.
 
-The library finds arcs, gates and retractions from the tree's topology alone
-(``Dendrite.hull`` and a root walk in ``subdendrite_gates``).  These are the
-earlier algorithms that find them by exact distances instead: ``metric_arc``
-joins the closest pair of anchor vertices, ``metric_retract_point`` compares
-the distance to every candidate point, and ``swept_gates`` carries (distance,
-gate) labels over the whole tree in two passes.  Tests check the library
-against them.
+The library measures a distance as the length of its arc and finds arcs,
+gates and retractions from the tree's topology alone (``Dendrite.hull`` and a
+root walk in ``subdendrite_gates``).  These are the earlier algorithms that
+work by exact distances instead: ``metric_distance`` meets at the lowest
+common ancestor over a table of root distances, ``metric_arc`` joins the
+closest pair of anchor vertices, ``metric_retract_point`` compares the
+distance to every candidate point, ``swept_gates`` carries (distance, gate)
+labels over the whole tree in two passes, and ``hull_arc_diameter_modulus``
+builds one arc per probe pair.  Tests check the library against them.  The
+subdendrite helpers at the end (``portion_graph``, ``intersection``,
+``is_connected``, ``sample_points``) serve tests only.
 """
 
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
+from weakref import WeakKeyDictionary
 
-from dendrodyn.dendrite import ONE, ZERO, Dendrite, DPoint, EdgePoint, Subdendrite, VertexPoint
-from dendrodyn.errors import DendriteMismatch, EmptySubdendrite
-from dendrodyn.util import point_key
+from dendrodyn.dendrite import (
+    ONE,
+    ZERO,
+    Dendrite,
+    DPoint,
+    EdgePoint,
+    Subdendrite,
+    VertexPoint,
+    eps_grid_values,
+)
+from dendrodyn.errors import DendriteMismatch, DendrodynError, EmptySubdendrite
+from dendrodyn.util import id_key, point_key
+
+_ROOT_DISTANCES: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def _rootdist(X: Dendrite) -> dict:
+    """Distance from each vertex to the root of its component, once per dendrite."""
+    table = _ROOT_DISTANCES.get(X)
+    if table is None:
+        table = {}
+        for v in X._order:  # breadth-first, so a parent comes before its children
+            pe = X._parent_edge[v]
+            table[v] = ZERO if pe is None else table[X._parent[v]] + pe.weight
+        _ROOT_DISTANCES[X] = table
+    return table
+
+
+def _lca(X: Dendrite, a, b):
+    if X._component[a] != X._component[b]:
+        raise DendrodynError("vertices lie in different components")
+    da, db = X._depth[a], X._depth[b]
+    while da > db:
+        a = X._parent[a]
+        da -= 1
+    while db > da:
+        b = X._parent[b]
+        db -= 1
+    while a != b:
+        a = X._parent[a]
+        b = X._parent[b]
+    return a
+
+
+def vertex_distance(X: Dendrite, a, b) -> Fraction:
+    if a == b:
+        return ZERO
+    lca = _lca(X, a, b)
+    rootdist = _rootdist(X)
+    return rootdist[a] + rootdist[b] - 2 * rootdist[lca]
+
+
+def metric_distance(X: Dendrite, a: DPoint, b: DPoint) -> Fraction:
+    """The distance through the nearest pair of anchor vertices."""
+    a = X.check_point(a)
+    b = X.check_point(b)
+    if a == b:
+        return ZERO
+    if isinstance(a, EdgePoint) and isinstance(b, EdgePoint) and a.edge == b.edge:
+        return abs(a.t - b.t) * X.edge(a.edge).weight
+    best = None
+    for va, ca in X._anchors(a):
+        for vb, cb in X._anchors(b):
+            d = ca + vertex_distance(X, va, vb) + cb
+            if best is None or d < best:
+                best = d
+    return best
 
 
 def metric_arc(X: Dendrite, x: DPoint, y: DPoint) -> Subdendrite:
@@ -32,7 +101,7 @@ def metric_arc(X: Dendrite, x: DPoint, y: DPoint) -> Subdendrite:
     best = None
     for va, ca in X._anchors(x):
         for vb, cb in X._anchors(y):
-            d = ca + X.vertex_distance(va, vb) + cb
+            d = ca + vertex_distance(X, va, vb) + cb
             if best is None or d < best[0]:
                 best = (d, va, vb)
     _, va, vb = best
@@ -67,15 +136,15 @@ def metric_retract_point(X: Dendrite, sub: Subdendrite, x: DPoint) -> DPoint:
         return x
     candidates: list[tuple[Fraction, DPoint]] = []
     for v in sub.vertices:
-        candidates.append((X.distance(x, VertexPoint(v)), VertexPoint(v)))
+        candidates.append((metric_distance(X, x, VertexPoint(v)), VertexPoint(v)))
     for eid, (lo, hi) in sub.portions:
         e = X.edge(eid)
         if isinstance(x, EdgePoint) and x.edge == eid:
             t = min(max(x.t, lo), hi)
             candidates.append((abs(x.t - t) * e.weight, X.point(eid, t)))
             continue
-        du = X.distance(x, VertexPoint(e.u))
-        dv = X.distance(x, VertexPoint(e.v))
+        du = metric_distance(X, x, VertexPoint(e.u))
+        dv = metric_distance(X, x, VertexPoint(e.v))
         candidates.append((du + lo * e.weight, X.point(eid, lo)))
         candidates.append((dv + (1 - hi) * e.weight, X.point(eid, hi)))
     best = min(d for d, _ in candidates)
@@ -141,3 +210,80 @@ def swept_gates(dendrite: Dendrite, sub: Subdendrite,
             cands.append((abs(p.t - t) * e.weight, dendrite.point(p.edge, t)))
         gates.append(min(cands, key=lambda dg: (dg[0], point_key(dg[1])))[1])
     return gates
+
+
+def hull_arc_diameter_modulus(dendrite: Dendrite, eps_grid: Sequence[Fraction]
+                              ) -> list[tuple[Fraction, Fraction]]:
+    """``arc_diameter_modulus`` with one metric distance and one arc per probe pair."""
+    eps_grid = eps_grid_values(eps_grid)
+    probes: list[DPoint] = [VertexPoint(v) for v in sorted(dendrite.vertices, key=id_key)]
+    for e in dendrite.edges:
+        probes.extend(dendrite.point(e.eid, Fraction(k, 4)) for k in (1, 2, 3))
+    pairs = []
+    for i, p in enumerate(probes):
+        for q in probes[i + 1:]:
+            pairs.append((metric_distance(dendrite, p, q), dendrite.arc(p, q).diameter()))
+    table = []
+    for eps in eps_grid:
+        chosen = ZERO
+        for cand in (Fraction(1, 2**k) for k in range(13)):  # 1, 1/2, ..., 2**-12
+            if all(diam < eps for d, diam in pairs if d < cand):
+                chosen = cand
+                break
+        table.append((eps, chosen))
+    return table
+
+
+# -- subdendrite helpers used by tests only ------------------------------------------
+
+
+def portion_graph(sub: Subdendrite) -> dict:
+    """Node -> [(neighbour, segment length)]; nodes are vertices and portion ends."""
+    adj: dict = {("v", v): [] for v in sub.vertices}
+    for eid, (lo, hi) in sub.portions:
+        e = sub.dendrite.edge(eid)
+        a = ("v", e.u) if lo == 0 else ("p", eid, lo)
+        b = ("v", e.v) if hi == 1 else ("p", eid, hi)
+        adj.setdefault(a, [])
+        adj.setdefault(b, [])
+        if lo < hi:
+            adj[a].append((b, (hi - lo) * e.weight))
+            adj[b].append((a, (hi - lo) * e.weight))
+    return adj
+
+
+def intersection(a: Subdendrite, b: Subdendrite) -> Subdendrite:
+    parts: dict[object, tuple[Fraction, Fraction]] = {}
+    mine = dict(a.portions)
+    for eid, (lo, hi) in b.portions:
+        if eid in mine:
+            plo, phi = mine[eid]
+            nlo, nhi = max(plo, lo), min(phi, hi)
+            if nlo <= nhi:
+                parts[eid] = (nlo, nhi)
+    return Subdendrite._make(a.dendrite, a.vertices & b.vertices, parts)
+
+
+def is_connected(sub: Subdendrite) -> bool:
+    adj = portion_graph(sub)
+    if len(adj) <= 1:
+        return True
+    start = next(iter(adj))
+    seen = {start}
+    stack = [start]
+    while stack:
+        for nxt, _ in adj[stack.pop()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return len(seen) == len(adj)
+
+
+def sample_points(sub: Subdendrite) -> list[DPoint]:
+    """Vertices plus portion boundaries and midpoints (for spot checks)."""
+    pts = {VertexPoint(v) for v in sub.vertices}
+    for eid, (lo, hi) in sub.portions:
+        pts.add(sub.dendrite.point(eid, lo))
+        pts.add(sub.dendrite.point(eid, hi))
+        pts.add(sub.dendrite.point(eid, (lo + hi) / 2))
+    return sorted(pts, key=point_key)

@@ -33,6 +33,7 @@ from dendrodyn.measure import canonical_measure, dirac, push_forward
 from dendrodyn.zoo import (
     corrupted_leaf_collapse,
     gehman_dendrite,
+    interval_point,
     leaf_point,
     odometer_system,
     thompson_system,
@@ -40,6 +41,7 @@ from dendrodyn.zoo import (
 )
 
 from conftest import pl_maps, tree_points, trees_with_points
+from oracles import metric_distance
 
 F = Fraction
 
@@ -405,6 +407,21 @@ class TestRecurrence:
         assert "g g f^-1" in words
         assert all(0 < w.distance < F(1, 8) for w in diag.witnesses)
         assert min(len(w.word) for w in diag.witnesses) == 3
+
+    @pytest.mark.parametrize("x", ["1/2", "1/3", "3/8", "0"])
+    def test_thompson_witnesses_match_per_pair_loop(self, x):
+        system = thompson_system()
+        gens, X = system.generators, system.dendrite
+        base = interval_point(X, x)
+        diag = detect_recurrence(gens, base, F(1, 4), 4)
+        expected = []
+        for w, image in word_images(gens, word_ball(gens, 4)[1:], base, apply):
+            d = metric_distance(X, image, base)
+            if image != base and d < F(1, 4):
+                expected.append((w, image, d))
+        expected.sort(key=lambda row: (row[2], len(row[0]), str(row[0])))
+        assert [(wit.word, wit.image, wit.distance) for wit in diag.witnesses] == expected
+        assert len(expected) > 0 or x == "0"
 
 
 class TestInvariantSubdendrite:

@@ -120,6 +120,7 @@ class TestConfigValidation:
         ("classify", "odometer:D=3", {"minimal_class": "cantor"}),
         ("orbit", "thompson:D=3", {}),
         ("orbit", "odometer:D=3,lef=level", {}),
+        ("orbit", "odometer:D=3,D=5", {}),
     ])
     def test_malformed_values_are_config_errors(self, tmp_path, capsys,
                                                 command, system, parameters):

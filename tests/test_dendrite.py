@@ -35,7 +35,16 @@ from dendrodyn.util import point_key
 from dendrodyn.zoo import gehman_dendrite, leaf_point, odometer_system
 
 from conftest import nx_metric_oracle, random_trees, tree_points, trees_with_points
-from oracles import metric_arc, metric_retract_point, swept_gates
+from oracles import (
+    hull_arc_diameter_modulus,
+    is_connected,
+    metric_arc,
+    metric_distance,
+    metric_retract_point,
+    portion_graph,
+    sample_points,
+    swept_gates,
+)
 
 F = Fraction
 
@@ -65,13 +74,9 @@ def arc_union_hull(X, points):
 
 def double_sweep_diameter(sub):
     """Reference diameter: two farthest-node searches on the portion graph."""
-    nodes, segments = sub._node_graph()
-    if len(nodes) <= 1:
+    adj = portion_graph(sub)
+    if len(adj) <= 1:
         return Fraction(0)
-    adj = {n: [] for n in nodes}
-    for a, b, w in segments:
-        adj[a].append((b, w))
-        adj[b].append((a, w))
 
     def farthest(start):
         dist = {start: Fraction(0)}
@@ -87,7 +92,7 @@ def double_sweep_diameter(sub):
                     stack.append(nxt)
         return far, fard
 
-    a, _ = farthest(next(iter(sorted(nodes))))
+    a, _ = farthest(next(iter(sorted(adj))))
     return farthest(a)[1]
 
 
@@ -243,7 +248,7 @@ class TestConvexHull:
     @given(trees_with_points(count=5, max_edges=6))
     def test_hull_is_connected(self, data):
         X, pts = data
-        assert X.hull(pts).is_connected()
+        assert is_connected(X.hull(pts))
 
     @settings(max_examples=30, deadline=None)
     @given(trees_with_points(count=4, max_edges=6))
@@ -271,7 +276,7 @@ class TestRetract:
         for leaf in gehman_leaves(X, 3):
             p = X.vertex_point(leaf)
             got = X.retract_point(hull, p)
-            best = min(hull.sample_points(), key=lambda q: (X.distance(p, q), str(q)))
+            best = min(sample_points(hull), key=lambda q: (X.distance(p, q), str(q)))
             assert X.distance(p, got) == X.distance(p, best)
             assert got == X.vertex_point(leaf[0])
 
@@ -439,6 +444,45 @@ class TestWeightedMetric:
         a = star3.point("e1", F(1, 4))
         b = star3.point("e3", F(2, 3))
         assert star3.arc(a, b).diameter() == star3.distance(a, b)
+
+
+class TestArcLengthMetric:
+    """``Dendrite.distance`` is the length of the arc; the LCA metric is its oracle."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matches_lca_and_graph_oracles(self, data):
+        X, pts = data.draw(trees_with_points(count=3, max_edges=7))
+        e = data.draw(st.sampled_from(X.edges))
+        s, t = (F(data.draw(st.integers(1, 15)), 16) for _ in range(2))
+        pairs = [(p, q) for p in pts for q in pts]  # equal points included
+        pairs.append((X.point(e.eid, s), X.point(e.eid, t)))  # a same-edge pair
+        for p, q in pairs:
+            d = X.distance(p, q)
+            assert d == metric_distance(X, p, q) == nx_metric_oracle(X, p, q)
+
+    def test_cross_component_pair_raises(self):
+        X = Dendrite.forest(["a", "b", "c", "d"],
+                            [("e1", "a", "b"), ("e2", "c", "d")], [1, 1])
+        assert X.distance(X.point("e1", F(1, 4)), X.vertex_point("b")) == F(3, 4)
+        for p, q in [(X.vertex_point("a"), X.vertex_point("c")),
+                     (X.point("e1", F(1, 2)), X.vertex_point("d")),
+                     (X.point("e1", F(1, 3)), X.point("e2", F(2, 3)))]:
+            with pytest.raises(DendrodynError):
+                X.distance(p, q)
+            with pytest.raises(DendrodynError):
+                metric_distance(X, p, q)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_vertex_path_is_the_arc(self, data):
+        X = data.draw(random_trees())
+        a, b = (data.draw(st.sampled_from(sorted(X.vertices))) for _ in range(2))
+        path = X.vertex_path(a, b)
+        assert path[0] == a and path[-1] == b and len(set(path)) == len(path)
+        length = sum((X.edge_between(u, v).weight for u, v in zip(path, path[1:])), F(0))
+        assert length == metric_distance(X, X.vertex_point(a), X.vertex_point(b))
+        assert path == X.vertex_path(b, a)[::-1]
 
 
 class TestPointToSet:
@@ -619,6 +663,12 @@ class TestArcDiameterModulus:
             arc_diameter_modulus(interval, [F(1, 4), F(1, 2)])
         with pytest.raises(ValueError):
             arc_diameter_modulus(interval, [F(1, 2), F(0)])
+
+    @pytest.mark.parametrize("space", ["star3", "interval", "gehman4"])
+    def test_matches_hull_per_pair_version(self, request, space):
+        X = gehman_dendrite(4) if space == "gehman4" else request.getfixturevalue(space)
+        grid = [F(3, 2), F(1), F(1, 2), F(1, 4), F(1, 8), F(1, 16)]
+        assert arc_diameter_modulus(X, grid) == hull_arc_diameter_modulus(X, grid)
 
     def test_gehman_depth4(self):
         X = gehman_dendrite(4)

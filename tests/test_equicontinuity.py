@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dendrodyn import equicontinuity
 from dendrodyn.action import detect_finite_orbit, evaluate_word, word_ball
 from dendrodyn.dendrite import FiniteClosedSet, arc_diameter_modulus, hausdorff_distance, mesh
-from dendrodyn.dendrite import VertexPoint, _distance_to_set, _point_to_set
+from dendrodyn.dendrite import Dendrite, VertexPoint, _distance_to_set, _point_to_set
 from dendrodyn.equicontinuity import (
     _spread,
     build_tree_tower,
@@ -16,8 +17,8 @@ from dendrodyn.equicontinuity import (
     tamper_remove_edge,
     verify_cover_equivariance,
 )
-from dendrodyn.errors import NoFiniteOrbitFound
-from dendrodyn.homeo import apply, image_subdendrite
+from dendrodyn.errors import CoverageGap, NoFiniteOrbitFound
+from dendrodyn.homeo import Homeo, PLMap, apply, image_subdendrite
 from dendrodyn.measure import PLMeasure, canonical_measure, dirac
 from dendrodyn.util import point_key
 from dendrodyn.zoo import (
@@ -30,6 +31,7 @@ from dendrodyn.zoo import (
 from dendrodyn.action import GeneratorSet
 
 from conftest import random_measures, random_trees
+from oracles import intersection, metric_distance
 
 F = Fraction
 
@@ -97,6 +99,35 @@ class TestTower:
         with pytest.raises(NoFiniteOrbitFound):
             build_tree_tower(system.generators, m, 2)
 
+    @pytest.mark.parametrize("depth", range(3, 9))
+    def test_branch_order_matches_per_pair_distances(self, monkeypatch, depth):
+        # the tower from one sweep equals the tower from per-pair LCA distances
+        system = odometer_system(depth)
+        m = leaf_set(system, depth)
+        swept = build_tree_tower(system.generators, m, depth - 1)
+
+        def per_pair(X, targets):
+            (root,) = targets
+            return {v: metric_distance(X, root, VertexPoint(v)) for v in X.vertices}, {}
+
+        monkeypatch.setattr(equicontinuity, "_distance_to_set", per_pair)
+        assert build_tree_tower(system.generators, m, depth - 1) == swept
+        assert len(swept) == depth - 1
+
+    def test_frontier_not_generator_closed(self):
+        # b1 -> b2 -> b3 -> b1 closes the orbit of b1, but the level's frontier
+        # is {b1, b3} and b1 is sent to the middle vertex b2
+        X = Dendrite(["a", "b1", "b2", "b3", "z", "l1", "l2", "l3"],
+                     [("e1", "a", "b1"), ("e2", "b1", "b2"), ("e3", "b2", "b3"),
+                      ("e4", "b3", "z"), ("f1", "b1", "l1"), ("f2", "b2", "l2"),
+                      ("f3", "b3", "l3")], [1] * 7)
+        cycle = {v: v for v in X.vertices} | {"b1": "b2", "b2": "b3", "b3": "b1"}
+        h = Homeo(X, cycle, {e.eid: (e.eid, PLMap.identity()) for e in X.edges})
+        gens = GeneratorSet(X, [("h", h)], check=False)
+        m = FiniteClosedSet(X, [X.vertex_point(v) for v in ("a", "z", "l1", "l2", "l3")])
+        with pytest.raises(CoverageGap, match="frontier at level 1 is not generator-closed"):
+            build_tree_tower(gens, m, 1)
+
     def test_hausdorff_convergence_to_leaves(self, odo4_setup):
         system, m = odo4_setup
         tower = build_tree_tower(system.generators, m, 3)
@@ -146,7 +177,7 @@ class TestFrontierCover:
         for lvl in tower.levels:
             cover = frontier_cover(system.dendrite, m, lvl.tree, lvl.index)
             for anchor, cell in cover.cells:
-                inter = cell.intersection(lvl.tree)
+                inter = intersection(cell, lvl.tree)
                 single = system.dendrite.hull([anchor])
                 assert inter == single
 

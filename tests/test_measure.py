@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from dendrodyn.action import Word, detect_finite_orbit, evaluate_word, orbit
 from dendrodyn.dendrite import Dendrite
-from dendrodyn.errors import NotCertifiedOrbit, NotProbability
+from dendrodyn.errors import DendrodynError, NotCertifiedOrbit, NotProbability
 from dendrodyn.homeo import interval_homeo, invert
 from dendrodyn.measure import (
     FolnerScheme,
@@ -33,7 +33,8 @@ from dendrodyn.zoo import (
     unit_interval_dendrite,
 )
 
-from conftest import pl_maps, random_measures, random_trees
+from conftest import pl_maps, random_measures, random_trees, tree_points
+from oracles import metric_distance
 
 F = Fraction
 
@@ -353,6 +354,22 @@ class TestIntegrate:
         n = 40000
         approx = sum(abs(g((k + 0.5) / n) - 0.5) for k in range(n)) / n
         assert abs(float(exact) - approx) < 0.001
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_distance_function_matches_per_pair_distances(self, data):
+        X = data.draw(random_trees())
+        p, q = data.draw(tree_points(X)), data.draw(tree_points(X))
+        f = TestFunction.distance_to(X, p)
+        assert f.vertex_values == {v: metric_distance(X, X.vertex_point(v), p)
+                                   for v in X.vertices}
+        assert f(q) == metric_distance(X, q, p)
+
+    def test_distance_function_on_a_forest_raises(self):
+        X = Dendrite.forest(["a", "b", "c", "d"],
+                            [("e1", "a", "b"), ("e2", "c", "d")], [1, 1])
+        with pytest.raises(DendrodynError):
+            TestFunction.distance_to(X, X.point("e1", F(1, 2)))
 
 
 class TestUniformOrbitMeasure:

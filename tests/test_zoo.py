@@ -260,6 +260,19 @@ class TestRegistry:
         with pytest.raises(ConfigInvalid):
             get_system("odometer")
 
+    def test_listed_parameters_are_the_accepted_ones(self):
+        values = {"D": "2", "leaf": "level"}
+        candidates = {"D", "leaf", "depth", "x"}
+        for row in list_systems():
+            name = row["name"].partition(":")[0]
+            for key in candidates:
+                try:
+                    get_system(f"{name}:{key}={values.get(key, '1')}")
+                    accepted = True
+                except ConfigInvalid as exc:  # a missing depth is not a refused key
+                    accepted = not str(exc).startswith(f"unknown parameter {key!r}")
+                assert accepted == (key in row["parameters"]), (name, key)
+
 
 class TestOdometerMinimalSetStructure:
     def test_leaves_equal_endpoints_of_hull(self):

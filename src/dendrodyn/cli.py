@@ -63,7 +63,7 @@ SYSTEMLESS = {"paradox-check", "folner-ratio", "zoo"}
 MINIMAL_CLASSES = ("finite", "finite-orbit", "cantor-like", "whole-space")
 
 
-class ExperimentConfig(Record, frozen=False):  # mutable: main() sets ``out``
+class ExperimentConfig(Record):
     command: str
     system: object = None
     parameters: dict
@@ -95,11 +95,13 @@ class ExperimentConfig(Record, frozen=False):  # mutable: main() sets ``out``
 
 
 def _load_document(path, what: str):
-    """The JSON document at ``path``; a missing or undecodable file is a config error."""
+    """The JSON document at ``path``; a missing, unreadable or undecodable file is a config error."""
     if not os.path.exists(path):
         raise ConfigInvalid(f"{what} file {path!r} does not exist")
     try:
         return ser.load_json(path)
+    except OSError as exc:  # a directory, or no permission to read
+        raise ConfigInvalid(f"{what} file {path!r} cannot be read: {exc.strerror}") from None
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise ConfigInvalid(f"{what} file {path!r} is not valid JSON: {exc}") from None
 
@@ -511,13 +513,15 @@ def export_plot_data(report_path: str, kind: str) -> str:
         raise ConfigInvalid(f"unknown plot kind {kind!r}; expected {sorted(_PLOT_KINDS)}")
     if not os.path.exists(report_path):
         raise ReportMissing(f"report {report_path!r} does not exist")
-    doc = ser.load_json(report_path)
+    doc = _load_document(report_path, "report")
     key, xk, yk, header = _PLOT_KINDS[kind]
-    if key not in doc:
+    if not isinstance(doc, dict) or key not in doc:
         raise ReportMissing(f"report has no {key!r} table for kind {kind!r}")
-    lines = [header]
-    for row in doc[key]:
-        lines.append(f"{row[xk]},{row[yk]}")
+    try:
+        lines = [header] + [f"{row[xk]},{row[yk]}" for row in doc[key]]
+    except (IndexError, KeyError, TypeError):
+        raise ReportMissing(f"report's {key!r} rows lack the columns {xk!r} and {yk!r} "
+                            f"for kind {kind!r}") from None
     return "\n".join(lines) + "\n"
 
 
@@ -619,14 +623,13 @@ def main(argv=None) -> int:
             print(path)
             return code
         if args.mode == "zoo":
-            cfg = ExperimentConfig(command="zoo", parameters=(
+            cfg = ExperimentConfig(command="zoo", out=args.out or ".", parameters=(
                 {"action": "list"} if args.zoo_action == "list"
                 else {"action": "export", "name": args.name}))
             report, code = run_experiment(cfg)
             if args.out is None:
                 print(json.dumps(report, sort_keys=True, indent=2))
             else:
-                cfg.out = args.out
                 print(write_report(cfg, report))
             return code
         if args.mode == "export-plot":
@@ -637,7 +640,7 @@ def main(argv=None) -> int:
             else:
                 sys.stdout.write(text)
             return 0
-    except DendrodynError as exc:
+    except (DendrodynError, OSError) as exc:  # an OSError here comes from writing output
         print(f"error: {exc}", file=sys.stderr)
         return 1
     raise AssertionError("unreachable")

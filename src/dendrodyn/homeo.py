@@ -77,12 +77,7 @@ class PLMap:
         t = frac(t)
         if t < 0 or t > 1:
             raise PointOffDendrite(f"parameter {t} outside [0, 1]")
-        xs, ys = self.xs, self.ys
-        for i in range(len(xs) - 1):
-            if t <= xs[i + 1]:
-                span = xs[i + 1] - xs[i]
-                return ys[i] + (ys[i + 1] - ys[i]) * (t - xs[i]) / span
-        return ys[-1]
+        return _pl_value(self.xs, self.ys, t)
 
     def inverse(self) -> "PLMap":
         if self.linear:
@@ -115,6 +110,13 @@ class PLMap:
 
 _IDENTITY = PLMap((ZERO, ONE), (ZERO, ONE), _canonical=True)
 _FLIP = PLMap((ZERO, ONE), (ONE, ZERO), _canonical=True)
+
+
+def _pl_value(xs: Sequence[Fraction], ys: Sequence[Fraction], t: Fraction) -> Fraction:
+    """The value at ``t`` in [0, 1] of the PL graph with breakpoints ``xs`` from 0 to 1."""
+    for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:]):
+        if t <= x1:
+            return y0 + (y1 - y0) * (t - x0) / (x1 - x0)
 
 
 def _merge_collinear(xs, ys):

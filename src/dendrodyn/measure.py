@@ -20,7 +20,7 @@ from .errors import (
     NotCertifiedOrbit,
     NotProbability,
 )
-from .homeo import Homeo, apply
+from .homeo import Homeo, _pl_value, apply
 from .util import Record, frac, id_key, integer_scale, point_key
 
 ZERO = Fraction(0)
@@ -29,7 +29,8 @@ ONE = Fraction(1)
 Piece = tuple[Fraction, Fraction, Fraction]  # (lo, hi, density)
 
 
-def _canonical_pieces(pieces: Iterable[Piece]) -> tuple[Piece, ...]:
+def _canonical_pieces(pieces: Iterable[Piece]) -> list[Piece]:
+    """Checked rows in increasing order, without empty rows or zero densities."""
     rows = sorted((frac(a), frac(b), frac(r)) for a, b, r in pieces)
     out: list[Piece] = []
     for a, b, r in rows:
@@ -41,11 +42,8 @@ def _canonical_pieces(pieces: Iterable[Piece]) -> tuple[Piece, ...]:
             continue
         if out and out[-1][1] > a:
             raise ValueError("density pieces overlap")
-        if out and out[-1][1] == a and out[-1][2] == r:
-            out[-1] = (out[-1][0], b, r)
-        else:
-            out.append((a, b, r))
-    return tuple(out)
+        out.append((a, b, r))
+    return out
 
 
 class PLMeasure:
@@ -57,24 +55,19 @@ class PLMeasure:
                  atoms: Iterable[tuple[DPoint, Fraction]] = (),
                  densities: Mapping[object, Iterable[Piece]] | None = None,
                  norm: Fraction = ONE):
-        merged: dict[DPoint, Fraction] = {}
+        checked = []
         for p, w in atoms:
             p = dendrite.check_point(p)
             w = frac(w)
             if w < 0:
                 raise ValueError("atom weights must be non-negative")
             if w:
-                merged[p] = merged.get(p, ZERO) + w
-        dens: dict[object, tuple[Piece, ...]] = {}
+                checked.append((p, w))
+        dens: dict[object, list[Piece]] = {}
         for eid, pieces in (densities or {}).items():
             dendrite.edge(eid)
-            rows = _canonical_pieces(pieces)
-            if rows:
-                dens[eid] = rows
-        self.dendrite = dendrite
-        self.atoms = tuple(sorted(merged.items(), key=lambda kv: point_key(kv[0])))
-        self.densities = dict(sorted(dens.items(), key=lambda kv: id_key(kv[0])))
-        self.norm = frac(norm)
+            dens[eid] = _canonical_pieces(pieces)
+        self._fill(dendrite, checked, dens, frac(norm))
 
     @classmethod
     def _trusted(cls, dendrite: Dendrite, atoms: Iterable[tuple[DPoint, Fraction]],
@@ -84,9 +77,17 @@ class PLMeasure:
         Precondition: every atom is a canonical point of ``dendrite`` with a
         positive ``Fraction`` weight, and each edge's rows are exact
         ``(lo, hi, density)`` with ``0 <= lo < hi <= 1`` and a positive density,
-        disjoint and listed in increasing or decreasing order.  Repeated atoms
-        are added, a decreasing edge's rows reversed and touching rows of equal
-        density merged, which gives what the validating constructor gives.
+        disjoint and listed in increasing or decreasing order.
+        """
+        mu = cls.__new__(cls)
+        mu._fill(dendrite, atoms, densities, norm)
+        return mu
+
+    def _fill(self, dendrite, atoms, densities, norm):
+        """Set the canonical fields from rows that meet :meth:`_trusted`'s precondition.
+
+        Repeated atoms are added, a decreasing edge's rows reversed, touching
+        rows of equal density merged, and atoms sorted by point and edges by id.
         """
         merged: dict[DPoint, Fraction] = {}
         for p, w in atoms:
@@ -105,12 +106,10 @@ class PLMeasure:
                 else:
                     out.append(row)
             dens[eid] = tuple(out)
-        mu = cls.__new__(cls)
-        mu.dendrite = dendrite
-        mu.atoms = tuple(sorted(merged.items(), key=lambda kv: point_key(kv[0])))
-        mu.densities = dict(sorted(dens.items(), key=lambda kv: id_key(kv[0])))
-        mu.norm = norm
-        return mu
+        self.dendrite = dendrite
+        self.atoms = tuple(sorted(merged.items(), key=lambda kv: point_key(kv[0])))
+        self.densities = dict(sorted(dens.items(), key=lambda kv: id_key(kv[0])))
+        self.norm = norm
 
     def total_mass(self) -> Fraction:
         total = sum((w for _, w in self.atoms), ZERO)
@@ -138,29 +137,7 @@ class PLMeasure:
     def add(self, other: "PLMeasure") -> "PLMeasure":
         if not self.dendrite.same_space(other.dendrite):
             raise DendriteMismatch("measures live on different dendrites")
-        atoms = list(self.atoms) + list(other.atoms)
-        dens: dict[object, list[Piece]] = {}
-        for eid in set(self.densities) | set(other.densities):
-            mine = self.densities.get(eid, ())
-            theirs = other.densities.get(eid, ())
-            cuts = sorted({ZERO, ONE}
-                          | {x for a, b, _ in mine for x in (a, b)}
-                          | {x for a, b, _ in theirs for x in (a, b)})
-
-            def level(pieces, t):
-                for a, b, r in pieces:
-                    if a <= t < b:
-                        return r
-                return ZERO
-
-            rows = []
-            for lo, hi in zip(cuts, cuts[1:]):
-                r = level(mine, lo) + level(theirs, lo)
-                if r:
-                    rows.append((lo, hi, r))
-            if rows:
-                dens[eid] = rows
-        return PLMeasure(self.dendrite, atoms, dens, norm=self.norm)
+        return _mixture(self, (self, other), ONE)
 
     def arc_mass(self, x: DPoint, y: DPoint) -> Fraction:
         """Measure of the closed arc [x, y] (atoms on the arc included)."""
@@ -377,12 +354,7 @@ class TestFunction:
         """The value at a point already checked against the dendrite."""
         if isinstance(p, VertexPoint):
             return self.vertex_values[p.vertex]
-        xs, ys = self.edge_data[p.edge]
-        for i in range(len(xs) - 1):
-            if p.t <= xs[i + 1]:
-                span = xs[i + 1] - xs[i]
-                return ys[i] + (ys[i + 1] - ys[i]) * (p.t - xs[i]) / span
-        return ys[-1]
+        return _pl_value(*self.edge_data[p.edge], p.t)
 
     def sup_norm(self) -> Fraction:
         vals = [abs(v) for v in self.vertex_values.values()]

@@ -29,6 +29,16 @@ def decoding(what: str):
         raise ConfigInvalid(f"malformed {what} document: {exc!r}") from None
 
 
+def _unique(pairs, what: str) -> dict:
+    """The mapping of ``(key, value)`` pairs; a repeated key is a config error."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ConfigInvalid(f"repeated {what} {key!r}")
+        out[key] = value
+    return out
+
+
 def dendrite_to_json(dendrite: Dendrite) -> dict:
     doc = {
         "vertices": sorted(dendrite.vertices, key=id_key),
@@ -107,9 +117,9 @@ def homeo_from_json(doc: dict, dendrite: Dendrite) -> Homeo:
                               [frac(y) for y in plm["y"]])
     if "tree_auto" in doc:
         body = doc["tree_auto"]
-        vm = {k: v for k, v in body["vertex_map"]}
-        em = {row["edge"]: (row["target"], _plmap_from_json(row["map"]))
-              for row in body["edge_maps"]}
+        vm = _unique(body["vertex_map"], "vertex_map source")
+        em = _unique(((row["edge"], (row["target"], _plmap_from_json(row["map"])))
+                      for row in body["edge_maps"]), "edge_maps edge")
         return Homeo(dendrite, vm, em)
     raise ConfigInvalid(f"malformed homeomorphism document: {doc!r}")
 
@@ -129,9 +139,9 @@ def measure_to_json(mu: PLMeasure) -> dict:
 def measure_from_json(doc: dict, dendrite: Dendrite) -> PLMeasure:
     atoms = [(point_from_json(row["point"], dendrite), frac(row["w"]))
              for row in doc.get("atoms", ())]
-    densities = {row["id"]: [(frac(p["a"]), frac(p["b"]), frac(p["density"]))
-                             for p in row["pieces"]]
-                 for row in doc.get("edges", ())}
+    densities = _unique(((row["id"], [(frac(p["a"]), frac(p["b"]), frac(p["density"]))
+                                      for p in row["pieces"]])
+                         for row in doc.get("edges", ())), "measure edge id")
     return PLMeasure(dendrite, atoms, densities, norm=frac(doc.get("norm", 1)))
 
 

@@ -84,14 +84,12 @@ class Record(Value):
 
     A class attribute of a field's name is its default.  Instances take the
     fields positionally or by keyword, compare and hash by value over every
-    field not named in the class keyword ``uncompared``, refuse assignment
-    unless the class keyword ``frozen=False`` is given (such a record is
-    unhashable).  The annotations are read once, when the subclass is
+    field not named in the class keyword ``uncompared``, and refuse
+    assignment.  The annotations are read once, when the subclass is
     defined.
     """
 
-    def __init_subclass__(cls, *, frozen: bool = True, uncompared: tuple[str, ...] = (),
-                          **kwargs):
+    def __init_subclass__(cls, *, uncompared: tuple[str, ...] = (), **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(cls.__annotations__)
         if not set(uncompared) <= set(cls._fields):
@@ -99,10 +97,6 @@ class Record(Value):
         cls._compared = tuple(name for name in cls._fields if name not in uncompared)
         cls._defaults = {name: cls.__dict__[name] for name in cls._fields
                          if name in cls.__dict__}
-        if not frozen:
-            cls.__setattr__ = object.__setattr__
-            cls.__delattr__ = object.__delattr__
-            cls.__hash__ = None
 
     def __init__(self, *args, **kwargs):
         cls = type(self)

@@ -8,9 +8,12 @@ common ancestor over a table of root distances, ``metric_arc`` joins the
 closest pair of anchor vertices, ``metric_retract_point`` compares the
 distance to every candidate point, ``swept_gates`` carries (distance, gate)
 labels over the whole tree in two passes, and ``hull_arc_diameter_modulus``
-builds one arc per probe pair.  Tests check the library against them.  The
-subdendrite helpers at the end (``portion_graph``, ``intersection``,
-``is_connected``, ``sample_points``) serve tests only.
+builds one arc per probe pair.  ``measure_oracle``, ``add_oracle`` and
+``pl_value_oracle`` are the earlier measure layer: a validating constructor
+that merges touching rows itself, a sum on its own cut grid, and an indexed
+interpolation loop.  Tests check the library against them.  The subdendrite
+helpers at the end (``portion_graph``, ``intersection``, ``is_connected``,
+``sample_points``) serve tests only.
 """
 
 from fractions import Fraction
@@ -28,7 +31,8 @@ from dendrodyn.dendrite import (
     eps_grid_values,
 )
 from dendrodyn.errors import DendriteMismatch, DendrodynError, EmptySubdendrite
-from dendrodyn.util import id_key, point_key
+from dendrodyn.measure import PLMeasure
+from dendrodyn.util import frac, id_key, point_key
 
 _ROOT_DISTANCES: WeakKeyDictionary = WeakKeyDictionary()
 
@@ -232,6 +236,81 @@ def hull_arc_diameter_modulus(dendrite: Dendrite, eps_grid: Sequence[Fraction]
                 break
         table.append((eps, chosen))
     return table
+
+
+# -- the measure layer before one fill, one merge and one evaluator -----------------
+
+
+def measure_oracle(dendrite: Dendrite, atoms=(), densities=None, norm=ONE) -> PLMeasure:
+    """``PLMeasure(dendrite, atoms, densities, norm)``, checking and merging rows itself."""
+    merged: dict = {}
+    for p, w in atoms:
+        p = dendrite.check_point(p)
+        w = frac(w)
+        if w < 0:
+            raise ValueError("atom weights must be non-negative")
+        if w:
+            merged[p] = merged.get(p, ZERO) + w
+    dens: dict = {}
+    for eid, pieces in (densities or {}).items():
+        dendrite.edge(eid)
+        out: list = []
+        for a, b, r in sorted((frac(a), frac(b), frac(r)) for a, b, r in pieces):
+            if a > b or a < 0 or b > 1:
+                raise ValueError(f"bad density piece [{a}, {b}]")
+            if r < 0:
+                raise ValueError("densities must be non-negative")
+            if a == b or r == 0:
+                continue
+            if out and out[-1][1] > a:
+                raise ValueError("density pieces overlap")
+            if out and out[-1][1] == a and out[-1][2] == r:
+                out[-1] = (out[-1][0], b, r)
+            else:
+                out.append((a, b, r))
+        if out:
+            dens[eid] = tuple(out)
+    mu = PLMeasure.__new__(PLMeasure)
+    mu.dendrite = dendrite
+    mu.atoms = tuple(sorted(merged.items(), key=lambda kv: point_key(kv[0])))
+    mu.densities = dict(sorted(dens.items(), key=lambda kv: id_key(kv[0])))
+    mu.norm = frac(norm)
+    return mu
+
+
+def add_oracle(mu: PLMeasure, nu: PLMeasure) -> PLMeasure:
+    """``mu + nu``: the densities of both, read at every cut of either, per edge."""
+    if not mu.dendrite.same_space(nu.dendrite):
+        raise DendriteMismatch("measures live on different dendrites")
+
+    def level(pieces, t):
+        for a, b, r in pieces:
+            if a <= t < b:
+                return r
+        return ZERO
+
+    dens: dict = {}
+    for eid in set(mu.densities) | set(nu.densities):
+        mine = mu.densities.get(eid, ())
+        theirs = nu.densities.get(eid, ())
+        cuts = sorted({ZERO, ONE} | {x for a, b, _ in (*mine, *theirs) for x in (a, b)})
+        rows = []
+        for lo, hi in zip(cuts, cuts[1:]):
+            r = level(mine, lo) + level(theirs, lo)
+            if r:
+                rows.append((lo, hi, r))
+        if rows:
+            dens[eid] = rows
+    return measure_oracle(mu.dendrite, mu.atoms + nu.atoms, dens, mu.norm)
+
+
+def pl_value_oracle(xs: Sequence[Fraction], ys: Sequence[Fraction], t: Fraction) -> Fraction:
+    """The value at ``t`` of the PL graph through ``(xs, ys)``, by index."""
+    for i in range(len(xs) - 1):
+        if t <= xs[i + 1]:
+            span = xs[i + 1] - xs[i]
+            return ys[i] + (ys[i + 1] - ys[i]) * (t - xs[i]) / span
+    return ys[-1]
 
 
 # -- subdendrite helpers used by tests only ------------------------------------------

@@ -166,6 +166,30 @@ class TestConfigValidation:
         assert main(["run", "--config", str(path)]) == 1
         assert "is not valid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["config is a directory", "dendrite is a directory",
+                                      "out is a file", "report is not JSON",
+                                      "rows lack the column", "csv directory is missing"])
+    def test_file_system_errors_are_config_errors(self, tmp_path, capsys, case):
+        config = write_config(tmp_path, {"command": "orbit", "system": "thompson",
+                                         "parameters": {"R": 1}})
+        explicit = write_config(tmp_path, {"command": "orbit",
+                                           "system": {"dendrite": str(tmp_path)}}, "explicit.json")
+        text = tmp_path / "notes.txt"
+        text.write_text("not JSON", encoding="utf-8")
+        report = write_config(tmp_path, {"levels": [{"n": 1, "mesh": "1"}]}, "report.json")
+        meshless = write_config(tmp_path, {"levels": [{"n": 1}]}, "meshless.json")
+        argv = {
+            "config is a directory": ["run", "--config", str(tmp_path)],
+            "dendrite is a directory": ["run", "--config", explicit],
+            "out is a file": ["run", "--config", config, "--out", config],
+            "report is not JSON": ["export-plot", str(text), "--kind", "mesh"],
+            "rows lack the column": ["export-plot", meshless, "--kind", "mesh"],
+            "csv directory is missing": ["export-plot", report, "--kind", "mesh",
+                                         "--out", str(tmp_path / "missing" / "x.csv")],
+        }[case]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     @pytest.mark.parametrize("role", ["dendrite", "homeo", "measure"])
     def test_referenced_file_that_is_not_json(self, tmp_path, capsys, role):
         from dendrodyn.zoo import thompson_generators, unit_interval_dendrite

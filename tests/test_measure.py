@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dendrodyn.action import Word, detect_finite_orbit, evaluate_word, orbit
-from dendrodyn.dendrite import Dendrite
+from dendrodyn.dendrite import Dendrite, VertexPoint
 from dendrodyn.errors import DendrodynError, NotCertifiedOrbit, NotProbability
-from dendrodyn.homeo import interval_homeo, invert
+from dendrodyn.homeo import PLMap, _pl_value, interval_homeo, invert
 from dendrodyn.measure import (
     FolnerScheme,
     PLMeasure,
@@ -34,7 +34,7 @@ from dendrodyn.zoo import (
 )
 
 from conftest import pl_maps, random_measures, random_trees, tree_points
-from oracles import metric_distance
+from oracles import add_oracle, measure_oracle, metric_distance, pl_value_oracle
 
 F = Fraction
 
@@ -312,6 +312,99 @@ class TestTrustedConstruction:
         assert fields(back) == fields(mu)
 
 
+@st.composite
+def overlapping_measures(draw, dendrite):
+    """Two measures with shared atom points, coarse rows that touch across them,
+    edges that only one carries, and norms 1, 2 or 3/2."""
+    pool = [draw(tree_points(dendrite, 4)) for _ in range(3)]
+    mus = []
+    for _ in range(2):
+        atoms = [(draw(st.sampled_from(pool)), F(draw(st.integers(1, 3)), 4))
+                 for _ in range(draw(st.integers(0, 3)))]
+        dens = {}
+        for e in dendrite.edges:
+            if draw(st.booleans()):
+                cuts = sorted(draw(st.sets(st.integers(0, 4), max_size=5)))
+                dens[e.eid] = [(F(a, 4), F(b, 4), F(draw(st.integers(0, 2)), 2))
+                               for a, b in zip(cuts, cuts[1:])]
+        norm = draw(st.sampled_from((F(1), F(2), F(3, 2))))
+        mus.append(PLMeasure(dendrite, atoms, dens, norm=norm))
+    return mus
+
+
+@st.composite
+def constructor_inputs(draw, dendrite):
+    """Arguments for ``PLMeasure``: shuffled, touching, empty and zero-density rows
+    and zero and repeated atoms, with at most one fault that the constructor refuses."""
+    fault = draw(st.sampled_from((None, None, "point", "weight", "row", "overlap", "edge")))
+    points = [draw(tree_points(dendrite, 4)) for _ in range(2)]
+    atoms = [(draw(st.sampled_from(points)), F(draw(st.integers(0, 3)), 4))
+             for _ in range(draw(st.integers(0, 3)))]
+    atoms += {"point": [(VertexPoint("nowhere"), F(1))],
+              "weight": [(points[0], F(-1, 4))]}.get(fault, [])
+    dens = {}
+    for e in dendrite.edges:
+        cuts = sorted(draw(st.sets(st.integers(0, 4), max_size=5)))
+        rows = [(F(a, 4), F(b, 4), F(draw(st.integers(0, 2)), 2))
+                for a, b in zip(cuts, cuts[1:])]
+        rows += [(F(a, 4), F(a, 4), F(1)) for a in cuts[:1]]  # empty
+        rows += [(F(0), F(1), F(0))] * draw(st.integers(0, 1))  # zero density
+        if fault == "row" and draw(st.booleans()):  # may leave [0, 1] or be negative
+            ends = st.integers(-1, 5).map(lambda k: F(k, 4))
+            rows.append((draw(ends), draw(ends), F(draw(st.integers(-1, 2)), 2)))
+        if fault == "overlap" and draw(st.booleans()):
+            a = draw(st.integers(0, 3))
+            rows.append((F(a, 4), F(draw(st.integers(a + 1, 4)), 4), F(1, 2)))
+        dens[e.eid] = draw(st.permutations(rows))
+    if fault == "edge":
+        dens["no-such-edge"] = []
+    norm = draw(st.sampled_from((1, "3/2", F(2))))
+    return draw(st.permutations(atoms)), dens, norm
+
+
+def outcome(make, *args):
+    """The fields ``make(*args)`` stores, or the type and text of what it raised."""
+    try:
+        return fields(make(*args))
+    except (ValueError, DendrodynError) as exc:
+        return type(exc), str(exc)
+
+
+class TestCanonicalFormOracles:
+    """One fill, one merge and one evaluator against the code they replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_add_matches_cut_grid_add(self, data):
+        X = data.draw(random_trees(max_edges=4))
+        mu, nu = data.draw(overlapping_measures(X))
+        assert fields(mu.add(nu)) == fields(add_oracle(mu, nu))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_constructor_matches_validating_oracle(self, data):
+        X = data.draw(random_trees(max_edges=4))
+        atoms, dens, norm = data.draw(constructor_inputs(X))
+        assert outcome(PLMeasure, X, atoms, dens, norm) == \
+            outcome(measure_oracle, X, atoms, dens, norm)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_pl_value_matches_indexed_loop(self, data):
+        m = data.draw(pl_maps())
+        plm = PLMap(m.xs, m.ys if data.draw(st.booleans()) else [1 - y for y in m.ys])
+        probe = F(data.draw(st.integers(0, 64)), 64)
+        for t in {F(0), F(1), probe, *plm.xs}:
+            assert plm(t) == _pl_value(plm.xs, plm.ys, t) == \
+                pl_value_oracle(plm.xs, plm.ys, t)
+        X = data.draw(random_trees(max_edges=3))
+        f = data.draw(pl_functions(X))
+        for eid, (xs, ys) in f.edge_data.items():
+            for t in {F(0), F(1), probe, *xs}:
+                assert f(X.point(eid, t)) == _pl_value(xs, ys, t) == \
+                    pl_value_oracle(xs, ys, t)
+
+
 class TestIntegrate:
     def test_total_mass(self, thomp):
         mu = canonical_measure(thomp.dendrite)
@@ -473,7 +566,7 @@ class TestFolnerAverage:
         share = F(1, len(mus))
         chain = mus[0].scaled(share)
         for mu in mus[1:]:
-            chain = chain.add(mu.scaled(share))
+            chain = add_oracle(chain, mu.scaled(share))
         assert _mixture(mus[0], mus, share) == chain
 
 

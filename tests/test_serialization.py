@@ -127,6 +127,45 @@ class TestMalformedDocuments:
             decode["measure" if "atoms" in doc else what]()
 
 
+IDENTITY = {"x": ["0", "1"], "y": ["0", "1"]}
+HALF_EDGE = [{"a": "0", "b": "1/2", "density": "2"}]
+
+
+class TestRepeatedIds:
+    @pytest.mark.parametrize("what, doc, repeat", [
+        ("measure", {"edges": [{"id": "e", "pieces": HALF_EDGE},
+                               {"id": "e", "pieces": [{"a": "1/2", "b": "1", "density": "2"}]}]},
+         "measure edge id 'e'"),
+        ("homeo", {"tree_auto": {
+            "vertex_map": [["r", "r"], ["0", "0"], ["0", "1"], ["1", "0"]],
+            "edge_maps": [{"edge": "e0", "target": "e1", "map": IDENTITY},
+                          {"edge": "e1", "target": "e0", "map": IDENTITY}]}},
+         "vertex_map source '0'"),
+        ("homeo", {"tree_auto": {
+            "vertex_map": [["r", "r"], ["0", "0"], ["1", "1"]],
+            "edge_maps": [{"edge": "e0", "target": "e0",
+                           "map": {"x": ["0", "1/2", "1"], "y": ["0", "1/4", "1"]}},
+                          {"edge": "e0", "target": "e0", "map": IDENTITY},
+                          {"edge": "e1", "target": "e1", "map": IDENTITY}]}},
+         "edge_maps edge 'e0'"),
+    ])
+    def test_repeats_are_refused(self, what, doc, repeat):
+        if what == "measure":
+            decode = lambda: ser.measure_from_json(doc, unit_interval_dendrite())
+        else:
+            decode = lambda: ser.homeo_from_json(doc, gehman_dendrite(1))
+        with pytest.raises(ConfigInvalid, match=f"repeated {repeat}"):
+            decode()
+
+    def test_repeated_atoms_are_added(self):
+        X = unit_interval_dendrite()
+        row = {"point": {"edge": "e", "t": "1/3"}, "w": "1/4"}
+        mu = ser.measure_from_json({"atoms": [row, row],
+                                    "edges": [{"id": "e", "pieces": HALF_EDGE}]}, X)
+        assert mu.atoms == ((X.point("e", F(1, 3)), F(1, 2)),)
+        assert mu.total_mass() == F(3, 2)
+
+
 class TestDumpDeterminism:
     def test_byte_identical(self, tmp_path):
         X = gehman_dendrite(2)

@@ -7,22 +7,27 @@ them, so orbit sets are deduplicated by image rather than by word.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .dendrite import (
     Dendrite,
     DPoint,
+    EdgePoint,
     FiniteClosedSet,
     Subdendrite,
+    VertexPoint,
     _distance_to_set,
+    _integer_lengths,
     _point_to_set,
+    _sweep_distances,
     hausdorff_distance,
     nearest_other_distances,
 )
-from .errors import DendriteMismatch, UnknownSymbol
+from .errors import DendriteMismatch, DendrodynError, UnknownSymbol
 from .homeo import Homeo, apply, compose, identity_homeo, invert, validate
-from .util import Record, Value, point_key, set_field
+from .util import Record, Value, id_key, set_field
 
 ZERO = Fraction(0)
 
@@ -313,6 +318,51 @@ def minimal_set_approx(gens: GeneratorSet, x: DPoint, radius: int,
                             closed_radius=closed_radius)
 
 
+def _worst_probe(dendrite: Dendrite, m: FiniteClosedSet) -> tuple[DPoint, Fraction]:
+    """The skeleton probe farthest from ``m`` and its distance, from one integer sweep.
+
+    The probes are the vertices and the edge midpoints.  A vertex reads its
+    sweep value; a midpoint reads its nearer end's value plus half the edge,
+    or its nearest point of ``m`` on the edge.  Lengths are integers over one
+    common denominator, doubled so that half an edge is whole.  Ties go to
+    the largest ``point_key``: midpoints before vertices, then by id.
+    """
+    scale, W, offset = _integer_lengths(dendrite, m.points)
+    W = {eid: 2 * w for eid, w in W.items()}
+    init: dict[object, int] = {}
+    on_edge: dict[object, list[int]] = {}
+    for p in m.points:
+        if isinstance(p, VertexPoint):
+            init[p.vertex] = 0
+            continue
+        e, s = dendrite._edge_by_id[p.edge], 2 * offset[p]
+        for v, c in ((e.u, s), (e.v, W[e.eid] - s)):
+            if init.get(v, c) >= c:
+                init[v] = c
+        on_edge.setdefault(p.edge, []).append(s)
+    dist = _sweep_distances(dendrite, init, W)
+    if None in dist.values():
+        raise DendrodynError("target set unreachable from point")
+    mid = {}  # edge id -> the midpoint's distance
+    for e in dendrite.edges:
+        half = W[e.eid] // 2
+        d = min(dist[e.u], dist[e.v]) + half
+        ts = sorted(on_edge.get(e.eid, ()))
+        i = bisect_left(ts, half)  # only the points either side of the midpoint can be nearest
+        if i < len(ts):
+            d = min(d, ts[i] - half)
+        if i > 0:
+            d = min(d, half - ts[i - 1])
+        mid[e.eid] = d
+    worst = max(max(dist.values()), max(mid.values(), default=-1))
+    ties = [eid for eid, d in mid.items() if d == worst]
+    if ties:
+        probe = EdgePoint(max(ties, key=id_key), Fraction(1, 2))
+    else:
+        probe = VertexPoint(max((v for v, d in dist.items() if d == worst), key=id_key))
+    return probe, Fraction(worst, 2 * scale)
+
+
 class Classification(Record, uncompared=("details",)):
     kind: str  # "finite-orbit" | "whole-space" | "cantor-like" | "inconclusive"
     eps: Fraction
@@ -332,9 +382,7 @@ def classify_minimal_set(dendrite: Dendrite, m: FiniteClosedSet, eps,
         raise ValueError("cannot classify an empty set")
     if certified_finite:
         return Classification("finite-orbit", eps, {"size": len(m)})
-    dist, on_edge = _distance_to_set(dendrite, m)
-    gaps = [(p, _point_to_set(dendrite, dist, on_edge, p)) for p in dendrite.skeleton_points()]
-    worst_probe, worst_gap = max(gaps, key=lambda pg: (pg[1], point_key(pg[0])))
+    worst_probe, worst_gap = _worst_probe(dendrite, m)
     if worst_gap <= eps:
         return Classification("whole-space", eps, {"max_probe_gap": worst_gap})
     pts = list(m)

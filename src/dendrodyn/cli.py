@@ -346,8 +346,8 @@ def _cmd_cover(cfg, system):
     cover = frontier_cover(system.dendrite, m, level.tree, level.index)
     equi = verify_cover_equivariance(system.generators, cover)
     cells = [{"anchor": ser.point_to_json(a),
-              "diameter": frac_str(c.diameter()),
-              "edges": len(c.portions)} for a, c in cover.cells]
+              "diameter": frac_str(d),
+              "edges": len(c.portions)} for (a, c), d in zip(cover.cells, cover.diameters)]
     return {
         "n": level.index,
         "mesh": frac_str(cover.mesh()),

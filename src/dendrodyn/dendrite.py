@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -25,7 +26,7 @@ from .errors import (
     PointOffDendrite,
     QuotientDisconnected,
 )
-from .util import Value, frac, id_key, point_key, set_field
+from .util import Value, frac, id_key, integer_scale, point_key, set_field
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -131,6 +132,8 @@ class Dendrite:
         self._edges = tuple(resolved)
         self._weight_rule = "dyadic" if weight_rule == "dyadic" else tuple(weights)
         self._edge_by_id = {e.eid: e for e in resolved}
+        # the one portion order: an edge's place among the ids sorted by id_key
+        self._rank = {eid: i for i, eid in enumerate(sorted(self._edge_by_id, key=id_key))}
         adj: dict[object, list[tuple[Edge, object]]] = {v: [] for v in vset}
         for e in resolved:
             adj[e.u].append((e, e.v))
@@ -173,6 +176,7 @@ class Dendrite:
         parent_edge: dict[object, Edge | None] = {}
         depth: dict[object, int] = {}
         component: dict[object, object] = {}
+        rank = self._rank
         for root in sorted(self._vertices, key=id_key):
             if root in parent:
                 continue
@@ -181,11 +185,9 @@ class Dendrite:
             depth[root] = 0
             component[root] = root
             queue = [root]
-            while queue:
-                head = queue.pop(0)
+            for head in queue:  # the queue grows as it is read
                 order.append(head)
-                for e, other in sorted(self._adj[head],
-                                       key=lambda item: id_key(item[0].eid)):
+                for e, other in sorted(self._adj[head], key=lambda item: rank[item[0].eid]):
                     if other in parent:
                         continue
                     parent[other] = head
@@ -275,13 +277,6 @@ class Dendrite:
         return pts
 
     # -- metric --------------------------------------------------------------
-
-    def _anchors(self, p: DPoint) -> list[tuple[object, Fraction]]:
-        """(vertex, cost from p to that vertex) pairs; one entry for vertices."""
-        if isinstance(p, VertexPoint):
-            return [(p.vertex, ZERO)]
-        e = self.edge(p.edge)
-        return [(e.u, p.t * e.weight), (e.v, (1 - p.t) * e.weight)]
 
     def distance(self, a: DPoint, b: DPoint) -> Fraction:
         """The length of the arc [a, b]."""
@@ -504,7 +499,8 @@ class Subdendrite:
         for v in vset:
             if v not in dendrite.vertices:
                 raise PointOffDendrite(f"unknown vertex {v!r}")
-        ordered = tuple(sorted(parts.items(), key=lambda it: id_key(it[0])))
+        rank = dendrite._rank
+        ordered = tuple(sorted(parts.items(), key=lambda it: rank[it[0]]))
         return cls(dendrite, frozenset(vset), ordered)
 
     @classmethod
@@ -516,9 +512,10 @@ class Subdendrite:
         ``0 <= lo <= hi <= 1`` on an edge of ``dendrite``, a degenerate portion
         lies strictly inside its edge, and ``vertices`` are vertices of
         ``dendrite`` that include each edge end a portion touches.  Only the
-        portions are sorted; nothing is checked.
+        portions are sorted, by the dendrite's edge rank; nothing is checked.
         """
-        ordered = tuple(sorted(portions.items(), key=lambda it: id_key(it[0])))
+        rank = dendrite._rank
+        ordered = tuple(sorted(portions.items(), key=lambda it: rank[it[0]]))
         return cls(dendrite, frozenset(vertices), ordered)
 
     def __eq__(self, other):
@@ -546,18 +543,6 @@ class Subdendrite:
 
     def portion_map(self) -> dict:
         return dict(self.portions)
-
-    def _union_connected(self, other: "Subdendrite") -> "Subdendrite":
-        """Union of two subdendrites whose union is known to be connected."""
-        parts = dict(self.portions)
-        for eid, (lo, hi) in other.portions:
-            if eid in parts:
-                plo, phi = parts[eid]
-                parts[eid] = (min(plo, lo), max(phi, hi))
-            else:
-                parts[eid] = (lo, hi)
-        return Subdendrite._make(self.dendrite, set(self.vertices) | set(other.vertices),
-                                 parts)
 
     # -- derived node graph (endpoints) ------------------------------------------
 
@@ -743,7 +728,17 @@ def set_distance(dendrite: Dendrite, p: DPoint, targets: FiniteClosedSet) -> Fra
     return _point_to_set(dendrite, dist, on_edge, dendrite.check_point(p))
 
 
-def _two_nearest(entries) -> list[tuple[Fraction, int]]:
+def _integer_lengths(dendrite: Dendrite, points: Iterable[DPoint]):
+    """``(L, lengths, offsets)``: each edge's length and each edge point's distance
+    from its edge's ``u`` end, as integers over their least common denominator ``L``."""
+    weight = {e.eid: e.weight for e in dendrite.edges}
+    offset = {p: p.t * weight[p.edge] for p in points if isinstance(p, EdgePoint)}
+    scale, length = integer_scale(chain(weight.values(), offset.values()))
+    return (scale, {eid: length(w) for eid, w in weight.items()},
+            {p: length(s) for p, s in offset.items()})
+
+
+def _two_nearest(entries) -> list[tuple[int, int]]:
     """The two smallest (distance, source) entries with different sources."""
     out = []
     for d, i in sorted(entries):
@@ -761,39 +756,48 @@ def nearest_other_distances(dendrite: Dendrite, points: Sequence[DPoint]
     A two-pass dynamic program carries, per vertex, the two nearest sources
     with different indices, so excluding the point itself leaves its nearest
     other.  Points on one edge also see their neighbours along it.  ``None``
-    marks a point with no other point in reach.
+    marks a point with no other point in reach.  Lengths are integers over
+    one common denominator (edge weights and the points' offsets along their
+    edges); only the results become ``Fraction``s.
     """
     points = [dendrite.check_point(p) for p in points]
-    near: dict[object, list[tuple[Fraction, int]]] = {}
-    along: dict[object, list[tuple[Fraction, int]]] = {}
+    scale, W, offset = _integer_lengths(dendrite, points)
+    near: dict[object, list[tuple[int, int]]] = {}
+    along: dict[object, list[tuple[int, int]]] = {}
+    anchors = []  # per point, (vertex, scaled cost from the point) pairs
     for i, p in enumerate(points):
-        for v, c in dendrite._anchors(p):
+        if isinstance(p, VertexPoint):
+            ends = [(p.vertex, 0)]
+        else:
+            e, s = dendrite._edge_by_id[p.edge], offset[p]
+            ends = [(e.u, s), (e.v, W[e.eid] - s)]
+            along.setdefault(p.edge, []).append((s, i))
+        anchors.append(ends)
+        for v, c in ends:
             near.setdefault(v, []).append((c, i))
-        if isinstance(p, EdgePoint):
-            along.setdefault(p.edge, []).append((p.t, i))
     near = {v: _two_nearest(seeds) for v, seeds in near.items()}
 
     def carry(src, dst, w):
-        near[dst] = _two_nearest(near.get(dst, []) + [(d + w, i) for d, i in near[src]])
+        moved = [(d + w, i) for d, i in near[src]]
+        near[dst] = _two_nearest(near[dst] + moved) if dst in near else moved
 
     order = dendrite._order
     for v in reversed(order):
         pe = dendrite._parent_edge[v]
         if pe is not None and v in near:
-            carry(v, dendrite._parent[v], pe.weight)
+            carry(v, dendrite._parent[v], W[pe.eid])
     for v in order:
         pe = dendrite._parent_edge[v]
         if pe is not None and dendrite._parent[v] in near:
-            carry(dendrite._parent[v], v, pe.weight)
-    cands = [[c + d for v, c in dendrite._anchors(p) for d, j in near.get(v, ()) if j != i]
-             for i, p in enumerate(points)]
-    for eid, row in along.items():
-        w = dendrite.edge(eid).weight
+            carry(dendrite._parent[v], v, W[pe.eid])
+    cands = [[c + d for v, c in ends for d, j in near.get(v, ()) if j != i]
+             for i, ends in enumerate(anchors)]
+    for row in along.values():
         row.sort()
         for (s, i), (t, j) in zip(row, row[1:]):
-            cands[i].append((t - s) * w)
-            cands[j].append((t - s) * w)
-    return [min(c) if c else None for c in cands]
+            cands[i].append(t - s)
+            cands[j].append(t - s)
+    return [Fraction(min(c), scale) if c else None for c in cands]
 
 
 def subdendrite_gates(dendrite: Dendrite, sub: Subdendrite,

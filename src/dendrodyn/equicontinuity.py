@@ -21,15 +21,13 @@ from .dendrite import (
     FiniteClosedSet,
     Subdendrite,
     VertexPoint,
-    _distance_to_set,
     _sweep_distances,
     eps_grid_values,
-    mesh,
-    subdendrite_gates,
 )
 from .errors import (
     BudgetExceeded,
     CoverageGap,
+    EmptyCover,
     FrontierEmpty,
     NoFiniteOrbitFound,
     NotProbability,
@@ -37,7 +35,7 @@ from .errors import (
 from .homeo import apply, image_subdendrite
 from .action import GeneratorSet, _is_closed, detect_finite_orbit, word_ball, word_images
 from .measure import PLMeasure, push_forward
-from .util import Record, integer_scale, point_key
+from .util import Record, id_key, integer_scale, point_key
 
 ZERO = Fraction(0)
 
@@ -86,9 +84,10 @@ def build_tree_tower(gens: GeneratorSet, m: FiniteClosedSet, n_max: int,
     branch_points = [v for v, d in degree.items() if d >= 3]
     if not branch_points:
         raise NoFiniteOrbitFound("the hull has no branch points to scan")
-    root_pt = min((VertexPoint(v) for v in hull.vertices), key=point_key)
-    from_root, _ = _distance_to_set(X, [root_pt])
-    branch_points.sort(key=lambda v: (from_root[v], point_key(VertexPoint(v))))
+    _, length = integer_scale(e.weight for e in X.edges)
+    from_root = _sweep_distances(X, {min(hull.vertices, key=id_key): 0},
+                                 {e.eid: length(e.weight) for e in X.edges})
+    branch_points.sort(key=lambda v: (from_root[v], id_key(v)))
 
     orbits: list[FiniteClosedSet] = []
     visited: set[DPoint] = set()
@@ -117,7 +116,7 @@ def build_tree_tower(gens: GeneratorSet, m: FiniteClosedSet, n_max: int,
     for i, orb in enumerate(orbits, start=1):
         accumulated.extend(orb)
         tree = X.hull(accumulated)
-        if prev_tree is not None and tree._union_connected(prev_tree) != tree:
+        if prev_tree is not None and not _nested(prev_tree, tree):
             raise CoverageGap(f"tower nesting broken at level {i}")
         frontier = tree.endpoint_set()
         strict = frontier == orb
@@ -128,43 +127,218 @@ def build_tree_tower(gens: GeneratorSet, m: FiniteClosedSet, n_max: int,
     return TreeTower(X, hull, m, tuple(levels))
 
 
+def _nested(inner: Subdendrite, outer: Subdendrite) -> bool:
+    """Whether ``inner`` lies in ``outer``: its vertices, and each portion inside one of ``outer``'s."""
+    if not inner.vertices <= outer.vertices:
+        return False
+    parts = outer.portion_map()
+    for eid, (lo, hi) in inner.portions:
+        part = parts.get(eid)
+        if part is None or lo < part[0] or part[1] < hi:
+            return False
+    return True
+
+
 class FrontierCover(Record):
     level: int
     tree: Subdendrite
     cells: tuple[tuple[DPoint, Subdendrite], ...]
-
-    def cell(self, anchor: DPoint) -> Subdendrite:
-        for a, c in self.cells:
-            if a == anchor:
-                return c
-        raise KeyError(f"no cell anchored at {anchor!r}")
-
-    def anchors(self) -> list[DPoint]:
-        return [a for a, _ in self.cells]
+    diameters: tuple[Fraction, ...]  # per cell, in the order of ``cells``
 
     def mesh(self) -> Fraction:
-        return mesh([c for _, c in self.cells])
+        if not self.diameters:
+            raise EmptyCover("mesh of an empty cover")
+        return max(self.diameters)
+
+
+def _node(p: DPoint):
+    """A point's node in a rooted hull: a vertex by its id, an edge point as itself."""
+    return p.vertex if isinstance(p, VertexPoint) else p
+
+
+def _point(n) -> DPoint:
+    return n if isinstance(n, EdgePoint) else VertexPoint(n)
+
+
+class _RootedHull:
+    """A hull rooted at one of its points, with the diameter below each anchor.
+
+    Nodes are the hull's vertices (by id) and its cut points (``EdgePoint``s):
+    the minimal-set points, the anchors and the root where they lie inside
+    edges.  A segment runs between consecutive nodes along a portion; the
+    segments are kept in the hull's portion order, an uncut portion as the
+    hull's own ``(edge id, (lo, hi))`` item, which the cells then share.
+    Nodes are numbered breadth-first from the root, so each segment has a
+    lower node.  One bottom-up pass, on segment lengths that are integers
+    over the common denominator ``scale``, gives the diameter of the part
+    below each node: the larger of its two longest reaches to the minimal set
+    summed and the largest diameter below a child.  Each cover level is then
+    one top-down pass (:meth:`cover`).
+    """
+
+    def __init__(self, dendrite: Dendrite, hull: Subdendrite, root: DPoint,
+                 m: FiniteClosedSet, anchors: Sequence[DPoint]):
+        X = dendrite
+        at: dict[object, set] = {}  # edge id -> cut parameters
+        for p in chain(m.points, anchors, (root,)):
+            if isinstance(p, EdgePoint):
+                at.setdefault(p.edge, set()).add(p.t)
+        adj: dict[object, list] = {v: [] for v in hull.vertices}
+        items, lengths = [], []  # per segment
+        for item in hull.portions:
+            eid, (lo, hi) = item
+            e = X._edge_by_id[eid]
+            ts = sorted(t for t in at[eid] if lo < t < hi) if eid in at else ()
+            whole = not ts and lo == 0 and hi == 1  # the common case
+            if whole:
+                run = ((lo, e.u), (hi, e.v))
+            else:
+                run = [(t, e.u if t == 0 else e.v if t == 1 else EdgePoint(eid, t))
+                       for t in (lo, *ts, hi)]
+            if lo == hi:
+                adj[run[0][1]] = []
+                continue
+            for (a, na), (b, nb) in zip(run, run[1:]):
+                adj.setdefault(na, []).append((nb, len(items)))
+                adj.setdefault(nb, []).append((na, len(items)))
+                items.append(item if not ts else (eid, (a, b)))
+                lengths.append(e.weight if whole else (b - a) * e.weight)
+        self.scale, length = integer_scale(lengths)
+        top = _node(root)
+        order, index, parent = [top], {top: 0}, [0]
+        lower = [0] * len(items)  # per segment, its lower node
+        for k, n in enumerate(order):  # breadth-first; the list grows as it is read
+            for nb, i in adj[n]:
+                if nb not in index:
+                    index[nb] = lower[i] = len(order)
+                    order.append(nb)
+                    parent.append(k)
+        reach = [0] * len(order)  # the length of the segment above each node
+        for i, k in enumerate(lower):
+            reach[k] = length(lengths[i])
+        height, second, diam = [0] * len(order), [0] * len(order), [0] * len(order)
+        for k in range(len(order) - 1, 0, -1):
+            d = max(diam[k], height[k] + second[k])
+            diam[k] = d
+            p, r = parent[k], height[k] + reach[k]
+            if r > height[p]:
+                height[p], second[p] = r, height[p]
+            elif r > second[p]:
+                second[p] = r
+            if d > diam[p]:
+                diam[p] = d
+        self.dendrite, self.order, self.parent = X, order, parent
+        self.items, self.lower = items, lower
+        self.minimal = bytearray(len(order))  # 1 at the minimal set's nodes
+        for x in m.points:
+            self.minimal[index[_node(x)]] = 1
+        self.index = {n: index[n] for n in map(_node, anchors) if n in index}
+        self.below = {k: diam[k] for k in self.index.values()}
+        self.children = [(k, height[k] + reach[k], diam[k])
+                         for k in range(1, len(order)) if parent[k] == 0]
+
+    def cover(self, tree: Subdendrite, frontier: FiniteClosedSet, level: int
+              ) -> FrontierCover:
+        """The cover of ``tree``'s frontier, whose points must be anchors of the hull.
+
+        ``tree`` must contain the root.  A top-down pass labels every node
+        with its gate on ``tree``, the first point of ``tree`` on its way up.
+        A minimal-set point whose gate is no frontier point is a coverage
+        gap; every other node and the segment above it belong to its gate's
+        cell.  Each cell collects its segments in the hull's portion order,
+        so it needs no sort.
+        """
+        order, index, parent = self.order, self.index, self.parent  # index: anchors only
+        vertices, parts = tree.vertices, tree.portion_map()
+
+        def inside(n) -> bool:
+            if isinstance(n, EdgePoint):
+                part = parts.get(n.edge)
+                return part is not None and part[0] <= n.t <= part[1]
+            return n in vertices
+
+        inner = bytearray(len(order))
+        inner[0] = 1
+        gate = [0] * len(order)
+        for k in range(1, len(order)):
+            p = parent[k]
+            if inner[p] and inside(order[k]):
+                inner[k] = 1
+                gate[k] = k
+            else:
+                gate[k] = gate[p]
+        anchors = {index[n]: a for a in frontier.points if (n := _node(a)) in index}
+        stray = [k for k, x in enumerate(self.minimal) if x and gate[k] not in anchors]
+        if stray:
+            x, g = min(((_point(order[k]), _point(order[gate[k]])) for k in stray),
+                       key=lambda xg: point_key(xg[0]))
+            raise CoverageGap(f"minimal-set point {x!r} attaches at {g!r}, outside the frontier")
+        members = {k: (set(), []) for k in anchors}
+        for item, k in zip(self.items, self.lower):
+            if inner[k]:
+                continue
+            nodes, items = members[gate[k]]
+            if items and items[-1][0] == item[0]:  # the next segment of a cut portion
+                items[-1] = (item[0], (items[-1][1][0], item[1][1]))
+            else:
+                items.append(item)
+            if not isinstance(order[k], EdgePoint):
+                nodes.add(order[k])
+        cells, diameters = [], []
+        for a in sorted(frontier.points, key=point_key):
+            n = _node(a)
+            nodes, items = members.pop(index.get(n), (set(), []))
+            if isinstance(a, VertexPoint):
+                nodes.add(n)
+            elif not items:
+                items.append((a.edge, (a.t, a.t)))
+            cells.append((a, Subdendrite(self.dendrite, frozenset(nodes), tuple(items))))
+            k = index.get(n)
+            if k == 0:  # the root's cell leaves out the branch holding the tree
+                outer = [(r, d) for c, r, d in self.children if not inner[c]]
+                reach = sorted((r for r, _ in outer), reverse=True)
+                d = max([sum(reach[:2])] + [d for _, d in outer])
+            else:
+                d = self.below.get(k, 0)
+            diameters.append(Fraction(d, self.scale))
+        return FrontierCover(level, tree, tuple(cells), tuple(diameters))
+
+
+def _root_point(tree: Subdendrite, frontier: FiniteClosedSet) -> DPoint:
+    """A point of ``tree`` to root a hull at: its first vertex off the frontier, if any."""
+    inner = [v for v in tree.vertices if VertexPoint(v) not in frontier.points]
+    if inner:
+        return VertexPoint(min(inner, key=id_key))
+    return next(iter(frontier))
+
+
+def _covers(dendrite: Dendrite, m: FiniteClosedSet, hull: Subdendrite,
+            levels: Sequence[tuple[Subdendrite, FiniteClosedSet, int]]) -> list[FrontierCover]:
+    """The cover of each ``(tree, frontier, index)`` level, from one rooted ``hull``.
+
+    The trees must nest, the hull must contain ``m`` and the first tree, and
+    each hull leaf must be a point of ``m`` or the root, which is a point of
+    the first tree.  Raises the first level's coverage gap, if any.
+    """
+    tree, frontier, _ = levels[0]
+    rooted = _RootedHull(dendrite, hull, _root_point(tree, frontier), m,
+                         [a for _, frontier, _ in levels for a in frontier.points])
+    return [rooted.cover(*level) for level in levels]
 
 
 def frontier_cover(dendrite: Dendrite, m: FiniteClosedSet,
                    tree: Subdendrite, level: int = 0) -> FrontierCover:
     """One cell per frontier point: the arcs to minimal-set points that touch
-    the sub-tree only at that frontier point."""
+    the sub-tree only at that frontier point.
+
+    This is the one-level case of ``_covers``, on the hull of ``m`` and the
+    point of ``tree`` it is rooted at.
+    """
     frontier = tree.endpoint_set()
     if len(frontier) == 0:
         raise FrontierEmpty("sub-tree has no frontier")
-    anchors = set(frontier.points)
-    assigned: dict[DPoint, list[DPoint]] = {a: [] for a in anchors}
-    points = list(m)
-    for x, gate in zip(points, subdendrite_gates(dendrite, tree, points)):
-        if gate not in anchors:
-            raise CoverageGap(
-                f"minimal-set point {x!r} attaches at {gate!r}, outside the frontier")
-        assigned[gate].append(x)
-    cells = []
-    for a in sorted(anchors, key=point_key):
-        cells.append((a, dendrite.hull([a] + assigned[a])))
-    return FrontierCover(level=level, tree=tree, cells=tuple(cells))
+    hull = dendrite.hull(chain(m.points, (_root_point(tree, frontier),)))
+    return _covers(dendrite, m, hull, [(tree, frontier, level)])[0]
 
 
 class EquivarianceEntry(Record):
@@ -193,16 +367,12 @@ def verify_cover_equivariance(gens: GeneratorSet, cover: FrontierCover
     """
     entries = []
     counterexample = None
+    cell_of = dict(cover.cells)
     for sym in gens.symbols:
         h = gens.homeo(sym, 1)
         for anchor, cell in cover.cells:
-            moved = apply(h, anchor)
-            try:
-                expected = cover.cell(moved)
-            except KeyError:
-                ok = False
-            else:
-                ok = image_subdendrite(h, cell) == expected
+            expected = cell_of.get(apply(h, anchor))
+            ok = expected is not None and image_subdendrite(h, cell) == expected
             entries.append(EquivarianceEntry(sym, 1, anchor, ok))
             if not ok and counterexample is None:
                 counterexample = (sym, 1, anchor)
@@ -256,14 +426,14 @@ def equicontinuity_certificate(gens: GeneratorSet, m: FiniteClosedSet, n_max: in
         eps_grid = eps_grid_values(eps_grid)
     tower = build_tree_tower(gens, m, n_max, minimal_class=minimal_class,
                              orbit_budget=orbit_budget)
-    X = gens.dendrite
     levels = []
     covers = []
     witness = None
     all_equivariant = True
     meshes: list[Fraction] = []
-    for level in tower.levels:
-        cover = frontier_cover(X, m, level.tree, level.index)
+    for level, cover in zip(tower.levels, _covers(
+            gens.dendrite, m, tower.hull,
+            [(level.tree, level.frontier, level.index) for level in tower.levels])):
         if cover_tamper is not None:
             cover = cover_tamper(cover)
         covers.append(cover)
@@ -277,7 +447,7 @@ def equicontinuity_certificate(gens: GeneratorSet, m: FiniteClosedSet, n_max: in
                                        level.strict, len(cover.cells)))
 
     if eps_grid is None:
-        eps_grid = sorted({m for m in meshes} | {Fraction(1)}, reverse=True)
+        eps_grid = sorted({m for m in meshes if m > 0} | {Fraction(1)}, reverse=True)
     table = _delta_table(meshes, eps_grid)
 
     decaying = all(a > b for a, b in zip(meshes, meshes[1:]))
@@ -300,6 +470,7 @@ def equicontinuity_certificate(gens: GeneratorSet, m: FiniteClosedSet, n_max: in
 def tamper_remove_edge(cover: FrontierCover) -> FrontierCover:
     """Deterministically corrupt a cover: drop part of the first non-trivial cell."""
     cells = list(cover.cells)
+    diameters = list(cover.diameters)
     for i, (anchor, cell) in enumerate(cells):
         if cell.portions:
             portions = dict(cell.portions)
@@ -308,8 +479,9 @@ def tamper_remove_edge(cover: FrontierCover) -> FrontierCover:
             broken = Subdendrite._make(cover.tree.dendrite, set(cell.vertices),
                                        portions)
             cells[i] = (anchor, broken)
+            diameters[i] = broken.diameter()
             break
-    return FrontierCover(cover.level, cover.tree, tuple(cells))
+    return FrontierCover(cover.level, cover.tree, tuple(cells), tuple(diameters))
 
 
 # a measure's spread is the radius of the smallest ball holding this share of its mass
@@ -431,9 +603,12 @@ def strong_proximality_scan(gens: GeneratorSet, mu0: PLMeasure, radius: int
     if not mu0.is_probability():
         raise NotProbability("the scanned measure must be a probability")
     best = best_word = None
+    last = None  # (measure, spread) of the last spread computed
     rows = {}  # by radius; the ball lists words by length, so the last one sets the row
     for w, mu in word_images(gens, word_ball(gens, radius), mu0, push_forward):
-        s = _spread(mu, MASS_THRESHOLD)
+        if last is None or mu != last[0]:  # an equal measure has the same spread
+            last = (mu, _spread(mu, MASS_THRESHOLD))
+        s = last[1]
         if best is None or s < best:
             best, best_word = s, w
         rows[len(w)] = (len(w), best, str(best_word))

@@ -11,7 +11,12 @@ labels over the whole tree in two passes, and ``hull_arc_diameter_modulus``
 builds one arc per probe pair.  ``measure_oracle``, ``add_oracle`` and
 ``pl_value_oracle`` are the earlier measure layer: a validating constructor
 that merges touching rows itself, a sum on its own cut grid, and an indexed
-interpolation loop.  Tests check the library against them.  The subdendrite
+interpolation loop.  ``frontier_cover_oracle``, ``union_connected``,
+``classify_oracle`` and ``nearest_other_oracle`` are the earlier cover and
+classification layer: one gate walk, one hull and one diameter per cell and
+level, a nesting check through a validated union, and ``Fraction`` sweeps
+over 2|V| - 1 skeleton probes and two-nearest labels.  Tests check the
+library against them.  The subdendrite
 helpers at the end (``portion_graph``, ``intersection``, ``is_connected``,
 ``sample_points``) serve tests only.
 """
@@ -20,17 +25,29 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 from weakref import WeakKeyDictionary
 
+from dendrodyn.action import Classification
 from dendrodyn.dendrite import (
     ONE,
     ZERO,
     Dendrite,
     DPoint,
     EdgePoint,
+    FiniteClosedSet,
     Subdendrite,
     VertexPoint,
+    _distance_to_set,
+    _point_to_set,
     eps_grid_values,
+    subdendrite_gates,
 )
-from dendrodyn.errors import DendriteMismatch, DendrodynError, EmptySubdendrite
+from dendrodyn.equicontinuity import FrontierCover
+from dendrodyn.errors import (
+    CoverageGap,
+    DendriteMismatch,
+    DendrodynError,
+    EmptySubdendrite,
+    FrontierEmpty,
+)
 from dendrodyn.measure import PLMeasure
 from dendrodyn.util import frac, id_key, point_key
 
@@ -47,6 +64,14 @@ def _rootdist(X: Dendrite) -> dict:
             table[v] = ZERO if pe is None else table[X._parent[v]] + pe.weight
         _ROOT_DISTANCES[X] = table
     return table
+
+
+def _anchors(X: Dendrite, p: DPoint) -> list[tuple[object, Fraction]]:
+    """(vertex, cost from p to that vertex) pairs; one entry for vertices."""
+    if isinstance(p, VertexPoint):
+        return [(p.vertex, ZERO)]
+    e = X.edge(p.edge)
+    return [(e.u, p.t * e.weight), (e.v, (1 - p.t) * e.weight)]
 
 
 def _lca(X: Dendrite, a, b):
@@ -82,8 +107,8 @@ def metric_distance(X: Dendrite, a: DPoint, b: DPoint) -> Fraction:
     if isinstance(a, EdgePoint) and isinstance(b, EdgePoint) and a.edge == b.edge:
         return abs(a.t - b.t) * X.edge(a.edge).weight
     best = None
-    for va, ca in X._anchors(a):
-        for vb, cb in X._anchors(b):
+    for va, ca in _anchors(X, a):
+        for vb, cb in _anchors(X, b):
             d = ca + vertex_distance(X, va, vb) + cb
             if best is None or d < best:
                 best = d
@@ -103,8 +128,8 @@ def metric_arc(X: Dendrite, x: DPoint, y: DPoint) -> Subdendrite:
         return Subdendrite._make(X, set(), {x.edge: (lo, hi)})
 
     best = None
-    for va, ca in X._anchors(x):
-        for vb, cb in X._anchors(y):
+    for va, ca in _anchors(X, x):
+        for vb, cb in _anchors(X, y):
             d = ca + vertex_distance(X, va, vb) + cb
             if best is None or d < best[0]:
                 best = (d, va, vb)
@@ -236,6 +261,110 @@ def hull_arc_diameter_modulus(dendrite: Dendrite, eps_grid: Sequence[Fraction]
                 break
         table.append((eps, chosen))
     return table
+
+
+# -- covers and classification before the rooted hull and the integer sweeps ------
+
+
+def frontier_cover_oracle(dendrite: Dendrite, m: FiniteClosedSet,
+                          tree: Subdendrite, level: int = 0) -> FrontierCover:
+    """``frontier_cover`` by gates: one gate walk, then one hull and one diameter per cell."""
+    frontier = tree.endpoint_set()
+    if len(frontier) == 0:
+        raise FrontierEmpty("sub-tree has no frontier")
+    anchors = set(frontier.points)
+    assigned: dict[DPoint, list[DPoint]] = {a: [] for a in anchors}
+    points = list(m)
+    for x, gate in zip(points, subdendrite_gates(dendrite, tree, points)):
+        if gate not in anchors:
+            raise CoverageGap(
+                f"minimal-set point {x!r} attaches at {gate!r}, outside the frontier")
+        assigned[gate].append(x)
+    cells = []
+    for a in sorted(anchors, key=point_key):
+        cells.append((a, dendrite.hull([a] + assigned[a])))
+    return FrontierCover(level, tree, tuple(cells), tuple(c.diameter() for _, c in cells))
+
+
+def union_connected(a: Subdendrite, b: Subdendrite) -> Subdendrite:
+    """Union of two subdendrites whose union is known to be connected, validated."""
+    parts = dict(a.portions)
+    for eid, (lo, hi) in b.portions:
+        if eid in parts:
+            plo, phi = parts[eid]
+            parts[eid] = (min(plo, lo), max(phi, hi))
+        else:
+            parts[eid] = (lo, hi)
+    return Subdendrite._make(a.dendrite, set(a.vertices) | set(b.vertices), parts)
+
+
+def nearest_other_oracle(dendrite: Dendrite, points: Sequence[DPoint]) -> list:
+    """``nearest_other_distances`` with ``Fraction`` labels throughout."""
+    points = [dendrite.check_point(p) for p in points]
+
+    def two_nearest(entries):
+        out = []
+        for d, i in sorted(entries):
+            if not out or out[0][1] != i:
+                out.append((d, i))
+                if len(out) == 2:
+                    break
+        return out
+
+    near: dict = {}
+    along: dict = {}
+    for i, p in enumerate(points):
+        for v, c in _anchors(dendrite, p):
+            near.setdefault(v, []).append((c, i))
+        if isinstance(p, EdgePoint):
+            along.setdefault(p.edge, []).append((p.t, i))
+    near = {v: two_nearest(seeds) for v, seeds in near.items()}
+
+    def carry(src, dst, w):
+        near[dst] = two_nearest(near.get(dst, []) + [(d + w, i) for d, i in near[src]])
+
+    order = dendrite._order
+    for v in reversed(order):
+        pe = dendrite._parent_edge[v]
+        if pe is not None and v in near:
+            carry(v, dendrite._parent[v], pe.weight)
+    for v in order:
+        pe = dendrite._parent_edge[v]
+        if pe is not None and dendrite._parent[v] in near:
+            carry(dendrite._parent[v], v, pe.weight)
+    cands = [[c + d for v, c in _anchors(dendrite, p) for d, j in near.get(v, ()) if j != i]
+             for i, p in enumerate(points)]
+    for eid, row in along.items():
+        w = dendrite.edge(eid).weight
+        row.sort()
+        for (s, i), (t, j) in zip(row, row[1:]):
+            cands[i].append((t - s) * w)
+            cands[j].append((t - s) * w)
+    return [min(c) if c else None for c in cands]
+
+
+def classify_oracle(dendrite: Dendrite, m: FiniteClosedSet, eps,
+                    *, certified_finite: bool = False) -> Classification:
+    """``classify_minimal_set`` with one checked probe point per vertex and edge midpoint."""
+    eps = Fraction(eps)
+    if len(m) == 0:
+        raise ValueError("cannot classify an empty set")
+    if certified_finite:
+        return Classification("finite-orbit", eps, {"size": len(m)})
+    dist, on_edge = _distance_to_set(dendrite, m)
+    gaps = [(p, _point_to_set(dendrite, dist, on_edge, p)) for p in dendrite.skeleton_points()]
+    worst_probe, worst_gap = max(gaps, key=lambda pg: (pg[1], point_key(pg[0])))
+    if worst_gap <= eps:
+        return Classification("whole-space", eps, {"max_probe_gap": worst_gap})
+    pts = list(m)
+    gaps = nearest_other_oracle(dendrite, pts)
+    witness = next((p for p, d in zip(pts, gaps) if d is None or d > eps), None)
+    if witness is None:
+        return Classification("cantor-like", eps,
+                              {"max_probe_gap": worst_gap,
+                               "sparse_witness": worst_probe})
+    return Classification("inconclusive", eps,
+                          {"max_probe_gap": worst_gap, "isolated_point": witness})
 
 
 # -- the measure layer before one fill, one merge and one evaluator -----------------

@@ -41,7 +41,7 @@ from dendrodyn.zoo import (
 )
 
 from conftest import pl_maps, tree_points, trees_with_points
-from oracles import metric_distance
+from oracles import classify_oracle, metric_distance
 
 F = Fraction
 
@@ -376,6 +376,31 @@ class TestClassify:
             return
         assert verdict.kind == ("cantor-like" if witness is None else "inconclusive")
         assert verdict.details.get("isolated_point") == witness
+
+    @settings(max_examples=200, deadline=None)
+    @given(trees_with_points(count=5, max_edges=8),
+           st.sampled_from([F(1, 16), F(1, 8), F(1, 2), F(1), F(3)]))
+    def test_one_sweep_matches_probe_loop(self, data, eps):
+        # the verdict and its provenance (worst probe, its gap, the isolated
+        # point) against one checked probe per vertex and edge midpoint;
+        # weights over 1..8 and points at k/16 make many tied gaps
+        X, pts = data
+        m = FiniteClosedSet(X, pts)
+        verdict = classify_minimal_set(X, m, eps)
+        expected = classify_oracle(X, m, eps)
+        assert verdict == expected and verdict.details == expected.details
+
+    @pytest.mark.parametrize("eps", [F(1, 64), F(1, 8), F(1), F(4)])
+    def test_one_sweep_matches_probe_loop_on_the_zoo(self, eps):
+        odometer = odometer_system(6)
+        X = odometer.dendrite
+        leaves = FiniteClosedSet(X, [leaf_point(X, 6, k) for k in range(64)])
+        thompson = thompson_system()
+        ball = orbit(thompson.generators, thompson.dendrite.point("e", F(1, 3)), 4).points
+        for Y, m in ((X, leaves), (thompson.dendrite, ball)):
+            verdict = classify_minimal_set(Y, m, eps)
+            expected = classify_oracle(Y, m, eps)
+            assert verdict == expected and verdict.details == expected.details
 
 
 class TestRecurrence:

@@ -41,9 +41,11 @@ from oracles import (
     metric_arc,
     metric_distance,
     metric_retract_point,
+    nearest_other_oracle,
     portion_graph,
     sample_points,
     swept_gates,
+    union_connected,
 )
 
 F = Fraction
@@ -256,7 +258,7 @@ class TestConvexHull:
         X, pts = data
         small = X.hull(pts[:2])
         large = X.hull(pts)
-        assert small._union_connected(large) == large
+        assert union_connected(small, large) == large
 
 
 class TestRetract:
@@ -419,7 +421,7 @@ class TestWeightedMetric:
     def test_diameter_matches_double_sweep_oracle(self, data):
         X, pts = data
         hulls = [X.hull(pts[:3]), X.hull(pts[2:]), X.hull(pts)]
-        subs = hulls + [hulls[0]._union_connected(hulls[1])]  # they share pts[2]
+        subs = hulls + [union_connected(hulls[0], hulls[1])]  # they share pts[2]
         subs += [X.arc(p, q) for p, q in itertools.combinations(pts, 2)]
         for sub in subs:
             assert sub.diameter() == double_sweep_diameter(sub)
@@ -599,6 +601,14 @@ class TestNearestOther:
             rest = FiniteClosedSet(X, [q for q in pts if q != p])
             expected.append(set_distance(X, p, rest) if len(rest) else None)
         assert nearest_other_distances(X, pts) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(trees_with_points(count=6, max_edges=8), st.data())
+    def test_integer_sweep_matches_fraction_oracle(self, data, draw):
+        # in the given order, with repeats, on weights over 1, 2, 4 and 8
+        X, pts = data
+        pts = pts + [draw.draw(st.sampled_from(pts))]
+        assert nearest_other_distances(X, pts) == nearest_other_oracle(X, pts)
 
     def test_gehman_leaves(self):
         X = gehman_dendrite(4)

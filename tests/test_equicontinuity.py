@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 from dendrodyn import equicontinuity
 from dendrodyn.action import detect_finite_orbit, evaluate_word, word_ball
 from dendrodyn.dendrite import FiniteClosedSet, arc_diameter_modulus, hausdorff_distance, mesh
+from dendrodyn.equicontinuity import _covers, _nested
 from dendrodyn.dendrite import Dendrite, VertexPoint, _distance_to_set, _point_to_set
 from dendrodyn.equicontinuity import (
+    FrontierCover,
     _spread,
     build_tree_tower,
     equicontinuity_certificate,
@@ -30,8 +32,14 @@ from dendrodyn.zoo import (
 )
 from dendrodyn.action import GeneratorSet
 
-from conftest import random_measures, random_trees
-from oracles import intersection, metric_distance
+from conftest import random_measures, random_trees, tree_points
+from oracles import (
+    frontier_cover_oracle,
+    intersection,
+    metric_distance,
+    sample_points,
+    union_connected,
+)
 
 F = Fraction
 
@@ -73,14 +81,14 @@ class TestTower:
         tower = build_tree_tower(system.generators, m, 2)
         assert len(tower) == 2
         t1, t2 = tower.levels
-        assert t1.tree._union_connected(t2.tree) == t2.tree
+        assert union_connected(t1.tree, t2.tree) == t2.tree
         assert t1.tree != t2.tree
 
     def test_nesting_exact(self, odo4_setup):
         system, m = odo4_setup
         tower = build_tree_tower(system.generators, m, 3)
         for a, b in zip(tower.levels, tower.levels[1:]):
-            assert a.tree._union_connected(b.tree) == b.tree
+            assert union_connected(a.tree, b.tree) == b.tree
 
     def test_frontier_generator_closed(self, odo4_setup):
         system, m = odo4_setup
@@ -106,11 +114,12 @@ class TestTower:
         m = leaf_set(system, depth)
         swept = build_tree_tower(system.generators, m, depth - 1)
 
-        def per_pair(X, targets):
-            (root,) = targets
-            return {v: metric_distance(X, root, VertexPoint(v)) for v in X.vertices}, {}
+        def per_pair(X, init, weight):
+            ((root, _),) = init.items()
+            return {v: metric_distance(X, VertexPoint(root), VertexPoint(v))
+                    for v in X.vertices}
 
-        monkeypatch.setattr(equicontinuity, "_distance_to_set", per_pair)
+        monkeypatch.setattr(equicontinuity, "_sweep_distances", per_pair)
         assert build_tree_tower(system.generators, m, depth - 1) == swept
         assert len(swept) == depth - 1
 
@@ -462,3 +471,196 @@ class TestSpread:
         centers = [X.vertex_point("0"), X.vertex_point("1")] + [p for p, _ in mu.atoms]
         assert any(mu.ball_mass(c, F(3, 5)) >= threshold for c in centers)
         assert all(mu.ball_mass(c, F(221, 395)) < threshold for c in centers)
+
+
+def outcome(call, *args):
+    """A call's value, or the type and message of the error it raised."""
+    try:
+        return call(*args)
+    except Exception as exc:  # compared as data: the same error type and message
+        return type(exc), str(exc)
+
+
+@st.composite
+def trees_with_sets(draw, max_points=6):
+    """A random tree and a finite set of vertices and edge points (k/16) on it."""
+    X = draw(random_trees(max_edges=8))
+    points = [draw(tree_points(X)) for _ in range(draw(st.integers(1, max_points)))]
+    return X, FiniteClosedSet(X, points)
+
+
+class TestOnePassCovers:
+    """Covers from one rooted pass against the per-level gate walk, hull and diameter."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_frontier_cover_matches_oracle(self, data):
+        # any sub-tree, so anchors can be edge points and the minimal set can
+        # meet the tree away from its frontier (a coverage gap)
+        X, m = data.draw(trees_with_sets())
+        tree = X.hull([data.draw(tree_points(X)) for _ in range(data.draw(st.integers(1, 3)))])
+        expected = outcome(frontier_cover_oracle, X, m, tree, 2)
+        assert outcome(frontier_cover, X, m, tree, 2) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_nested_levels_match_oracle(self, data):
+        # a tower of nested trees inside hull(M), rooted once; the first tree
+        # is often a single point, whose cell at a later level is the hull
+        # without the branch holding that level's tree
+        X, m = data.draw(trees_with_sets())
+        hull = X.hull(m)
+        points = sample_points(hull)
+        chosen = [data.draw(st.sampled_from(points)) for _ in range(data.draw(st.integers(1, 4)))]
+        levels = []
+        for i in range(1, len(chosen) + 1):
+            tree = X.hull(chosen[:i])
+            levels.append((tree, tree.endpoint_set(), i))
+        expected = []
+        for tree, _, i in levels:
+            cover = outcome(frontier_cover_oracle, X, m, tree, i)
+            expected.append(cover)
+            if not isinstance(cover, FrontierCover):
+                break
+        got = outcome(_covers, X, m, hull, levels)
+        if isinstance(expected[-1], FrontierCover):
+            assert got == expected
+        else:
+            assert got == expected[-1]
+
+    @pytest.mark.parametrize("depth", range(3, 9))
+    def test_odometer_every_level_matches_oracle(self, depth):
+        system = odometer_system(depth)
+        X, m = system.dendrite, leaf_set(system, depth)
+        cert = equicontinuity_certificate(system.generators, m, depth)
+        assert len(cert.covers) == depth - 1
+        for level, cover in zip(cert.tower.levels, cert.covers):
+            assert cover == frontier_cover_oracle(X, m, level.tree, level.index)
+            assert cover.mesh() == mesh([c for _, c in cover.cells])
+
+    def test_coverage_gap_names_the_same_gate(self, star3):
+        tree = star3.arc(star3.vertex_point("l1"), star3.vertex_point("l2"))
+        m = FiniteClosedSet(star3, [star3.vertex_point("l3")])
+        message = "minimal-set point V(l3) attaches at V(c), outside the frontier"
+        assert outcome(frontier_cover_oracle, star3, m, tree) == (CoverageGap, message)
+        assert outcome(frontier_cover, star3, m, tree) == (CoverageGap, message)
+
+    def test_fixed_branch_point_tower(self):
+        # a centre fixed by the group: T_1 is that one point, its level-1 cell
+        # is the whole hull, and at level 2 it is an interior point of T_2
+        arms = ["1", "2", "3"]
+        X = Dendrite(["a"] + [f"b{i}" for i in arms] + [f"l{i}{j}" for i in arms for j in "01"],
+                     [(f"e{i}", "a", f"b{i}", 1) for i in arms]
+                     + [(f"f{i}{j}", f"b{i}", f"l{i}{j}", 2) for i in arms for j in "01"],
+                     [1, 1, 1] + [F(1, 2)] * 6)
+        turn = {"a": "a"} | {f"b{i}": f"b{k}" for i, k in zip(arms, arms[1:] + arms[:1])}
+        turn |= {f"l{i}{j}": f"l{k}{j}" for i, k in zip(arms, arms[1:] + arms[:1]) for j in "01"}
+        swap = {v: v for v in X.vertices} | {f"l{i}{j}": f"l{i}{1 - int(j)}"
+                                            for i in arms for j in "01"}
+        from dendrodyn.homeo import tree_automorphism
+        gens = GeneratorSet(X, [("t", tree_automorphism(X, turn)),
+                                ("s", tree_automorphism(X, swap))])
+        m = FiniteClosedSet(X, [X.vertex_point(f"l{i}{j}") for i in arms for j in "01"])
+        cert = equicontinuity_certificate(gens, m, 2)
+        assert [len(lvl.orbit) for lvl in cert.tower.levels] == [1, 3]
+        assert cert.tower.levels[0].tree == X.hull([X.vertex_point("a")])
+        assert cert.covers[0].cells == ((X.vertex_point("a"), X.hull(m)),)
+        for level, cover in zip(cert.tower.levels, cert.covers):
+            assert cover == frontier_cover_oracle(X, m, level.tree, level.index)
+        assert [lvl.mesh for lvl in cert.levels] == [3, 1]
+        assert cert.verdict == "Certified"
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_nesting_check_matches_union_oracle(self, data):
+        X = data.draw(random_trees(max_edges=8))
+        a = X.hull([data.draw(tree_points(X)) for _ in range(data.draw(st.integers(1, 3)))])
+        b = X.hull([data.draw(tree_points(X)) for _ in range(data.draw(st.integers(1, 3)))])
+        assert _nested(a, b) == (union_connected(a, b) == b)
+        assert _nested(a, X.hull([*sample_points(a), *sample_points(b)]))
+
+    def test_tampered_cover_keeps_the_broken_cells_mesh(self):
+        # only the broken cell's diameter is recomputed; the mesh is the one
+        # measured on the tampered cells, and equivariance still fails
+        system = odometer_system(5)
+        m = leaf_set(system, 5)
+        tampered = []
+        cert = equicontinuity_certificate(
+            system.generators, m, 4,
+            cover_tamper=lambda cover: tampered.append(tamper_remove_edge(cover)) or tampered[-1])
+        assert cert.verdict == "Failed" and cert.witness is not None
+        for level, cover in zip(cert.levels, tampered):
+            assert level.mesh == cover.mesh() == mesh([c for _, c in cover.cells])
+            assert list(cover.diameters) == [c.diameter() for _, c in cover.cells]
+        clean = equicontinuity_certificate(system.generators, m, 4)
+        assert [lvl.mesh for lvl in cert.levels] == [lvl.mesh for lvl in clean.levels]
+
+
+class TestDefaultEpsGrid:
+    def test_finite_class_grid_has_no_zero(self):
+        # a finite minimal set gives one level of mesh 0; the default grid
+        # used to hold that 0 as an epsilon
+        system = odometer_system(4)
+        m = leaf_set(system, 4)
+        cert = equicontinuity_certificate(system.generators, m, 3, minimal_class="finite")
+        assert [lvl.mesh for lvl in cert.levels] == [0]
+        assert cert.delta_table == ((F(1), F(0)),)
+
+    def test_cli_finite_class_table(self, tmp_path):
+        import json
+        from dendrodyn.cli import main
+        config = tmp_path / "finite.json"
+        config.write_text(json.dumps({
+            "command": "certify", "system": "odometer:D=4",
+            "parameters": {"n_max": 3, "minimal_class": "finite"},
+            "out": str(tmp_path / "out")}))
+        assert main(["run", "--config", str(config)]) == 0
+        report = json.loads((tmp_path / "out" / "certify.json").read_text())
+        assert report["delta_table"] == [["1", "0"]]
+
+
+class TestSpreadReuse:
+    def spy(self, monkeypatch):
+        calls = []
+        spread = equicontinuity._spread
+
+        def counting(mu, threshold):
+            calls.append(mu)
+            return spread(mu, threshold)
+
+        monkeypatch.setattr(equicontinuity, "_spread", counting)
+        return calls
+
+    def rows_without_reuse(self, gens, mu0, radius):
+        """The scan with one spread per pushed measure, as before the reuse."""
+        from dendrodyn.action import word_images
+        from dendrodyn.measure import push_forward
+        best = best_word = None
+        rows = {}
+        for w, mu in word_images(gens, word_ball(gens, radius), mu0, push_forward):
+            s = _spread(mu, equicontinuity.MASS_THRESHOLD)
+            if best is None or s < best:
+                best, best_word = s, w
+            rows[len(w)] = (len(w), best, str(best_word))
+        return tuple(rows.values())
+
+    def test_odometer_measures_share_one_spread(self, monkeypatch):
+        # the odometer leaves the canonical measure invariant, so every
+        # pushed measure equals the first
+        system = odometer_system(4)
+        mu = canonical_measure(system.dendrite)
+        expected = self.rows_without_reuse(system.generators, mu, 3)
+        calls = self.spy(monkeypatch)
+        trace = strong_proximality_scan(system.generators, mu, 3)
+        assert len(calls) == 1
+        assert trace.rows == expected
+
+    def test_thompson_spreads_at_most_once_per_measure(self, monkeypatch):
+        system = thompson_system()
+        mu = canonical_measure(system.dendrite)
+        expected = self.rows_without_reuse(system.generators, mu, 4)
+        calls = self.spy(monkeypatch)
+        trace = strong_proximality_scan(system.generators, mu, 4)
+        assert len(calls) <= len(word_ball(system.generators, 4))
+        assert all(a != b for a, b in zip(calls, calls[1:]))
+        assert trace.rows == expected

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, Sequence
 
 from .dendrite import (
@@ -207,15 +208,17 @@ class OrbitReport(Record):
 
 
 def _orbit_layers(gens: GeneratorSet, x: DPoint, radius: int):
-    """BFS point layers; yields the cumulative set after each radius step.
+    """BFS point layers; yields ``(seen, size)`` after each radius step.
 
-    Each layer is a dict whose keys are the points in BFS discovery order, so
-    iterating it does not depend on hashing (``PYTHONHASHSEED``).
+    ``seen`` is one dict, grown in place, whose keys are the points in BFS
+    discovery order, so iterating it does not depend on hashing
+    (``PYTHONHASHSEED``).  The ball of the step's radius is its first
+    ``size`` keys.
     """
     x = gens.dendrite.check_point(x)
     seen = {x: None}
     frontier = [x]
-    yield dict(seen)
+    yield seen, 1
     maps = [h for _, _, h in gens.signed()]
     for _ in range(radius):
         nxt = []
@@ -226,7 +229,7 @@ def _orbit_layers(gens: GeneratorSet, x: DPoint, radius: int):
                     seen[q] = None
                     nxt.append(q)
         frontier = nxt
-        yield dict(seen)
+        yield seen, len(seen)
 
 
 def _is_closed(gens: GeneratorSet, points: dict) -> bool:
@@ -244,13 +247,14 @@ def _is_closed(gens: GeneratorSet, points: dict) -> bool:
 
 
 def orbit(gens: GeneratorSet, x: DPoint, radius: int) -> OrbitReport:
-    layers = list(_orbit_layers(gens, x, radius))
-    points = layers[-1]
+    growth = []
+    for points, size in _orbit_layers(gens, x, radius):
+        growth.append(size)
     return OrbitReport(base=gens.dendrite.check_point(x),
                        radius=radius,
                        points=FiniteClosedSet(gens.dendrite, points),
                        closed=_is_closed(gens, points),
-                       growth=tuple(len(layer) for layer in layers))
+                       growth=tuple(growth))
 
 
 class FiniteOrbitResult(Record):
@@ -270,15 +274,13 @@ def detect_finite_orbit(gens: GeneratorSet, x: DPoint, budget: int) -> FiniteOrb
     if budget < 1:
         raise ValueError("budget must be at least 1")
     growth: list[int] = []
-    prev: set | None = None
-    for r, layer in enumerate(_orbit_layers(gens, x, budget + 1)):
-        growth.append(len(layer))
-        if prev is not None and len(layer) == len(prev):
+    for r, (points, size) in enumerate(_orbit_layers(gens, x, budget + 1)):
+        growth.append(size)
+        if r and size == growth[-2]:  # nothing new, so the ball is all of points
             radius = max(r - 1, 1)
             if radius <= budget:
-                return FiniteOrbitResult(True, FiniteClosedSet(gens.dendrite, prev),
+                return FiniteOrbitResult(True, FiniteClosedSet(gens.dendrite, points),
                                          radius, tuple(growth[:-1]))
-        prev = layer
     return FiniteOrbitResult(False, None, None, tuple(growth[:budget + 1]))
 
 
@@ -297,17 +299,19 @@ def minimal_set_approx(gens: GeneratorSet, x: DPoint, radius: int,
     """Orbit ball with Hausdorff increments between consecutive radii."""
     if radius < 2:
         raise ValueError("radius must be at least 2")
-    layers = list(_orbit_layers(gens, x, radius))
-    sets = [FiniteClosedSet(gens.dendrite, layer) for layer in layers]
+    sizes = []
+    for points, size in _orbit_layers(gens, x, radius):
+        sizes.append(size)
+    sets = [FiniteClosedSet(gens.dendrite, islice(points, size)) for size in sizes]
     increments = tuple(hausdorff_distance(sets[i - 1], sets[i])
                        for i in range(1, len(sets)))
     closed_radius = None
-    for r in range(1, len(layers)):
-        if len(layers[r]) == len(layers[r - 1]):
+    for r in range(1, len(sizes)):
+        if sizes[r] == sizes[r - 1]:
             closed_radius = max(r - 1, 1)
             break
-    if closed_radius is None and _is_closed(gens, layers[-1]):
-        closed_radius = len(layers) - 1
+    if closed_radius is None and _is_closed(gens, points):
+        closed_radius = len(sizes) - 1
     converged = bool(increments) and increments[-1] < eps
     return MinimalSetApprox(points=sets[-1],
                             radius=radius,

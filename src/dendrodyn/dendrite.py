@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -102,7 +102,7 @@ class Dendrite:
 
     def __init__(self, vertices: Iterable, edges: Sequence, weight_rule="dyadic",
                  *, require_connected: bool = True):
-        vset = set(vertices)
+        vset = frozenset(set(vertices))  # copied from a set, the table is sized to fit
         if not vset:
             raise InvalidDendrite("a dendrite needs at least one vertex")
         resolved: list[Edge] = []
@@ -112,7 +112,7 @@ class Dendrite:
             weights = [frac(w) for w in weight_rule]
             if len(weights) != len(edges):
                 raise InvalidDendrite("custom weight list does not match edge count")
-        for i, entry in enumerate(edges):
+        for i, (entry, w) in enumerate(zip(edges, weights)):
             if len(entry) == 3:
                 eid, u, v = entry
                 level = i + 1
@@ -122,26 +122,24 @@ class Dendrite:
                 raise InvalidDendrite(f"edge {eid!r} references unknown vertices")
             if u == v:
                 raise InvalidDendrite(f"edge {eid!r} is a loop")
-            if weights[i] <= 0:
+            if w.numerator <= 0:  # a Fraction's sign is its numerator's
                 raise InvalidDendrite(f"edge {eid!r} has non-positive weight")
-            resolved.append(Edge(eid, u, v, int(level), weights[i]))
-        if len({e.eid for e in resolved}) != len(resolved):
+            resolved.append(Edge(eid, u, v, int(level), w))
+        self._edge_by_id = {e.eid: e for e in resolved}
+        if len(self._edge_by_id) != len(resolved):
             raise InvalidDendrite("duplicate edge ids")
 
-        self._vertices = frozenset(vset)
+        self._vertices = vset
         self._edges = tuple(resolved)
-        self._weight_rule = "dyadic" if weight_rule == "dyadic" else tuple(weights)
-        self._edge_by_id = {e.eid: e for e in resolved}
+        # the weights live on the edges; a custom rule is read back from them
+        self._weight_rule = "dyadic" if weight_rule == "dyadic" else "custom"
         # the one portion order: an edge's place among the ids sorted by id_key
-        self._rank = {eid: i for i, eid in enumerate(sorted(self._edge_by_id, key=id_key))}
-        adj: dict[object, list[tuple[Edge, object]]] = {v: [] for v in vset}
-        for e in resolved:
-            adj[e.u].append((e, e.v))
-            adj[e.v].append((e, e.u))
-        self._adj = adj
-
-        self._check_forest()
-        self._connected = self._build_orientation()
+        ranked = sorted(self._edge_by_id, key=id_key)
+        self._rank = {eid: i for i, eid in enumerate(ranked)}
+        roots = self._build_orientation(ranked)
+        if len(resolved) != len(vset) - roots:  # only a forest has |E| = |V| - components
+            self._check_forest()
+        self._connected = roots == 1
         if require_connected and not self._connected:
             raise InvalidDendrite("dendrite is not connected")
         if self._connected:
@@ -155,6 +153,7 @@ class Dendrite:
     # -- construction checks -------------------------------------------------
 
     def _check_forest(self):
+        """Raise at the first edge, in enumeration order, that closes a cycle."""
         parent = {v: v for v in self._vertices}
 
         def find(a):
@@ -169,50 +168,61 @@ class Dendrite:
                 raise InvalidDendrite(f"edge {e.eid!r} creates a cycle")
             parent[ra] = rb
 
-    def _build_orientation(self) -> bool:
-        """BFS parent tables per component; returns connectivity."""
+    def _build_orientation(self, ranked: Sequence) -> int:
+        """BFS parent tables per component, children in edge rank order.
+
+        A connected tree is rooted at its least vertex; further components
+        are rooted at their least vertices, in ``id_key`` order.  The
+        adjacency lists, filled in rank order, live only for the walk.
+        Returns the number of components.
+        """
+        adj: dict[object, list[Edge]] = {v: [] for v in self._vertices}
+        for eid in ranked:
+            e = self._edge_by_id[eid]
+            adj[e.u].append(e)
+            adj[e.v].append(e)
         order: list[object] = []
         parent: dict[object, object | None] = {}
         parent_edge: dict[object, Edge | None] = {}
         depth: dict[object, int] = {}
-        component: dict[object, object] = {}
-        rank = self._rank
-        for root in sorted(self._vertices, key=id_key):
-            if root in parent:
-                continue
-            parent[root] = None
-            parent_edge[root] = None
+
+        def walk(root):
+            parent[root] = parent_edge[root] = None
             depth[root] = 0
-            component[root] = root
-            queue = [root]
-            for head in queue:  # the queue grows as it is read
-                order.append(head)
-                for e, other in sorted(self._adj[head], key=lambda item: rank[item[0].eid]):
-                    if other in parent:
-                        continue
-                    parent[other] = head
-                    parent_edge[other] = e
-                    depth[other] = depth[head] + 1
-                    component[other] = component[root]
-                    queue.append(other)
+            start = len(order)
+            order.append(root)
+            for head in islice(order, start, None):  # the queue grows as it is read
+                below = depth[head] + 1
+                for e in adj[head]:
+                    other = e.v if e.u == head else e.u
+                    if other not in parent:
+                        parent[other] = head
+                        parent_edge[other] = e
+                        depth[other] = below
+                        order.append(other)
+
+        walk(min(self._vertices, key=id_key))
+        roots = 1
+        if len(order) < len(self._vertices):
+            for root in sorted(self._vertices, key=id_key):
+                if root not in parent:
+                    walk(root)
+                    roots += 1
         self._order = order
         self._parent = parent
         self._parent_edge = parent_edge
         self._depth = depth
-        self._component = component
-        roots = {component[v] for v in self._vertices}
-        return len(roots) == 1
+        self._degree = {v: len(incident) for v, incident in adj.items()}
+        return roots
 
     def _check_chaining(self):
+        """Every edge meets the part built before it in exactly one end."""
         seen: set[object] = set()
         for i, e in enumerate(self._edges):
-            if i == 0:
-                seen.update((e.u, e.v))
-                continue
-            hits = (e.u in seen) + (e.v in seen)
-            if hits != 1:
+            if i and (e.u in seen) == (e.v in seen):
                 raise ChainingViolation(i + 1)
-            seen.update((e.u, e.v))
+            seen.add(e.u)
+            seen.add(e.v)
 
     # -- basic accessors -----------------------------------------------------
 
@@ -231,9 +241,10 @@ class Dendrite:
             raise PointOffDendrite(f"unknown edge {eid!r}") from None
 
     def degree(self, vid) -> int:
-        if vid not in self._vertices:
-            raise PointOffDendrite(f"unknown vertex {vid!r}")
-        return len(self._adj[vid])
+        try:
+            return self._degree[vid]
+        except KeyError:
+            raise PointOffDendrite(f"unknown vertex {vid!r}") from None
 
     def total_weight(self) -> Fraction:
         return sum((e.weight for e in self._edges), ZERO)
@@ -284,20 +295,25 @@ class Dendrite:
 
     def vertex_path(self, a, b) -> list:
         """Vertex chain from ``a`` to ``b`` along the unique tree path."""
-        if self._component[a] != self._component[b]:
-            raise DendrodynError("vertices lie in different components")
         up, down = [a], [b]
         while up[-1] != down[-1]:  # climb from the deeper end until the ends meet
-            if self._depth[up[-1]] >= self._depth[down[-1]]:
-                up.append(self._parent[up[-1]])
-            else:
+            if self._depth[up[-1]] < self._depth[down[-1]]:
                 down.append(self._parent[down[-1]])
+            elif self._parent[up[-1]] is None:  # two distinct roots
+                raise DendrodynError("vertices lie in different components")
+            else:
+                up.append(self._parent[up[-1]])
         return up + down[-2::-1]
 
     def edge_between(self, a, b) -> Edge:
-        for e, other in self._adj[a]:
-            if other == b:
-                return e
+        """The edge joining ``a`` and ``b``: the parent edge of whichever is the child."""
+        for vid in (a, b):
+            if vid not in self._vertices:
+                raise PointOffDendrite(f"unknown vertex {vid!r}")
+        if self._parent[b] == a:
+            return self._parent_edge[b]
+        if self._parent[a] == b:
+            return self._parent_edge[a]
         raise DendrodynError(f"no edge between {a!r} and {b!r}")
 
     # -- arcs and hulls --------------------------------------------------------
@@ -330,19 +346,21 @@ class Dendrite:
                 starts.append(self._parent[self._lower(self._edge_by_id[p.edge])])
         if not starts:
             raise EmptySet("hull of an empty set")
-        top = self._component[starts[0]]
-        if any(self._component[v] != top for v in starts):
-            raise DendrodynError("vertices lie in different components")
         marked: set = set()
         below: dict[object, list[Edge]] = {}
+        roots = []  # the first walk ends at the root; a later one only in another component
         for v in starts:
             while v not in marked:
                 marked.add(v)
                 pe = self._parent_edge[v]
                 if pe is None:
+                    roots.append(v)
                     break
                 v = self._parent[v]
                 below.setdefault(v, []).append(pe)
+        if len(roots) != 1:
+            raise DendrodynError("vertices lie in different components")
+        top = roots[0]
         for eid in on_edge:
             e = self._edge_by_id[eid]
             if self._lower(e) not in marked:
@@ -829,14 +847,18 @@ def subdendrite_gates(dendrite: Dendrite, sub: Subdendrite,
     if len(tops) != 1:
         raise DendrodynError("cannot retract onto a disconnected subdendrite")
     top = tops[0]
-    home = dendrite._component[top.vertex if isinstance(top, VertexPoint)
-                               else dendrite.edge(top.edge).u]
+    home = top.vertex if isinstance(top, VertexPoint) else dendrite.edge(top.edge).u
+    while parent[home] is not None:  # the root of sub's component
+        home = parent[home]
 
     def climb(v) -> DPoint:
         path = []
         while v not in gate_of:
             path.append(v)
             pe = parent_edge[v]
+            if pe is None and v != home:
+                raise DendrodynError(
+                    "query point lies in another component than the subdendrite")
             if pe is None or pe.eid in entry:
                 gate_of[v] = top if pe is None else entry[pe.eid]
                 break
@@ -856,8 +878,6 @@ def subdendrite_gates(dendrite: Dendrite, sub: Subdendrite,
                 gates.append(dendrite.point(p.edge, min(max(p.t, part[0]), part[1])))
                 continue
             start = parent[lower(dendrite.edge(p.edge))]
-        if dendrite._component[start] != home:
-            raise DendrodynError("query point lies in another component than the subdendrite")
         gates.append(climb(start))
     return gates
 

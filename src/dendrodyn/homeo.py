@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .dendrite import Dendrite, DPoint, Subdendrite, VertexPoint
-from .errors import DendriteMismatch, InvalidHomeo, PointOffDendrite
+from .errors import DendriteMismatch, DendrodynError, InvalidHomeo, PointOffDendrite
 from .util import Record, frac, id_key
 
 ZERO = Fraction(0)
@@ -161,6 +161,19 @@ class Homeo:
         self.vertex_map = dict(vertex_map)
         self.edge_map = {eid: (target, plm) for eid, (target, plm) in edge_map.items()}
 
+    @classmethod
+    def _trusted(cls, dendrite: Dendrite, vertex_map: dict, edge_map: dict) -> "Homeo":
+        """Keep maps that the caller built for this homeomorphism and hands over.
+
+        Precondition: two fresh dicts, and every edge entry a
+        ``(target, PLMap)`` tuple; nothing is copied or checked.
+        """
+        h = cls.__new__(cls)
+        h.dendrite = dendrite
+        h.vertex_map = vertex_map
+        h.edge_map = edge_map
+        return h
+
     def canonical_key(self):
         vm = tuple(sorted(self.vertex_map.items(), key=lambda kv: id_key(kv[0])))
         em = tuple(sorted(((eid, tgt, plm.xs, plm.ys)
@@ -182,9 +195,9 @@ class Homeo:
 
 
 def identity_homeo(dendrite: Dendrite) -> Homeo:
-    return Homeo(dendrite,
-                 {v: v for v in dendrite.vertices},
-                 {e.eid: (e.eid, PLMap.identity()) for e in dendrite.edges})
+    return Homeo._trusted(dendrite,
+                          {v: v for v in dendrite.vertices},
+                          {e.eid: (e.eid, PLMap.identity()) for e in dendrite.edges})
 
 
 def tree_automorphism(dendrite: Dendrite, vertex_map: Mapping,
@@ -196,24 +209,25 @@ def tree_automorphism(dendrite: Dendrite, vertex_map: Mapping,
     from the image of u.
     """
     vm = dict(vertex_map)
-    if set(vm) != set(dendrite.vertices) or set(vm.values()) != set(dendrite.vertices):
+    if vm.keys() != dendrite.vertices or set(vm.values()) != dendrite.vertices:
         raise InvalidHomeo("vertex map is not a permutation of the vertex set")
+    identity = PLMap.identity()
     edge_map = {}
     for e in dendrite.edges:
         nu, nv = vm[e.u], vm[e.v]
-        plm = PLMap.identity() if reparams is None else reparams.get(e.eid, PLMap.identity())
+        plm = identity if reparams is None else reparams.get(e.eid, identity)
         if not plm.increasing:
             raise InvalidHomeo("reparams must be orientation-preserving from the u-side")
         try:
             target = dendrite.edge_between(nu, nv)
-        except Exception:
+        except DendrodynError:
             raise InvalidHomeo(f"edge {e.eid!r} has no image edge between "
                                f"{nu!r} and {nv!r}") from None
         if target.u == nu:
             edge_map[e.eid] = (target.eid, plm)
         else:
             edge_map[e.eid] = (target.eid, PLMap.flip().after(plm))
-    return Homeo(dendrite, vm, edge_map)
+    return Homeo._trusted(dendrite, vm, edge_map)
 
 
 def interval_homeo(dendrite: Dendrite, xs: Sequence, ys: Sequence) -> Homeo:
@@ -226,7 +240,7 @@ def interval_homeo(dendrite: Dendrite, xs: Sequence, ys: Sequence) -> Homeo:
         vm = {e.u: e.u, e.v: e.v}
     else:
         vm = {e.u: e.v, e.v: e.u}
-    return Homeo(dendrite, vm, {e.eid: (e.eid, plm)})
+    return Homeo._trusted(dendrite, vm, {e.eid: (e.eid, plm)})
 
 
 def apply(h: Homeo, p: DPoint) -> DPoint:
@@ -252,7 +266,7 @@ def compose(first: Homeo, second: Homeo) -> Homeo:
     for eid, (mid, plm2) in second.edge_map.items():
         tgt, plm1 = first.edge_map[mid]
         em[eid] = (tgt, plm1.after(plm2))
-    return Homeo(first.dendrite, vm, em)
+    return Homeo._trusted(first.dendrite, vm, em)
 
 
 def invert(h: Homeo) -> Homeo:
@@ -266,9 +280,9 @@ def invert(h: Homeo) -> Homeo:
         if tgt in em:
             raise InvalidHomeo("edge map is not injective; no inverse exists")
         em[tgt] = (eid, plm.inverse())
-    if set(em) != set(h.edge_map):
+    if em.keys() != h.edge_map.keys():
         raise InvalidHomeo("edge map is not surjective; no inverse exists")
-    return Homeo(h.dendrite, vm, em)
+    return Homeo._trusted(h.dendrite, vm, em)
 
 
 def validate(h: Homeo) -> ValidationReport:
@@ -280,25 +294,26 @@ def validate(h: Homeo) -> ValidationReport:
     agree with it at the endpoints makes ``h`` a homeomorphism.
     """
     X = h.dendrite
+    vertices = X.vertices
     violations: list[Violation] = []
     notes: list[str] = []
 
-    if set(h.vertex_map) != set(X.vertices):
+    if h.vertex_map.keys() != vertices:
         violations.append(Violation("domain", "vertex map domain differs from vertex set"))
-    images = list(h.vertex_map.values())
-    if len(set(images)) != len(images):
+    images = set(h.vertex_map.values())
+    if len(images) != len(h.vertex_map):
         violations.append(Violation("not-injective",
                                     "vertex map sends two vertices to one"))
-    if set(images) - set(X.vertices):
+    if not images <= vertices:
         violations.append(Violation("off-dendrite", "vertex image outside the dendrite"))
-    elif set(X.vertices) - set(images):
+    elif len(images) < len(vertices):
         violations.append(Violation("not-surjective", "vertex map misses vertices"))
-    unknown = set(h.edge_map) - {e.eid for e in X.edges}
+    unknown = h.edge_map.keys() - X._edge_by_id.keys()
     if unknown:
         violations.append(Violation("domain", "edge map names unknown edges "
                                               + ", ".join(sorted(map(repr, unknown)))))
 
-    weight_compatible = True
+    weight_compatible = linear = True
     for e in X.edges:
         entry = h.edge_map.get(e.eid)
         if entry is None:
@@ -323,15 +338,21 @@ def validate(h: Homeo) -> ValidationReport:
             violations.append(Violation("level",
                                         f"edge {e.eid!r} changes level "
                                         f"{e.level} -> {tgt.level}"))
-        if tgt.weight != e.weight:
+        # equal weights are often one shared Fraction, which spares the comparison
+        if tgt.weight is not e.weight and tgt.weight != e.weight:
             weight_compatible = False
+        if not plm.linear:
+            linear = False
 
-    tgt_ids = [tgt for tgt, _ in h.edge_map.values()]
-    if len(set(tgt_ids)) != len(tgt_ids):
+    if len({tgt for tgt, _ in h.edge_map.values()}) != len(h.edge_map):
         violations.append(Violation("not-injective", "two edges share an image edge"))
 
     if not violations:
-        notes.append("isometric" if weight_compatible else "weights not preserved")
+        # an isometry maps every edge onto one of equal weight by a linear map
+        if not weight_compatible:
+            notes.append("weights not preserved")
+        else:
+            notes.append("isometric" if linear else "edge maps not linear")
 
     return ValidationReport(valid=not violations,
                             violations=tuple(violations),

@@ -48,7 +48,7 @@ def dendrite_to_json(dendrite: Dendrite) -> dict:
     if dendrite._weight_rule == "dyadic":
         doc["weight_rule"] = "dyadic"
     else:
-        doc["weight_rule"] = {"custom": [frac_str(w) for w in dendrite._weight_rule]}
+        doc["weight_rule"] = {"custom": [frac_str(e.weight) for e in dendrite.edges]}
     return doc
 
 

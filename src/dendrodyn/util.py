@@ -125,6 +125,8 @@ class Record(Value):
 
 def id_key(identifier):
     """Sort key that keeps mixed int/str identifier sets deterministic."""
+    if type(identifier) is str:  # the common case, first
+        return (1, 0, identifier)
     if isinstance(identifier, bool):
         raise TypeError("bool is not a valid identifier")
     if isinstance(identifier, int):

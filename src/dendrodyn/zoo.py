@@ -98,29 +98,25 @@ def gehman_dendrite(depth: int, leaf_weight: str = "tail") -> Dendrite:
     return Dendrite(vertices, edges, weights)
 
 
-def _add_one(label: str) -> str:
-    """Binary add-one-with-carry on a least-significant-first bit string."""
-    bits = list(label)
-    for i, b in enumerate(bits):
-        if b == "0":
-            bits[i] = "1"
-            return "".join(bits)
-        bits[i] = "0"
-    return "".join(bits)
-
-
 def odometer(depth: int, dendrite: Dendrite | None = None) -> Homeo:
     """The adding machine on the depth-D binary tree.
 
     Prefix compatibility of binary addition makes the vertex map a level
     preserving tree automorphism; its restriction to level k is one 2**k
     cycle.  Edge reparametrizations are the identity, so it is an isometry.
+    A child's image is a child of its parent's image: the bit it adds is
+    kept, or flipped when the carry reaches it, which happens exactly when
+    the parent's label is all ones.
     """
     X = dendrite if dendrite is not None else gehman_dendrite(depth)
+    own = {v: v for v in X.vertices}  # a label -> the tree's own vertex id
     vm = {"r": "r"}
-    for v in X.vertices:
-        if v != "r":
-            vm[v] = _add_one(v)
+    for e in X.edges:  # level by level, each edge running from parent u to child v
+        bit = e.v[-1]
+        if "0" not in e.u:  # the root's empty label counts as all ones
+            bit = "1" if bit == "0" else "0"
+        image = vm[e.u]
+        vm[e.v] = own[bit if image == "r" else image + bit]
     return tree_automorphism(X, vm)
 
 

@@ -65,6 +65,34 @@ def random_trees(draw, max_edges=7, denominators=(1, 2, 4, 8)):
 
 
 @st.composite
+def random_forests(draw, max_edges=7):
+    """A random weighted forest for ``Dendrite.forest``, with mixed int and str ids.
+
+    Each new vertex hangs from an earlier one or starts a new component, so
+    some draws are connected trees and some are not.  Vertex and edge ids
+    are ints or strings at random, drawn in a random order, so neither the
+    least vertex nor the edge rank follows the enumeration; each edge is
+    stored in a random orientation.
+    """
+    n = draw(st.integers(min_value=0, max_value=max_edges))
+    labels = draw(st.permutations(range(n + 1)))
+    vertices = [k if draw(st.booleans()) else f"v{k}" for k in labels]
+    edge_labels = iter(draw(st.permutations(range(n))))
+    edges = []
+    weights = []
+    for i in range(1, n + 1):
+        parent = draw(st.integers(min_value=-1, max_value=i - 1))
+        if parent < 0:  # vertex i starts a new component
+            continue
+        k = next(edge_labels)
+        ends = (vertices[parent], vertices[i])
+        edges.append((k if draw(st.booleans()) else f"e{k}",)
+                     + (ends[::-1] if draw(st.booleans()) else ends))
+        weights.append(Fraction(draw(st.integers(1, 8)), draw(st.sampled_from((1, 2, 4)))))
+    return Dendrite.forest(vertices, edges, weights)
+
+
+@st.composite
 def tree_points(draw, dendrite, steps=16):
     """A random exact point of the given dendrite (edge parameters k/steps)."""
     use_vertex = draw(st.booleans())

@@ -15,8 +15,12 @@ interpolation loop.  ``frontier_cover_oracle``, ``union_connected``,
 ``classify_oracle`` and ``nearest_other_oracle`` are the earlier cover and
 classification layer: one gate walk, one hull and one diameter per cell and
 level, a nesting check through a validated union, and ``Fraction`` sweeps
-over 2|V| - 1 skeleton probes and two-nearest labels.  Tests check the
-library against them.  The subdendrite
+over 2|V| - 1 skeleton probes and two-nearest labels.
+``orientation_oracle``, ``edge_between_oracle``, ``add_one`` and
+``orbit_layers_oracle`` are the earlier construction and orbit search: one
+sorted adjacency scan per vertex, an edge scan per lookup, add-one-with-carry
+on every odometer label, and a copy of the orbit per BFS layer.  Tests check
+the library against them.  The subdendrite
 helpers at the end (``portion_graph``, ``intersection``, ``is_connected``,
 ``sample_points``) serve tests only.
 """
@@ -48,6 +52,7 @@ from dendrodyn.errors import (
     EmptySubdendrite,
     FrontierEmpty,
 )
+from dendrodyn.homeo import apply
 from dendrodyn.measure import PLMeasure
 from dendrodyn.util import frac, id_key, point_key
 
@@ -75,8 +80,6 @@ def _anchors(X: Dendrite, p: DPoint) -> list[tuple[object, Fraction]]:
 
 
 def _lca(X: Dendrite, a, b):
-    if X._component[a] != X._component[b]:
-        raise DendrodynError("vertices lie in different components")
     da, db = X._depth[a], X._depth[b]
     while da > db:
         a = X._parent[a]
@@ -85,6 +88,8 @@ def _lca(X: Dendrite, a, b):
         b = X._parent[b]
         db -= 1
     while a != b:
+        if X._parent[a] is None:  # two distinct roots
+            raise DendrodynError("vertices lie in different components")
         a = X._parent[a]
         b = X._parent[b]
     return a
@@ -440,6 +445,84 @@ def pl_value_oracle(xs: Sequence[Fraction], ys: Sequence[Fraction], t: Fraction)
             span = xs[i + 1] - xs[i]
             return ys[i] + (ys[i + 1] - ys[i]) * (t - xs[i]) / span
     return ys[-1]
+
+
+# -- the earlier construction: orientation, edge lookup, odometer, orbit layers ------
+
+
+def orientation_oracle(X: Dendrite) -> dict:
+    """The parent tables by one sorted adjacency scan per vertex.
+
+    Every vertex in ``id_key`` order that no earlier walk reached roots a
+    breadth-first walk, which takes each vertex's edges sorted by rank.
+    Returns the tables by attribute name, plus each vertex's degree and
+    the root of its component.
+    """
+    rank = {eid: i for i, eid in enumerate(sorted((e.eid for e in X.edges), key=id_key))}
+    adj: dict = {v: [] for v in X.vertices}
+    for e in X.edges:
+        adj[e.u].append((e, e.v))
+        adj[e.v].append((e, e.u))
+    order, parent, parent_edge, depth, component = [], {}, {}, {}, {}
+    for root in sorted(X.vertices, key=id_key):
+        if root in parent:
+            continue
+        parent[root] = parent_edge[root] = None
+        depth[root] = 0
+        component[root] = root
+        queue = [root]
+        for head in queue:
+            order.append(head)
+            for e, other in sorted(adj[head], key=lambda item: rank[item[0].eid]):
+                if other in parent:
+                    continue
+                parent[other] = head
+                parent_edge[other] = e
+                depth[other] = depth[head] + 1
+                component[other] = root
+                queue.append(other)
+    return {"_order": order, "_parent": parent, "_parent_edge": parent_edge,
+            "_depth": depth, "_rank": rank,
+            "degree": {v: len(incident) for v, incident in adj.items()},
+            "component": component}
+
+
+def edge_between_oracle(X: Dendrite, a, b):
+    """The edge joining two vertices, by scanning the edge list."""
+    for e in X.edges:
+        if (e.u == a and e.v == b) or (e.v == a and e.u == b):
+            return e
+    raise DendrodynError(f"no edge between {a!r} and {b!r}")
+
+
+def add_one(label: str) -> str:
+    """Binary add-one-with-carry on a least-significant-first bit string."""
+    bits = list(label)
+    for i, b in enumerate(bits):
+        if b == "0":
+            bits[i] = "1"
+            return "".join(bits)
+        bits[i] = "0"
+    return "".join(bits)
+
+
+def orbit_layers_oracle(gens, x: DPoint, radius: int):
+    """BFS point layers; yields a copy of the cumulative set after each radius step."""
+    x = gens.dendrite.check_point(x)
+    seen = {x: None}
+    frontier = [x]
+    yield dict(seen)
+    maps = [h for _, _, h in gens.signed()]
+    for _ in range(radius):
+        nxt = []
+        for p in frontier:
+            for h in maps:
+                q = apply(h, p)
+                if q not in seen:
+                    seen[q] = None
+                    nxt.append(q)
+        frontier = nxt
+        yield dict(seen)
 
 
 # -- subdendrite helpers used by tests only ------------------------------------------

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dendrodyn
+import dendrodyn.action as action
 from dendrodyn.action import (
     GeneratorSet,
     Word,
@@ -28,7 +29,7 @@ from dendrodyn.action import (
 )
 from dendrodyn.dendrite import FiniteClosedSet, set_distance
 from dendrodyn.errors import UnknownSymbol
-from dendrodyn.homeo import apply, compose, identity_homeo, interval_homeo
+from dendrodyn.homeo import apply, compose, identity_homeo, interval_homeo, tree_automorphism
 from dendrodyn.measure import canonical_measure, dirac, push_forward
 from dendrodyn.zoo import (
     corrupted_leaf_collapse,
@@ -41,7 +42,7 @@ from dendrodyn.zoo import (
 )
 
 from conftest import pl_maps, tree_points, trees_with_points
-from oracles import classify_oracle, metric_distance
+from oracles import classify_oracle, metric_distance, orbit_layers_oracle
 
 F = Fraction
 
@@ -240,6 +241,50 @@ class TestOrbit:
         for sym in system.generators.symbols:
             h = system.generators.homeo(sym)
             assert {apply(h, p) for p in rep.points} == set(rep.points.points)
+
+
+def orbit_cases(star3):
+    """(generators, start point, radius) on odometers D=3..8, Thompson and the 3-star."""
+    for depth in range(3, 9):
+        system = odometer_system(depth)
+        X = system.dendrite
+        yield system.generators, leaf_point(X, depth), 2 ** (depth - 1) + 1
+        yield system.generators, X.point("e" + "1" * depth, F(1, 3)), 5
+    system = thompson_system()
+    for t in (F(1, 3), F(1, 2), F(0)):
+        yield system.generators, interval_point(system.dendrite, t), 5
+    turn = tree_automorphism(star3, {"c": "c", "l1": "l2", "l2": "l3", "l3": "l1"})
+    gens = GeneratorSet(star3, [("t", turn)], check=False)  # a homeomorphism that moves levels
+    yield gens, star3.vertex_point("l1"), 3
+    yield gens, star3.point("e2", F(1, 4)), 1
+
+
+class TestOrbitLayersOracle:
+    """One grown dict with sizes against a copy of the orbit per layer."""
+
+    def test_layers_match_copies(self, star3):
+        for gens, x, radius in orbit_cases(star3):
+            pairs = zip(action._orbit_layers(gens, x, radius),
+                        orbit_layers_oracle(gens, x, radius), strict=True)
+            for (seen, size), copy in pairs:
+                assert size == len(seen) == len(copy)
+                assert list(seen) == list(copy)
+
+    def test_reports_match_copying_search(self, star3, monkeypatch):
+        cases = list(orbit_cases(star3))
+
+        def reports():
+            out = []
+            for gens, x, radius in cases:
+                out.append((orbit(gens, x, radius),
+                            detect_finite_orbit(gens, x, radius),
+                            minimal_set_approx(gens, x, max(radius, 2), F(1, 64))))
+            return out
+
+        fast = reports()
+        monkeypatch.setattr(action, "_orbit_layers", lambda gens, x, radius: (
+            (layer, len(layer)) for layer in orbit_layers_oracle(gens, x, radius)))
+        assert fast == reports()
 
 
 class TestDetectFiniteOrbit:

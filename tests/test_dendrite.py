@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -34,14 +35,22 @@ from dendrodyn.errors import (
 from dendrodyn.util import point_key
 from dendrodyn.zoo import gehman_dendrite, leaf_point, odometer_system
 
-from conftest import nx_metric_oracle, random_trees, tree_points, trees_with_points
+from conftest import (
+    nx_metric_oracle,
+    random_forests,
+    random_trees,
+    tree_points,
+    trees_with_points,
+)
 from oracles import (
+    edge_between_oracle,
     hull_arc_diameter_modulus,
     is_connected,
     metric_arc,
     metric_distance,
     metric_retract_point,
     nearest_other_oracle,
+    orientation_oracle,
     portion_graph,
     sample_points,
     swept_gates,
@@ -144,6 +153,116 @@ class TestConstruction:
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(InvalidDendrite):
             Dendrite(["a", "b"], [("e", "a", "b")], [0])
+
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda: Dendrite([], []), InvalidDendrite, "a dendrite needs at least one vertex"),
+        (lambda: Dendrite(["a", "b"], [("e", "a", "b")], [1, 1]), InvalidDendrite,
+         "custom weight list does not match edge count"),
+        (lambda: Dendrite(["a", "b"], [("e", "a", "z")]), InvalidDendrite,
+         "edge 'e' references unknown vertices"),
+        (lambda: Dendrite(["a"], [("e", "a", "a")]), InvalidDendrite, "edge 'e' is a loop"),
+        (lambda: Dendrite(["a", "b"], [("e", "a", "b")], [0]), InvalidDendrite,
+         "edge 'e' has non-positive weight"),
+        (lambda: Dendrite(["a", "b"], [("e", "a", "b")], ["-1/2"]), InvalidDendrite,
+         "edge 'e' has non-positive weight"),
+        (lambda: Dendrite(["a", "b", "c"], [("e", "a", "b"), ("e", "b", "c")]),
+         InvalidDendrite, "duplicate edge ids"),
+        (lambda: Dendrite(["a", "b", "c"], [("e1", "a", "b"), ("e2", "b", "c"),
+                                            ("e3", "c", "a")]),
+         InvalidDendrite, "edge 'e3' creates a cycle"),
+        (lambda: Dendrite.forest(["a", "b", "c", "d"], [("e1", "c", "d"), ("e2", "a", "b"),
+                                                        ("e3", "b", "a")]),
+         InvalidDendrite, "edge 'e3' creates a cycle"),
+        (lambda: Dendrite(["a", "b", "c", "d"], [("e1", "a", "b"), ("e2", "b", "c"),
+                                                 ("e3", "c", "a")]),
+         InvalidDendrite, "edge 'e3' creates a cycle"),
+        (lambda: Dendrite(["a", "b", "c", "d"], [("e1", "a", "b"), ("e2", "c", "d")]),
+         InvalidDendrite, "dendrite is not connected"),
+        (lambda: Dendrite(["a", "b", "c", "d"], [("e1", "a", "b"), ("e2", "c", "d"),
+                                                 ("e3", "b", "c")]),
+         ChainingViolation, "chaining violated at edge index 2"),
+    ])
+    def test_error_type_and_message(self, build, error, message):
+        with pytest.raises(DendrodynError) as err:
+            build()
+        assert type(err.value) is error and str(err.value) == message
+
+
+def assert_construction_matches_oracle(X):
+    """The parent tables, degrees and edge lookups equal the sorted-scan construction."""
+    expected = orientation_oracle(X)
+    assert X._order == expected["_order"]
+    for table in ("_parent", "_parent_edge", "_depth", "_rank"):
+        assert getattr(X, table) == expected[table], table
+    assert {v: X.degree(v) for v in X.vertices} == expected["degree"]
+    for a, b in itertools.product(X.vertices, repeat=2):
+        try:
+            edge = edge_between_oracle(X, a, b)
+        except DendrodynError as err:
+            with pytest.raises(DendrodynError, match=re.escape(str(err))):
+                X.edge_between(a, b)
+        else:
+            assert X.edge_between(a, b) is edge
+
+
+class TestOrientation:
+    """The one-sort, adjacency-free construction against the per-vertex sorted BFS."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(random_trees())
+    def test_random_trees(self, X):
+        assert_construction_matches_oracle(X)
+
+    @settings(max_examples=300, deadline=None)
+    @given(random_forests())
+    def test_random_forests_with_mixed_ids(self, X):
+        assert_construction_matches_oracle(X)
+        component = orientation_oracle(X)["component"]
+        for a, b in itertools.product(X.vertices, repeat=2):
+            pair = [X.vertex_point(a), X.vertex_point(b)]
+            if component[a] == component[b]:
+                path = X.vertex_path(a, b)
+                assert path[0] == a and path[-1] == b
+                assert set(X.hull(pair).vertices) == set(path)
+            else:
+                for query in (lambda: X.vertex_path(a, b), lambda: X.hull(pair)):
+                    with pytest.raises(DendrodynError,
+                                       match="vertices lie in different components"):
+                        query()
+
+    @pytest.mark.parametrize("depth", [1, 2, 5])
+    def test_gehman(self, depth):
+        assert_construction_matches_oracle(gehman_dendrite(depth))
+
+    def test_connected_tree_rooted_at_least_vertex(self):
+        X = Dendrite([3, "a", 1, "b"], [("x", 3, "a"), (2, "a", 1), ("y", 1, "b")])
+        assert X._order[0] == 1 and X._parent[1] is None
+
+    def test_forest_roots_in_id_key_order(self):
+        X = Dendrite.forest(["d", "c", 2, "a"], [("e", "d", "c"), ("f", "a", 2)])
+        assert [v for v in X._order if X._parent[v] is None] == [2, "c"]
+
+
+class TestEdgeBetween:
+    def test_either_order(self, star3):
+        e1 = star3.edge("e1")
+        assert star3.edge_between("c", "l1") is e1 and star3.edge_between("l1", "c") is e1
+
+    @pytest.mark.parametrize("a, b", [("zz", "c"), ("c", "zz"), ("zz", "zz")])
+    def test_unknown_vertex_is_off_dendrite(self, star3, a, b):
+        with pytest.raises(PointOffDendrite, match="unknown vertex 'zz'"):
+            star3.edge_between(a, b)
+
+    @pytest.mark.parametrize("a, b", [("l1", "l2"), ("l1", "l1")])
+    def test_non_adjacent_pair(self, star3, a, b):
+        with pytest.raises(DendrodynError) as err:
+            star3.edge_between(a, b)
+        assert type(err.value) is DendrodynError
+        assert str(err.value) == f"no edge between {a!r} and {b!r}"
+
+    def test_unknown_vertex_degree(self, star3):
+        with pytest.raises(PointOffDendrite, match="unknown vertex 'zz'"):
+            star3.degree("zz")
 
 
 class TestArc:

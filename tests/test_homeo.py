@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dendrodyn.dendrite import Dendrite, Subdendrite
-from dendrodyn.errors import DendriteMismatch, InvalidHomeo
+from dendrodyn.errors import DendriteMismatch, DendrodynError, InvalidHomeo
 from dendrodyn.homeo import (
     Homeo,
     PLMap,
@@ -307,6 +307,19 @@ class TestValidate:
         assert report.valid
         assert "isometric" in report.notes
 
+    def test_thompson_maps_are_not_isometric(self, fg):
+        # they preserve the one edge's weight but stretch parts of it
+        for h in fg:
+            for g in (h, invert(h)):
+                report = validate(g)
+                assert report.valid
+                assert "isometric" not in report.notes
+
+    def test_weight_change_is_noted(self):
+        X = Dendrite(["a", "b", "c"], [("e1", "a", "b", 1), ("e2", "b", "c", 1)], [1, 2])
+        report = validate(tree_automorphism(X, {"a": "c", "b": "b", "c": "a"}))
+        assert report.valid and report.notes == ("weights not preserved",)
+
 
 class TestTreeAuto:
     def test_degree_preserved(self):
@@ -335,6 +348,44 @@ class TestTreeAuto:
     def test_missing_image_edge_rejected(self, star3):
         with pytest.raises(InvalidHomeo):
             tree_automorphism(star3, {"c": "l1", "l1": "c", "l2": "l2", "l3": "l3"})
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda X: tree_automorphism(X, {"c": "c", "l1": "l1", "l2": "l2"}),
+         "vertex map is not a permutation of the vertex set"),
+        (lambda X: tree_automorphism(X, {"c": "c", "l1": "l1", "l2": "l1", "l3": "l3"}),
+         "vertex map is not a permutation of the vertex set"),
+        (lambda X: tree_automorphism(X, {"c": "c", "l1": "zz", "l2": "l2", "l3": "l3"}),
+         "vertex map is not a permutation of the vertex set"),
+        (lambda X: tree_automorphism(X, {v: v for v in X.vertices}, {"e2": PLMap.flip()}),
+         "reparams must be orientation-preserving from the u-side"),
+        (lambda X: tree_automorphism(X, {"c": "l1", "l1": "c", "l2": "l2", "l3": "l3"}),
+         "edge 'e2' has no image edge between 'l1' and 'l2'"),
+        (lambda X: interval_homeo(X, [0, 1], [0, 1]),
+         "interval homeomorphisms need a single-edge dendrite"),
+        (lambda X: invert(Homeo(X, {"c": "c", "l1": "l1", "l2": "l1", "l3": "l3"}, {})),
+         "vertex map is not injective; no inverse exists"),
+        (lambda X: invert(Homeo(X, {v: v for v in X.vertices},
+                                {"e1": ("e1", PLMap.identity()),
+                                 "e2": ("e1", PLMap.identity())})),
+         "edge map is not injective; no inverse exists"),
+        (lambda X: invert(Homeo(X, {v: v for v in X.vertices},
+                                {"e1": ("e2", PLMap.identity())})),
+         "edge map is not surjective; no inverse exists"),
+    ])
+    def test_error_messages(self, star3, build, message):
+        with pytest.raises(DendrodynError) as err:
+            build(star3)
+        assert type(err.value) is InvalidHomeo and str(err.value) == message
+
+    def test_public_constructor_copies_and_tuples(self, star3):
+        vm = {v: v for v in star3.vertices}
+        em = {e.eid: [e.eid, PLMap.identity()] for e in star3.edges}
+        h = Homeo(star3, vm, em)
+        vm["c"] = "l1"
+        em["e1"][0] = "e2"
+        assert h.vertex_map["c"] == "c"
+        assert h.edge_map["e1"] == ("e1", PLMap.identity())
+        assert h == identity_homeo(star3)
 
     def test_image_subdendrite_thompson(self, X, fg):
         # real PL maps: the image of an arc is the arc between the end images

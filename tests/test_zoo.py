@@ -6,7 +6,7 @@ import pytest
 from dendrodyn.action import Word, detect_finite_orbit
 from dendrodyn.dendrite import boundary_classification
 from dendrodyn.errors import ConfigInvalid, NotReduced
-from dendrodyn.homeo import apply, compose, identity_homeo, validate
+from dendrodyn.homeo import apply, compose, identity_homeo, tree_automorphism, validate
 from dendrodyn.zoo import (
     free_group_cylinder,
     folner_scheme_Z,
@@ -21,6 +21,8 @@ from dendrodyn.zoo import (
     unit_interval_dendrite,
     verify_paradox_partition,
 )
+
+from oracles import add_one
 
 F = Fraction
 
@@ -171,6 +173,16 @@ class TestOdometer:
 
     def test_validates(self):
         assert validate(odometer(5)).valid
+
+    @pytest.mark.parametrize("depth", range(1, 11))
+    def test_vertex_map_is_add_one_on_the_trees_own_ids(self, depth):
+        X = gehman_dendrite(depth)
+        g = odometer(depth, X)
+        expected = {v: v if v == "r" else add_one(v) for v in X.vertices}
+        assert g.vertex_map == expected
+        own = {id(v) for v in X.vertices}
+        assert all(id(image) in own for image in g.vertex_map.values())
+        assert g == tree_automorphism(X, expected)
 
 
 class TestFreeGroupCylinder:

@@ -481,6 +481,15 @@ class Dendrite:
         return quotient, projection
 
 
+def _node(p: DPoint):
+    """A point's node in a tree: a vertex by its id, a point inside an edge as itself."""
+    return p.vertex if isinstance(p, VertexPoint) else p
+
+
+def _point(n) -> DPoint:
+    return n if isinstance(n, EdgePoint) else VertexPoint(n)
+
+
 class Subdendrite:
     """A connected union of vertices and rational edge portions.
 
@@ -562,37 +571,24 @@ class Subdendrite:
     def portion_map(self) -> dict:
         return dict(self.portions)
 
-    # -- derived node graph (endpoints) ------------------------------------------
-
-    def _node_graph(self):
-        nodes: set = set()
-        segments: list[tuple[object, object]] = []
-        for v in self.vertices:
-            nodes.add(("v", v))
+    def _degrees(self) -> dict:
+        """The number of segments at each node: a vertex by its id, a portion
+        end inside its edge as an ``EdgePoint`` (the convention of ``_node``)."""
+        edge = self.dendrite._edge_by_id
+        degree = dict.fromkeys(self.vertices, 0)
         for eid, (lo, hi) in self.portions:
-            e = self.dendrite.edge(eid)
-            n_lo = ("v", e.u) if lo == 0 else ("p", eid, lo)
-            n_hi = ("v", e.v) if hi == 1 else ("p", eid, hi)
-            nodes.add(n_lo)
-            nodes.add(n_hi)
-            if lo < hi:
-                segments.append((n_lo, n_hi))
-        return nodes, segments
-
-    def _node_point(self, node) -> DPoint:
-        if node[0] == "v":
-            return VertexPoint(node[1])
-        return EdgePoint(node[1], node[2])
+            e = edge[eid]
+            a = e.u if lo == 0 else EdgePoint(eid, lo)
+            b = e.v if hi == 1 else EdgePoint(eid, hi)
+            step = 0 if a == b else 1  # a single point inside the edge has no segment
+            degree[a] = degree.get(a, 0) + step
+            degree[b] = degree.get(b, 0) + step
+        return degree
 
     def endpoint_set(self) -> "FiniteClosedSet":
         """Points whose removal keeps the subdendrite connected (tree leaves)."""
-        nodes, segments = self._node_graph()
-        degree = {n: 0 for n in nodes}
-        for a, b in segments:
-            degree[a] += 1
-            degree[b] += 1
-        pts = [self._node_point(n) for n, d in degree.items() if d <= 1]
-        return FiniteClosedSet(self.dendrite, pts)
+        return FiniteClosedSet(self.dendrite,
+                               [_point(n) for n, d in self._degrees().items() if d <= 1])
 
     def diameter(self) -> Fraction:
         """The largest distance along the subdendrite, in one bottom-up pass.

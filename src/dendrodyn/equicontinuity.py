@@ -21,6 +21,8 @@ from .dendrite import (
     FiniteClosedSet,
     Subdendrite,
     VertexPoint,
+    _node,
+    _point,
     _sweep_distances,
     eps_grid_values,
 )
@@ -63,10 +65,15 @@ def build_tree_tower(gens: GeneratorSet, m: FiniteClosedSet, n_max: int,
                      orbit_budget: int | None = None) -> TreeTower:
     """Nested sub-trees of the hull of ``m`` with finite-orbit frontiers.
 
-    ``minimal_class`` "finite" short-circuits to the one-level tower [m].
-    Branch points are scanned in increasing distance from the hull's smallest
-    vertex; the first certified orbits win.
+    ``minimal_class`` is "cantor-like" or "finite", which short-circuits to
+    the one-level tower [m]; ``n_max`` must be at least 1 (``ValueError``
+    otherwise).  Branch points are scanned in increasing distance from the
+    hull's smallest vertex; the first certified orbits win.
     """
+    if minimal_class not in ("finite", "cantor-like"):
+        raise ValueError(f"minimal_class must be 'finite' or 'cantor-like', got {minimal_class!r}")
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
     X = gens.dendrite
     hull = X.hull(m)
     if minimal_class == "finite":
@@ -74,14 +81,7 @@ def build_tree_tower(gens: GeneratorSet, m: FiniteClosedSet, n_max: int,
         return TreeTower(X, hull, m, (level,))
 
     budget = orbit_budget if orbit_budget is not None else max(64, 2 ** n_max)
-    degree: dict[object, int] = {}
-    for eid, (lo, hi) in hull.portions:
-        e = X.edge(eid)
-        if lo == 0:
-            degree[e.u] = degree.get(e.u, 0) + 1
-        if hi == 1:
-            degree[e.v] = degree.get(e.v, 0) + 1
-    branch_points = [v for v, d in degree.items() if d >= 3]
+    branch_points = [v for v, d in hull._degrees().items() if d >= 3]  # vertices only
     if not branch_points:
         raise NoFiniteOrbitFound("the hull has no branch points to scan")
     _, length = integer_scale(e.weight for e in X.edges)
@@ -112,31 +112,15 @@ def build_tree_tower(gens: GeneratorSet, m: FiniteClosedSet, n_max: int,
 
     levels: list[TowerLevel] = []
     accumulated: list[DPoint] = []
-    prev_tree: Subdendrite | None = None
     for i, orb in enumerate(orbits, start=1):
-        accumulated.extend(orb)
+        accumulated.extend(orb)  # so the trees nest
         tree = X.hull(accumulated)
-        if prev_tree is not None and not _nested(prev_tree, tree):
-            raise CoverageGap(f"tower nesting broken at level {i}")
         frontier = tree.endpoint_set()
         strict = frontier == orb
         if not _is_closed(gens, dict.fromkeys(frontier)):
             raise CoverageGap(f"frontier at level {i} is not generator-closed")
         levels.append(TowerLevel(i, orb, tree, frontier, strict))
-        prev_tree = tree
     return TreeTower(X, hull, m, tuple(levels))
-
-
-def _nested(inner: Subdendrite, outer: Subdendrite) -> bool:
-    """Whether ``inner`` lies in ``outer``: its vertices, and each portion inside one of ``outer``'s."""
-    if not inner.vertices <= outer.vertices:
-        return False
-    parts = outer.portion_map()
-    for eid, (lo, hi) in inner.portions:
-        part = parts.get(eid)
-        if part is None or lo < part[0] or part[1] < hi:
-            return False
-    return True
 
 
 class FrontierCover(Record):
@@ -151,36 +135,32 @@ class FrontierCover(Record):
         return max(self.diameters)
 
 
-def _node(p: DPoint):
-    """A point's node in a rooted hull: a vertex by its id, an edge point as itself."""
-    return p.vertex if isinstance(p, VertexPoint) else p
-
-
-def _point(n) -> DPoint:
-    return n if isinstance(n, EdgePoint) else VertexPoint(n)
-
-
 class _RootedHull:
-    """A hull rooted at one of its points, with the diameter below each anchor.
+    """A hull rooted at a first-level frontier point, with two labels per node.
 
     Nodes are the hull's vertices (by id) and its cut points (``EdgePoint``s):
-    the minimal-set points, the anchors and the root where they lie inside
+    the minimal-set points and the frontier points where they lie inside
     edges.  A segment runs between consecutive nodes along a portion; the
     segments are kept in the hull's portion order, an uncut portion as the
     hull's own ``(edge id, (lo, hi))`` item, which the cells then share.
-    Nodes are numbered breadth-first from the root, so each segment has a
-    lower node.  One bottom-up pass, on segment lengths that are integers
-    over the common denominator ``scale``, gives the diameter of the part
-    below each node: the larger of its two longest reaches to the minimal set
-    summed and the largest diameter below a child.  Each cover level is then
-    one top-down pass (:meth:`cover`).
+    Nodes are numbered breadth-first from the root, the least first-level
+    frontier point by ``point_key``, so each segment has a lower node.  One
+    bottom-up pass, on segment lengths that are integers over the common
+    denominator ``scale``, gives each node two labels.  Its diameter below:
+    the larger of its two longest reaches summed and the largest diameter
+    below a child.  Its rank: the first level with a frontier point at or
+    below it.  A level tree is the hull of its frontier and holds the root,
+    so it is the union of the arcs from the root to its frontier points, and
+    the trees nest: a node lies in level n's tree exactly when its rank is at
+    most n.  Each cover level is then one top-down pass (:meth:`cover`).
     """
 
-    def __init__(self, dendrite: Dendrite, hull: Subdendrite, root: DPoint,
-                 m: FiniteClosedSet, anchors: Sequence[DPoint]):
+    def __init__(self, dendrite: Dendrite, hull: Subdendrite, m: FiniteClosedSet,
+                 frontiers: Sequence[FiniteClosedSet]):
         X = dendrite
+        anchors = [a for frontier in frontiers for a in frontier.points]
         at: dict[object, set] = {}  # edge id -> cut parameters
-        for p in chain(m.points, anchors, (root,)):
+        for p in chain(m.points, anchors):
             if isinstance(p, EdgePoint):
                 at.setdefault(p.edge, set()).add(p.t)
         adj: dict[object, list] = {v: [] for v in hull.vertices}
@@ -204,7 +184,7 @@ class _RootedHull:
                 items.append(item if not ts else (eid, (a, b)))
                 lengths.append(e.weight if whole else (b - a) * e.weight)
         self.scale, length = integer_scale(lengths)
-        top = _node(root)
+        top = _node(min(frontiers[0].points, key=point_key))
         order, index, parent = [top], {top: 0}, [0]
         lower = [0] * len(items)  # per segment, its lower node
         for k, n in enumerate(order):  # breadth-first; the list grows as it is read
@@ -216,6 +196,12 @@ class _RootedHull:
         reach = [0] * len(order)  # the length of the segment above each node
         for i, k in enumerate(lower):
             reach[k] = length(lengths[i])
+        rank = [len(frontiers) + 1] * len(order)  # past every level until a frontier is met
+        for n, frontier in enumerate(frontiers, start=1):
+            for a in frontier.points:  # mark the way up, down to an earlier level's mark
+                k = index[_node(a)]
+                while rank[k] > n:
+                    rank[k], k = n, parent[k]
         height, second, diam = [0] * len(order), [0] * len(order), [0] * len(order)
         for k in range(len(order) - 1, 0, -1):
             d = max(diam[k], height[k] + second[k])
@@ -227,47 +213,32 @@ class _RootedHull:
                 second[p] = r
             if d > diam[p]:
                 diam[p] = d
-        self.dendrite, self.order, self.parent = X, order, parent
+        self.dendrite, self.order, self.parent, self.rank = X, order, parent, rank
         self.items, self.lower = items, lower
         self.minimal = bytearray(len(order))  # 1 at the minimal set's nodes
         for x in m.points:
             self.minimal[index[_node(x)]] = 1
-        self.index = {n: index[n] for n in map(_node, anchors) if n in index}
+        self.index = {n: index[n] for n in map(_node, anchors)}
         self.below = {k: diam[k] for k in self.index.values()}
         self.children = [(k, height[k] + reach[k], diam[k])
                          for k in range(1, len(order)) if parent[k] == 0]
 
-    def cover(self, tree: Subdendrite, frontier: FiniteClosedSet, level: int
+    def cover(self, n: int, tree: Subdendrite, frontier: FiniteClosedSet, level: int
               ) -> FrontierCover:
-        """The cover of ``tree``'s frontier, whose points must be anchors of the hull.
+        """The cover of ``tree``, the ``n``-th level, whose frontier is ``frontier``.
 
-        ``tree`` must contain the root.  A top-down pass labels every node
-        with its gate on ``tree``, the first point of ``tree`` on its way up.
-        A minimal-set point whose gate is no frontier point is a coverage
-        gap; every other node and the segment above it belong to its gate's
-        cell.  Each cell collects its segments in the hull's portion order,
-        so it needs no sort.
+        A top-down pass labels every node with its gate on ``tree``, the
+        first node of rank at most ``n`` on its way up.  A minimal-set point
+        whose gate is no frontier point is a coverage gap; every other node
+        and the segment above it belong to its gate's cell.  Each cell
+        collects its segments in the hull's portion order, so it needs no
+        sort.
         """
-        order, index, parent = self.order, self.index, self.parent  # index: anchors only
-        vertices, parts = tree.vertices, tree.portion_map()
-
-        def inside(n) -> bool:
-            if isinstance(n, EdgePoint):
-                part = parts.get(n.edge)
-                return part is not None and part[0] <= n.t <= part[1]
-            return n in vertices
-
-        inner = bytearray(len(order))
-        inner[0] = 1
+        order, index, parent, rank = self.order, self.index, self.parent, self.rank
         gate = [0] * len(order)
         for k in range(1, len(order)):
-            p = parent[k]
-            if inner[p] and inside(order[k]):
-                inner[k] = 1
-                gate[k] = k
-            else:
-                gate[k] = gate[p]
-        anchors = {index[n]: a for a in frontier.points if (n := _node(a)) in index}
+            gate[k] = k if rank[k] <= n else gate[parent[k]]
+        anchors = {index[_node(a)]: a for a in frontier.points}
         stray = [k for k, x in enumerate(self.minimal) if x and gate[k] not in anchors]
         if stray:
             x, g = min(((_point(order[k]), _point(order[gate[k]])) for k in stray),
@@ -275,7 +246,7 @@ class _RootedHull:
             raise CoverageGap(f"minimal-set point {x!r} attaches at {g!r}, outside the frontier")
         members = {k: (set(), []) for k in anchors}
         for item, k in zip(self.items, self.lower):
-            if inner[k]:
+            if rank[k] <= n:
                 continue
             nodes, items = members[gate[k]]
             if items and items[-1][0] == item[0]:  # the next segment of a cut portion
@@ -286,44 +257,33 @@ class _RootedHull:
                 nodes.add(order[k])
         cells, diameters = [], []
         for a in sorted(frontier.points, key=point_key):
-            n = _node(a)
-            nodes, items = members.pop(index.get(n), (set(), []))
+            k = index[_node(a)]
+            nodes, items = members[k]
             if isinstance(a, VertexPoint):
-                nodes.add(n)
+                nodes.add(a.vertex)
             elif not items:
                 items.append((a.edge, (a.t, a.t)))
             cells.append((a, Subdendrite(self.dendrite, frozenset(nodes), tuple(items))))
-            k = index.get(n)
             if k == 0:  # the root's cell leaves out the branch holding the tree
-                outer = [(r, d) for c, r, d in self.children if not inner[c]]
+                outer = [(r, d) for c, r, d in self.children if rank[c] > n]
                 reach = sorted((r for r, _ in outer), reverse=True)
                 d = max([sum(reach[:2])] + [d for _, d in outer])
             else:
-                d = self.below.get(k, 0)
+                d = self.below[k]
             diameters.append(Fraction(d, self.scale))
         return FrontierCover(level, tree, tuple(cells), tuple(diameters))
-
-
-def _root_point(tree: Subdendrite, frontier: FiniteClosedSet) -> DPoint:
-    """A point of ``tree`` to root a hull at: its first vertex off the frontier, if any."""
-    inner = [v for v in tree.vertices if VertexPoint(v) not in frontier.points]
-    if inner:
-        return VertexPoint(min(inner, key=id_key))
-    return next(iter(frontier))
 
 
 def _covers(dendrite: Dendrite, m: FiniteClosedSet, hull: Subdendrite,
             levels: Sequence[tuple[Subdendrite, FiniteClosedSet, int]]) -> list[FrontierCover]:
     """The cover of each ``(tree, frontier, index)`` level, from one rooted ``hull``.
 
-    The trees must nest, the hull must contain ``m`` and the first tree, and
-    each hull leaf must be a point of ``m`` or the root, which is a point of
-    the first tree.  Raises the first level's coverage gap, if any.
+    Each tree must be the hull of its frontier and lie in the next, and the
+    hull must be the hull of ``m`` and the trees.  Raises the first level's
+    coverage gap, if any.
     """
-    tree, frontier, _ = levels[0]
-    rooted = _RootedHull(dendrite, hull, _root_point(tree, frontier), m,
-                         [a for _, frontier, _ in levels for a in frontier.points])
-    return [rooted.cover(*level) for level in levels]
+    rooted = _RootedHull(dendrite, hull, m, [frontier for _, frontier, _ in levels])
+    return [rooted.cover(n, *level) for n, level in enumerate(levels, start=1)]
 
 
 def frontier_cover(dendrite: Dendrite, m: FiniteClosedSet,
@@ -332,12 +292,12 @@ def frontier_cover(dendrite: Dendrite, m: FiniteClosedSet,
     the sub-tree only at that frontier point.
 
     This is the one-level case of ``_covers``, on the hull of ``m`` and the
-    point of ``tree`` it is rooted at.
+    tree's frontier.
     """
     frontier = tree.endpoint_set()
     if len(frontier) == 0:
         raise FrontierEmpty("sub-tree has no frontier")
-    hull = dendrite.hull(chain(m.points, (_root_point(tree, frontier),)))
+    hull = dendrite.hull(chain(m.points, frontier.points))
     return _covers(dendrite, m, hull, [(tree, frontier, level)])[0]
 
 
@@ -388,14 +348,12 @@ class CertificateLevel(Record):
     cell_count: int
 
 
-class EquicontinuityCertificate(Record, uncompared=("tower", "covers")):
+class EquicontinuityCertificate(Record):
     verdict: str  # "Certified" | "Empirical" | "Failed"
     levels: tuple[CertificateLevel, ...]
     delta_table: tuple[tuple[Fraction, Fraction], ...]
     explanation: str
     witness: tuple | None = None
-    tower: TreeTower | None = None
-    covers: tuple[FrontierCover, ...] = ()
 
 
 def _delta_table(meshes: Sequence[Fraction], eps_grid: Sequence[Fraction]):
@@ -426,17 +384,17 @@ def equicontinuity_certificate(gens: GeneratorSet, m: FiniteClosedSet, n_max: in
         eps_grid = eps_grid_values(eps_grid)
     tower = build_tree_tower(gens, m, n_max, minimal_class=minimal_class,
                              orbit_budget=orbit_budget)
+    covers = _covers(gens.dendrite, m, tower.hull,
+                     [(level.tree, level.frontier, level.index) for level in tower.levels])
+    covers.reverse()  # popped level by level, so each cover is dropped once checked
     levels = []
-    covers = []
     witness = None
     all_equivariant = True
     meshes: list[Fraction] = []
-    for level, cover in zip(tower.levels, _covers(
-            gens.dendrite, m, tower.hull,
-            [(level.tree, level.frontier, level.index) for level in tower.levels])):
+    for level in tower.levels:
+        cover = covers.pop()
         if cover_tamper is not None:
             cover = cover_tamper(cover)
-        covers.append(cover)
         report = verify_cover_equivariance(gens, cover)
         if not report.ok and witness is None:
             witness = report.counterexample
@@ -463,8 +421,7 @@ def equicontinuity_certificate(gens: GeneratorSet, m: FiniteClosedSet, n_max: in
         verdict = "Failed"
         explanation = ("mesh sequence does not decay to the requested target"
                        if not target_ok else "mesh sequence is not strictly decreasing")
-    return EquicontinuityCertificate(verdict, tuple(levels), table, explanation,
-                                     witness, tower, tuple(covers))
+    return EquicontinuityCertificate(verdict, tuple(levels), table, explanation, witness)
 
 
 def tamper_remove_edge(cover: FrontierCover) -> FrontierCover:

@@ -211,6 +211,9 @@ def tree_automorphism(dendrite: Dendrite, vertex_map: Mapping,
     vm = dict(vertex_map)
     if vm.keys() != dendrite.vertices or set(vm.values()) != dendrite.vertices:
         raise InvalidHomeo("vertex map is not a permutation of the vertex set")
+    unknown = reparams.keys() - dendrite._edge_by_id.keys() if reparams else ()
+    if unknown:
+        raise InvalidHomeo("reparams name unknown edges " + ", ".join(sorted(map(repr, unknown))))
     identity = PLMap.identity()
     edge_map = {}
     for e in dendrite.edges:

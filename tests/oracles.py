@@ -12,10 +12,11 @@ builds one arc per probe pair.  ``measure_oracle``, ``add_oracle`` and
 ``pl_value_oracle`` are the earlier measure layer: a validating constructor
 that merges touching rows itself, a sum on its own cut grid, and an indexed
 interpolation loop.  ``frontier_cover_oracle``, ``union_connected``,
-``classify_oracle`` and ``nearest_other_oracle`` are the earlier cover and
-classification layer: one gate walk, one hull and one diameter per cell and
-level, a nesting check through a validated union, and ``Fraction`` sweeps
-over 2|V| - 1 skeleton probes and two-nearest labels.
+``classify_oracle``, ``nearest_other_oracle`` and ``node_degree_oracle`` are
+the earlier cover and classification layer: one gate walk, one hull and one
+diameter per cell and level, a nesting check through a validated union,
+``Fraction`` sweeps over 2|V| - 1 skeleton probes and two-nearest labels, and
+a node graph of tagged tuples that endpoints and branch points were counted on.
 ``orientation_oracle``, ``edge_between_oracle``, ``add_one`` and
 ``orbit_layers_oracle`` are the earlier construction and orbit search: one
 sorted adjacency scan per vertex, an edge scan per lookup, add-one-with-carry
@@ -289,6 +290,29 @@ def frontier_cover_oracle(dendrite: Dendrite, m: FiniteClosedSet,
     for a in sorted(anchors, key=point_key):
         cells.append((a, dendrite.hull([a] + assigned[a])))
     return FrontierCover(level, tree, tuple(cells), tuple(c.diameter() for _, c in cells))
+
+
+def node_degree_oracle(sub: Subdendrite) -> dict:
+    """Point -> number of segments at it, on a graph of ``("v", vertex)`` and
+    ``("p", edge, t)`` nodes; endpoints have degree at most 1."""
+    nodes: set = set()
+    segments: list[tuple[object, object]] = []
+    for v in sub.vertices:
+        nodes.add(("v", v))
+    for eid, (lo, hi) in sub.portions:
+        e = sub.dendrite.edge(eid)
+        n_lo = ("v", e.u) if lo == 0 else ("p", eid, lo)
+        n_hi = ("v", e.v) if hi == 1 else ("p", eid, hi)
+        nodes.add(n_lo)
+        nodes.add(n_hi)
+        if lo < hi:
+            segments.append((n_lo, n_hi))
+    degree = {n: 0 for n in nodes}
+    for a, b in segments:
+        degree[a] += 1
+        degree[b] += 1
+    return {VertexPoint(n[1]) if n[0] == "v" else EdgePoint(n[1], n[2]): d
+            for n, d in degree.items()}
 
 
 def union_connected(a: Subdendrite, b: Subdendrite) -> Subdendrite:

@@ -11,6 +11,7 @@ from dendrodyn.dendrite import (
     FiniteClosedSet,
     Subdendrite,
     _distance_to_set,
+    _point,
     _point_to_set,
     arc_decomposition,
     arc_diameter_modulus,
@@ -50,6 +51,7 @@ from oracles import (
     metric_distance,
     metric_retract_point,
     nearest_other_oracle,
+    node_degree_oracle,
     orientation_oracle,
     portion_graph,
     sample_points,
@@ -378,6 +380,31 @@ class TestConvexHull:
         small = X.hull(pts[:2])
         large = X.hull(pts)
         assert union_connected(small, large) == large
+
+
+class TestNodeDegrees:
+    """One degree count serves the endpoint set and the tower's branch points."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_node_graph_oracle(self, data):
+        # hulls of one point (a degenerate portion when it lies inside an
+        # edge), of two (an arc) and of more, and the whole tree
+        X = data.draw(random_trees(max_edges=8))
+        count = data.draw(st.integers(0, 4))
+        sub = X.hull([data.draw(tree_points(X)) for _ in range(count)]) if count else X.whole()
+        expected = node_degree_oracle(sub)
+        degrees = sub._degrees()
+        assert {_point(n): d for n, d in degrees.items()} == expected
+        assert sub.endpoint_set() == FiniteClosedSet(X, [p for p, d in expected.items() if d <= 1])
+        assert ({v for v, d in degrees.items() if d >= 3}
+                == {p.vertex for p, d in expected.items() if d >= 3})
+
+    def test_point_inside_an_edge(self, star3):
+        p = star3.point("e1", F(1, 3))
+        sub = star3.hull([p])
+        assert sub._degrees() == {p: 0}
+        assert sub.endpoint_set() == FiniteClosedSet(star3, [p])
 
 
 class TestRetract:

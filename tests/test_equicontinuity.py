@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from dendrodyn import equicontinuity
 from dendrodyn.action import detect_finite_orbit, evaluate_word, word_ball
 from dendrodyn.dendrite import FiniteClosedSet, arc_diameter_modulus, hausdorff_distance, mesh
-from dendrodyn.equicontinuity import _covers, _nested
-from dendrodyn.dendrite import Dendrite, VertexPoint, _distance_to_set, _point_to_set
+from dendrodyn.equicontinuity import _RootedHull, _covers
+from dendrodyn.dendrite import Dendrite, VertexPoint, _distance_to_set, _point, _point_to_set
 from dendrodyn.equicontinuity import (
     FrontierCover,
     _spread,
@@ -96,6 +96,24 @@ class TestTower:
         g = system.generators.homeo("g")
         for lvl in tower.levels:
             assert {apply(g, p) for p in lvl.frontier} == set(lvl.frontier.points)
+
+    @pytest.mark.parametrize("minimal_class", ["Finite", "fnite", "whole-space", None])
+    def test_unknown_minimal_class_refused(self, odo4_setup, minimal_class):
+        system, m = odo4_setup
+        message = f"minimal_class must be 'finite' or 'cantor-like', got {minimal_class!r}"
+        with pytest.raises(ValueError) as err:
+            build_tree_tower(system.generators, m, 3, minimal_class=minimal_class)
+        assert str(err.value) == message
+        with pytest.raises(ValueError) as err:
+            equicontinuity_certificate(system.generators, m, 3, minimal_class=minimal_class)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("minimal_class", ["finite", "cantor-like"])
+    @pytest.mark.parametrize("n_max", [0, -1])
+    def test_n_max_below_one_refused(self, odo4_setup, n_max, minimal_class):
+        system, m = odo4_setup
+        with pytest.raises(ValueError, match="^n_max must be at least 1$"):
+            build_tree_tower(system.generators, m, n_max, minimal_class=minimal_class)
 
     def test_no_finite_orbit_regime(self):
         # a free-style PL pair with no branch points to scan: hull of the
@@ -489,6 +507,12 @@ def trees_with_sets(draw, max_points=6):
     return X, FiniteClosedSet(X, points)
 
 
+def tower_covers(tower):
+    """Every level's cover of a tower, as the certificate builds them."""
+    return _covers(tower.dendrite, tower.minimal_set, tower.hull,
+                   [(lvl.tree, lvl.frontier, lvl.index) for lvl in tower.levels])
+
+
 class TestOnePassCovers:
     """Covers from one rooted pass against the per-level gate walk, hull and diameter."""
 
@@ -532,9 +556,10 @@ class TestOnePassCovers:
     def test_odometer_every_level_matches_oracle(self, depth):
         system = odometer_system(depth)
         X, m = system.dendrite, leaf_set(system, depth)
-        cert = equicontinuity_certificate(system.generators, m, depth)
-        assert len(cert.covers) == depth - 1
-        for level, cover in zip(cert.tower.levels, cert.covers):
+        tower = build_tree_tower(system.generators, m, depth)
+        covers = tower_covers(tower)
+        assert len(covers) == depth - 1
+        for level, cover in zip(tower.levels, covers):
             assert cover == frontier_cover_oracle(X, m, level.tree, level.index)
             assert cover.mesh() == mesh([c for _, c in cover.cells])
 
@@ -562,22 +587,15 @@ class TestOnePassCovers:
                                 ("s", tree_automorphism(X, swap))])
         m = FiniteClosedSet(X, [X.vertex_point(f"l{i}{j}") for i in arms for j in "01"])
         cert = equicontinuity_certificate(gens, m, 2)
-        assert [len(lvl.orbit) for lvl in cert.tower.levels] == [1, 3]
-        assert cert.tower.levels[0].tree == X.hull([X.vertex_point("a")])
-        assert cert.covers[0].cells == ((X.vertex_point("a"), X.hull(m)),)
-        for level, cover in zip(cert.tower.levels, cert.covers):
+        tower = build_tree_tower(gens, m, 2)
+        covers = tower_covers(tower)
+        assert [len(lvl.orbit) for lvl in tower.levels] == [1, 3]
+        assert tower.levels[0].tree == X.hull([X.vertex_point("a")])
+        assert covers[0].cells == ((X.vertex_point("a"), X.hull(m)),)
+        for level, cover in zip(tower.levels, covers):
             assert cover == frontier_cover_oracle(X, m, level.tree, level.index)
         assert [lvl.mesh for lvl in cert.levels] == [3, 1]
         assert cert.verdict == "Certified"
-
-    @settings(max_examples=200, deadline=None)
-    @given(data=st.data())
-    def test_nesting_check_matches_union_oracle(self, data):
-        X = data.draw(random_trees(max_edges=8))
-        a = X.hull([data.draw(tree_points(X)) for _ in range(data.draw(st.integers(1, 3)))])
-        b = X.hull([data.draw(tree_points(X)) for _ in range(data.draw(st.integers(1, 3)))])
-        assert _nested(a, b) == (union_connected(a, b) == b)
-        assert _nested(a, X.hull([*sample_points(a), *sample_points(b)]))
 
     def test_tampered_cover_keeps_the_broken_cells_mesh(self):
         # only the broken cell's diameter is recomputed; the mesh is the one
@@ -594,6 +612,46 @@ class TestOnePassCovers:
             assert list(cover.diameters) == [c.diameter() for _, c in cover.cells]
         clean = equicontinuity_certificate(system.generators, m, 4)
         assert [lvl.mesh for lvl in cert.levels] == [lvl.mesh for lvl in clean.levels]
+
+
+class TestRank:
+    """A node of the rooted hull lies in level n's tree exactly when its rank is at most n."""
+
+    @staticmethod
+    def check(rooted, trees):
+        assert _point(rooted.order[0]) == min(trees[0].endpoint_set().points, key=point_key)
+        for node, rank in zip(rooted.order, rooted.rank):
+            p = _point(node)
+            for n, tree in enumerate(trees, start=1):
+                assert (rank <= n) == tree.contains(p), (p, n)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_tower_levels(self, data):
+        X, m = data.draw(trees_with_sets())
+        hull = X.hull(m)
+        points = sample_points(hull)
+        chosen = [data.draw(st.sampled_from(points)) for _ in range(data.draw(st.integers(1, 4)))]
+        trees = [X.hull(chosen[:i]) for i in range(1, len(chosen) + 1)]
+        self.check(_RootedHull(X, hull, m, [t.endpoint_set() for t in trees]), trees)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_single_level(self, data):
+        # any sub-tree, as ``frontier_cover`` roots hull(M + frontier)
+        X, m = data.draw(trees_with_sets())
+        tree = X.hull([data.draw(tree_points(X)) for _ in range(data.draw(st.integers(1, 3)))])
+        frontier = tree.endpoint_set()
+        hull = X.hull([*m.points, *frontier.points])
+        self.check(_RootedHull(X, hull, m, [frontier]), [tree])
+
+    @pytest.mark.parametrize("depth", range(3, 7))
+    def test_odometer_tower(self, depth):
+        system = odometer_system(depth)
+        tower = build_tree_tower(system.generators, leaf_set(system, depth), depth)
+        rooted = _RootedHull(tower.dendrite, tower.hull, tower.minimal_set,
+                             [lvl.frontier for lvl in tower.levels])
+        self.check(rooted, [lvl.tree for lvl in tower.levels])
 
 
 class TestDefaultEpsGrid:

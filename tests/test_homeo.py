@@ -358,6 +358,13 @@ class TestTreeAuto:
          "vertex map is not a permutation of the vertex set"),
         (lambda X: tree_automorphism(X, {v: v for v in X.vertices}, {"e2": PLMap.flip()}),
          "reparams must be orientation-preserving from the u-side"),
+        (lambda X: tree_automorphism(X, {v: v for v in X.vertices},
+                                     {"nope": PLMap([0, "1/2", 1], [0, "1/4", 1])}),
+         "reparams name unknown edges 'nope'"),
+        (lambda X: tree_automorphism(X, {v: v for v in X.vertices},
+                                     {7: PLMap.identity(), "e1": PLMap.identity(),
+                                      "nope": PLMap.identity()}),
+         "reparams name unknown edges 'nope', 7"),
         (lambda X: tree_automorphism(X, {"c": "l1", "l1": "c", "l2": "l2", "l3": "l3"}),
          "edge 'e2' has no image edge between 'l1' and 'l2'"),
         (lambda X: interval_homeo(X, [0, 1], [0, 1]),

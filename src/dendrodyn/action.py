@@ -26,7 +26,7 @@ from .dendrite import (
     hausdorff_distance,
     nearest_other_distances,
 )
-from .errors import DendriteMismatch, DendrodynError, UnknownSymbol
+from .errors import DendriteMismatch, UnknownSymbol
 from .homeo import Homeo, apply, compose, identity_homeo, invert, validate
 from .util import Record, Value, id_key, set_field
 
@@ -345,8 +345,6 @@ def _worst_probe(dendrite: Dendrite, m: FiniteClosedSet) -> tuple[DPoint, Fracti
                 init[v] = c
         on_edge.setdefault(p.edge, []).append(s)
     dist = _sweep_distances(dendrite, init, W)
-    if None in dist.values():
-        raise DendrodynError("target set unreachable from point")
     mid = {}  # edge id -> the midpoint's distance
     for e in dendrite.edges:
         half = W[e.eid] // 2

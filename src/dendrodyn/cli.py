@@ -27,9 +27,9 @@ from .action import (
 )
 from .dendrite import eps_grid_values, hausdorff_distance
 from .equicontinuity import (
+    _covers,
     build_tree_tower,
     equicontinuity_certificate,
-    frontier_cover,
     strong_proximality_scan,
     tamper_remove_edge,
     verify_cover_equivariance,
@@ -84,7 +84,7 @@ class ExperimentConfig(Record):
         cfg = cls(command=command,
                   system=doc.get("system"),
                   parameters=parameters,
-                  out=doc.get("out", "."),
+                  out=_param_text(doc, "out", "."),
                   format=doc.get("format", "json"),
                   seed=read_param(doc.get("seed", 0), "seed", minimum=None))
         if cfg.format not in ("json", "csv"):
@@ -343,7 +343,9 @@ def _cmd_cover(cfg, system):
                              minimal_class=tower_class,
                              orbit_budget=_orbit_budget(params))
     level = tower.levels[-1]
-    cover = frontier_cover(system.dendrite, m, level.tree, level.index)
+    # a tower level's tree lies in the tower's hull, so the cover reads it off that hull
+    cover = _covers(system.dendrite, m, tower.hull,
+                    [(level.tree, level.frontier, level.index)])[0]
     equi = verify_cover_equivariance(system.generators, cover)
     cells = [{"anchor": ser.point_to_json(a),
               "diameter": frac_str(d),

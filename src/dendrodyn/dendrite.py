@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import chain, islice
-from typing import Callable, Iterable, Mapping, Sequence
+from itertools import chain
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     ChainingViolation,
-    CycleCreated,
     DendriteMismatch,
     DendrodynError,
     EmptyCover,
@@ -24,7 +23,6 @@ from .errors import (
     EmptySubdendrite,
     InvalidDendrite,
     PointOffDendrite,
-    QuotientDisconnected,
 )
 from .util import Value, frac, id_key, integer_scale, point_key, set_field
 
@@ -93,15 +91,14 @@ class Edge(Value):
 
 
 class Dendrite:
-    """A connected weighted tree (or, via :meth:`forest`, a disjoint union).
+    """A connected weighted tree; disconnected or cyclic input is refused.
 
     ``edges`` entries are ``(eid, u, v)`` or ``(eid, u, v, level)``; a missing
     level defaults to the 1-based enumeration index.  ``weight_rule`` is
     ``"dyadic"`` (edge number i weighs 2**-i) or an explicit weight sequence.
     """
 
-    def __init__(self, vertices: Iterable, edges: Sequence, weight_rule="dyadic",
-                 *, require_connected: bool = True):
+    def __init__(self, vertices: Iterable, edges: Sequence, weight_rule="dyadic"):
         vset = frozenset(set(vertices))  # copied from a set, the table is sized to fit
         if not vset:
             raise InvalidDendrite("a dendrite needs at least one vertex")
@@ -136,23 +133,17 @@ class Dendrite:
         # the one portion order: an edge's place among the ids sorted by id_key
         ranked = sorted(self._edge_by_id, key=id_key)
         self._rank = {eid: i for i, eid in enumerate(ranked)}
-        roots = self._build_orientation(ranked)
-        if len(resolved) != len(vset) - roots:  # only a forest has |E| = |V| - components
-            self._check_forest()
-        self._connected = roots == 1
-        if require_connected and not self._connected:
+        self._build_orientation(ranked)
+        # a tree has |V| - 1 edges and one walk reaches all of it; anything else
+        # has a cycle, named here, or is disconnected
+        if len(resolved) != len(vset) - 1 or len(self._order) < len(vset):
+            self._check_acyclic()
             raise InvalidDendrite("dendrite is not connected")
-        if self._connected:
-            self._check_chaining()
-
-    @classmethod
-    def forest(cls, vertices, edges, weight_rule="dyadic") -> "Dendrite":
-        """An acyclic, possibly disconnected instance (collapse input only)."""
-        return cls(vertices, edges, weight_rule, require_connected=False)
+        self._check_chaining()
 
     # -- construction checks -------------------------------------------------
 
-    def _check_forest(self):
+    def _check_acyclic(self):
         """Raise at the first edge, in enumeration order, that closes a cycle."""
         parent = {v: v for v in self._vertices}
 
@@ -168,52 +159,35 @@ class Dendrite:
                 raise InvalidDendrite(f"edge {e.eid!r} creates a cycle")
             parent[ra] = rb
 
-    def _build_orientation(self, ranked: Sequence) -> int:
-        """BFS parent tables per component, children in edge rank order.
+    def _build_orientation(self, ranked: Sequence):
+        """BFS parent tables from the least vertex, children in edge rank order.
 
-        A connected tree is rooted at its least vertex; further components
-        are rooted at their least vertices, in ``id_key`` order.  The
-        adjacency lists, filled in rank order, live only for the walk.
-        Returns the number of components.
+        The adjacency lists, filled in rank order, live only for the walk.
         """
         adj: dict[object, list[Edge]] = {v: [] for v in self._vertices}
         for eid in ranked:
             e = self._edge_by_id[eid]
             adj[e.u].append(e)
             adj[e.v].append(e)
-        order: list[object] = []
-        parent: dict[object, object | None] = {}
-        parent_edge: dict[object, Edge | None] = {}
-        depth: dict[object, int] = {}
-
-        def walk(root):
-            parent[root] = parent_edge[root] = None
-            depth[root] = 0
-            start = len(order)
-            order.append(root)
-            for head in islice(order, start, None):  # the queue grows as it is read
-                below = depth[head] + 1
-                for e in adj[head]:
-                    other = e.v if e.u == head else e.u
-                    if other not in parent:
-                        parent[other] = head
-                        parent_edge[other] = e
-                        depth[other] = below
-                        order.append(other)
-
-        walk(min(self._vertices, key=id_key))
-        roots = 1
-        if len(order) < len(self._vertices):
-            for root in sorted(self._vertices, key=id_key):
-                if root not in parent:
-                    walk(root)
-                    roots += 1
+        root = min(self._vertices, key=id_key)
+        order: list[object] = [root]
+        parent: dict[object, object | None] = {root: None}
+        parent_edge: dict[object, Edge | None] = {root: None}
+        depth: dict[object, int] = {root: 0}
+        for head in order:  # the queue grows as it is read
+            below = depth[head] + 1
+            for e in adj[head]:
+                other = e.v if e.u == head else e.u
+                if other not in parent:
+                    parent[other] = head
+                    parent_edge[other] = e
+                    depth[other] = below
+                    order.append(other)
         self._order = order
         self._parent = parent
         self._parent_edge = parent_edge
         self._depth = depth
         self._degree = {v: len(incident) for v, incident in adj.items()}
-        return roots
 
     def _check_chaining(self):
         """Every edge meets the part built before it in exactly one end."""
@@ -299,8 +273,6 @@ class Dendrite:
         while up[-1] != down[-1]:  # climb from the deeper end until the ends meet
             if self._depth[up[-1]] < self._depth[down[-1]]:
                 down.append(self._parent[down[-1]])
-            elif self._parent[up[-1]] is None:  # two distinct roots
-                raise DendrodynError("vertices lie in different components")
             else:
                 up.append(self._parent[up[-1]])
         return up + down[-2::-1]
@@ -323,7 +295,7 @@ class Dendrite:
         return self.hull((x, y))
 
     def _lower(self, e: Edge):
-        """The endpoint of ``e`` farther from the root of its component."""
+        """The endpoint of ``e`` farther from the root."""
         return e.v if self._parent_edge[e.v] is e else e.u
 
     def hull(self, points: Iterable[DPoint]) -> "Subdendrite":
@@ -348,19 +320,15 @@ class Dendrite:
             raise EmptySet("hull of an empty set")
         marked: set = set()
         below: dict[object, list[Edge]] = {}
-        roots = []  # the first walk ends at the root; a later one only in another component
         for v in starts:
             while v not in marked:
                 marked.add(v)
                 pe = self._parent_edge[v]
                 if pe is None:
-                    roots.append(v)
                     break
                 v = self._parent[v]
                 below.setdefault(v, []).append(pe)
-        if len(roots) != 1:
-            raise DendrodynError("vertices lie in different components")
-        top = roots[0]
+        top = self._order[0]  # the root, where the first walk ended
         for eid in on_edge:
             e = self._edge_by_id[eid]
             if self._lower(e) not in marked:
@@ -401,84 +369,6 @@ class Dendrite:
         if sub.dendrite is not self and not self.same_space(sub.dendrite):
             raise DendriteMismatch("subdendrite lives on a different dendrite")
         return subdendrite_gates(self, sub, [x])[0]
-
-    # -- quotients ---------------------------------------------------------------
-
-    def collapse(self, points: Iterable, z) -> tuple["Dendrite", Callable[[DPoint], DPoint]]:
-        """Identify the vertex set ``points`` to a fresh vertex ``z``.
-
-        Returns the quotient dendrite (edges re-enumerated breadth-first from
-        ``z`` so the chained order is restored) and the projection map.
-        """
-        pset = set(points)
-        for p in pset:
-            if p not in self._vertices:
-                raise PointOffDendrite(f"unknown vertex {p!r}")
-        if z in self._vertices - pset:
-            raise InvalidDendrite(f"target vertex {z!r} already exists")
-
-        def project_vertex(v):
-            return z if v in pset else v
-
-        new_vertices = {project_vertex(v) for v in self._vertices}
-        new_edges = []
-        for e in self._edges:
-            u, v = project_vertex(e.u), project_vertex(e.v)
-            if u == v:
-                raise CycleCreated(f"edge {e.eid!r} collapses to a loop")
-            new_edges.append((e.eid, u, v, e.weight))
-
-        parent = {v: v for v in new_vertices}
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        adj: dict[object, list[tuple]] = {v: [] for v in new_vertices}
-        for eid, u, v, w in new_edges:
-            ra, rb = find(u), find(v)
-            if ra == rb:
-                raise CycleCreated(f"identification creates a cycle at edge {eid!r}")
-            parent[ra] = rb
-            adj[u].append((eid, v, w))
-            adj[v].append((eid, u, w))
-
-        ordered = []
-        seen = {z}
-        queue = [z]
-        while queue:
-            head = queue.pop(0)
-            for eid, other, w in sorted(adj[head], key=lambda it: id_key(it[0])):
-                if other in seen:
-                    continue
-                seen.add(other)
-                ordered.append((eid, head, other, w))
-                queue.append(other)
-        if len(seen) != len(new_vertices):
-            raise QuotientDisconnected("collapse quotient is not connected")
-
-        depth = {z: 0}
-        for eid, u, v, w in ordered:
-            depth[v] = depth[u] + 1
-        quotient = Dendrite(new_vertices,
-                            [(eid, u, v, depth[v]) for eid, u, v, _ in ordered],
-                            [w for _, _, _, w in ordered])
-
-        def projection(p: DPoint) -> DPoint:
-            p = self.check_point(p)
-            if isinstance(p, VertexPoint):
-                return quotient.vertex_point(project_vertex(p.vertex))
-            e = self.edge(p.edge)
-            q = quotient.edge(p.edge)
-            t = p.t
-            # collapse preserves edge ids; orientation may flip in the BFS rebuild
-            if q.u == project_vertex(e.u) and q.v == project_vertex(e.v):
-                return quotient.point(p.edge, t)
-            return quotient.point(p.edge, 1 - t)
-
-        return quotient, projection
 
 
 def _node(p: DPoint):
@@ -690,7 +580,7 @@ def _sweep_distances(dendrite: Dendrite, init: Mapping, weight: Mapping) -> dict
 
     Two passes over the rooted tree, up then down.  Edge lengths come from
     ``weight`` (edge id -> length), so exact weights and integer-scaled ones
-    share this walk.  ``None`` marks a vertex that no seed reaches.
+    share this walk.  ``None`` marks a vertex that no seed has reached yet.
     """
     dist = dict.fromkeys(dendrite.vertices)
     dist.update(init)
@@ -717,24 +607,16 @@ def _sweep_distances(dendrite: Dendrite, init: Mapping, weight: Mapping) -> dict
 
 def _point_to_set(dendrite: Dendrite, dist, on_edge, p: DPoint) -> Fraction:
     if isinstance(p, VertexPoint):
-        d = dist[p.vertex]
-    else:
-        e = dendrite.edge(p.edge)
-        cands = []
-        if dist[e.u] is not None:
-            cands.append(dist[e.u] + p.t * e.weight)
-        if dist[e.v] is not None:
-            cands.append(dist[e.v] + (1 - p.t) * e.weight)
-        ts = on_edge.get(p.edge, ())
-        i = bisect_left(ts, p.t)  # only the targets either side of p can be nearest
-        if i < len(ts):
-            cands.append((ts[i] - p.t) * e.weight)
-        if i > 0:
-            cands.append((p.t - ts[i - 1]) * e.weight)
-        d = min(cands) if cands else None
-    if d is None:
-        raise DendrodynError("target set unreachable from point")
-    return d
+        return dist[p.vertex]
+    e = dendrite.edge(p.edge)
+    cands = [dist[e.u] + p.t * e.weight, dist[e.v] + (1 - p.t) * e.weight]
+    ts = on_edge.get(p.edge, ())
+    i = bisect_left(ts, p.t)  # only the targets either side of p can be nearest
+    if i < len(ts):
+        cands.append((ts[i] - p.t) * e.weight)
+    if i > 0:
+        cands.append((p.t - ts[i - 1]) * e.weight)
+    return min(cands)
 
 
 def set_distance(dendrite: Dendrite, p: DPoint, targets: FiniteClosedSet) -> Fraction:
@@ -770,7 +652,7 @@ def nearest_other_distances(dendrite: Dendrite, points: Sequence[DPoint]
     A two-pass dynamic program carries, per vertex, the two nearest sources
     with different indices, so excluding the point itself leaves its nearest
     other.  Points on one edge also see their neighbours along it.  ``None``
-    marks a point with no other point in reach.  Lengths are integers over
+    marks a point when there is no other point.  Lengths are integers over
     one common denominator (edge weights and the points' offsets along their
     edges); only the results become ``Fraction``s.
     """
@@ -804,7 +686,7 @@ def nearest_other_distances(dendrite: Dendrite, points: Sequence[DPoint]
         pe = dendrite._parent_edge[v]
         if pe is not None and dendrite._parent[v] in near:
             carry(dendrite._parent[v], v, W[pe.eid])
-    cands = [[c + d for v, c in ends for d, j in near.get(v, ()) if j != i]
+    cands = [[c + d for v, c in ends for d, j in near[v] if j != i]
              for i, ends in enumerate(anchors)]
     for row in along.values():
         row.sort()
@@ -828,7 +710,7 @@ def subdendrite_gates(dendrite: Dendrite, sub: Subdendrite,
         raise EmptySubdendrite("cannot retract onto an empty subdendrite")
     parent, parent_edge, lower = dendrite._parent, dendrite._parent_edge, dendrite._lower
     portions = sub.portion_map()
-    # a top point has nothing of sub right above it; each component of sub has one
+    # a top point has nothing of sub right above it; each piece of sub has one
     tops: list[DPoint] = []
     entry: dict[object, DPoint] = {}  # edge id -> first point of sub met climbing the edge
     for eid, (lo, hi) in portions.items():
@@ -843,18 +725,12 @@ def subdendrite_gates(dendrite: Dendrite, sub: Subdendrite,
     if len(tops) != 1:
         raise DendrodynError("cannot retract onto a disconnected subdendrite")
     top = tops[0]
-    home = top.vertex if isinstance(top, VertexPoint) else dendrite.edge(top.edge).u
-    while parent[home] is not None:  # the root of sub's component
-        home = parent[home]
 
     def climb(v) -> DPoint:
         path = []
         while v not in gate_of:
             path.append(v)
             pe = parent_edge[v]
-            if pe is None and v != home:
-                raise DendrodynError(
-                    "query point lies in another component than the subdendrite")
             if pe is None or pe.eid in entry:
                 gate_of[v] = top if pe is None else entry[pe.eid]
                 break
@@ -907,8 +783,6 @@ def boundary_classification(dendrite: Dendrite) -> tuple[FiniteClosedSet, Finite
 
 def arc_decomposition(dendrite: Dendrite) -> list[tuple[object, Fraction]]:
     """The stored chained enumeration as (edge id, weight) pairs."""
-    if not dendrite._connected:  # connected instances were checked when built
-        dendrite._check_chaining()
     return [(e.eid, e.weight) for e in dendrite.edges]
 
 

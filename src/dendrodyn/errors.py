@@ -36,14 +36,6 @@ class ChainingViolation(DendrodynError):
         super().__init__(message or f"chaining violated at edge index {index}")
 
 
-class CycleCreated(DendrodynError):
-    """Identifying points produced a cycle (or a degenerate loop edge)."""
-
-
-class QuotientDisconnected(DendrodynError):
-    """The collapse quotient is not connected."""
-
-
 class DendriteMismatch(DendrodynError):
     """Two objects live on different dendrites."""
 

@@ -14,7 +14,6 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .action import Word, reduce_word, word_images
 from .dendrite import Dendrite, DPoint, EdgePoint, VertexPoint, _distance_to_set
 from .errors import (
-    DendrodynError,
     DendriteMismatch,
     DomainMismatch,
     NotCertifiedOrbit,
@@ -215,8 +214,6 @@ def canonical_measure(dendrite: Dendrite) -> PLMeasure:
     mass of any arc equals its metric length divided by W.  W is stored on the
     measure as the normalisation constant.
     """
-    if not dendrite._connected:  # connected instances were checked when built
-        dendrite._check_chaining()
     total = dendrite.total_weight()
     dens = {e.eid: [(ZERO, ONE, Fraction(1, 1) / total)] for e in dendrite.edges}
     return PLMeasure(dendrite, (), dens, norm=total)
@@ -327,8 +324,6 @@ class TestFunction:
         """The exact distance function x -> d(x, p)."""
         p = dendrite.check_point(p)
         vv, _ = _distance_to_set(dendrite, [p])
-        if None in vv.values():
-            raise DendrodynError("vertices lie in different components")
         ed = {}
         for e in dendrite.edges:
             du, dv = vv[e.u], vv[e.v]

@@ -65,31 +65,42 @@ def random_trees(draw, max_edges=7, denominators=(1, 2, 4, 8)):
 
 
 @st.composite
-def random_forests(draw, max_edges=7):
-    """A random weighted forest for ``Dendrite.forest``, with mixed int and str ids.
+def random_graphs(draw, max_edges=7, max_extra=2):
+    """Raw ``(vertices, edges, weights)`` input for ``Dendrite``, with mixed int and str ids.
 
-    Each new vertex hangs from an earlier one or starts a new component, so
-    some draws are connected trees and some are not.  Vertex and edge ids
-    are ints or strings at random, drawn in a random order, so neither the
-    least vertex nor the edge rank follows the enumeration; each edge is
-    stored in a random orientation.
+    Each new vertex hangs from an earlier one or starts a new component.  In
+    about half the draws, up to ``max_extra`` further edges, each joining two
+    vertices of one component, go in at random places of the enumeration.
+    So some draws are trees, some are disconnected and some have cycles.
+    Vertex and edge ids are ints or strings at random, drawn in a random
+    order, so neither the least vertex nor the edge rank follows the
+    enumeration; each edge is stored in a random orientation.
     """
     n = draw(st.integers(min_value=0, max_value=max_edges))
     labels = draw(st.permutations(range(n + 1)))
     vertices = [k if draw(st.booleans()) else f"v{k}" for k in labels]
-    edge_labels = iter(draw(st.permutations(range(n))))
-    edges = []
-    weights = []
+    component = list(range(n + 1))
+    pairs = []
     for i in range(1, n + 1):
         parent = draw(st.integers(min_value=-1, max_value=i - 1))
-        if parent < 0:  # vertex i starts a new component
-            continue
-        k = next(edge_labels)
-        ends = (vertices[parent], vertices[i])
+        if parent >= 0:  # otherwise vertex i starts a new component
+            component[i] = component[parent]
+            pairs.append((parent, i))
+    extra = draw(st.integers(min_value=1, max_value=max_extra)) if draw(st.booleans()) else 0
+    for _ in range(extra):
+        a = draw(st.integers(min_value=0, max_value=n))
+        mates = [b for b in range(n + 1) if b != a and component[b] == component[a]]
+        if mates:
+            pairs.insert(draw(st.integers(min_value=0, max_value=len(pairs))),
+                         (a, draw(st.sampled_from(mates))))
+    edges = []
+    for k, (a, b) in zip(draw(st.permutations(range(len(pairs)))), pairs):
+        ends = (vertices[a], vertices[b])
         edges.append((k if draw(st.booleans()) else f"e{k}",)
                      + (ends[::-1] if draw(st.booleans()) else ends))
-        weights.append(Fraction(draw(st.integers(1, 8)), draw(st.sampled_from((1, 2, 4)))))
-    return Dendrite.forest(vertices, edges, weights)
+    weights = [Fraction(draw(st.integers(1, 8)), draw(st.sampled_from((1, 2, 4))))
+               for _ in edges]
+    return vertices, edges, weights
 
 
 @st.composite

@@ -17,11 +17,11 @@ the earlier cover and classification layer: one gate walk, one hull and one
 diameter per cell and level, a nesting check through a validated union,
 ``Fraction`` sweeps over 2|V| - 1 skeleton probes and two-nearest labels, and
 a node graph of tagged tuples that endpoints and branch points were counted on.
-``orientation_oracle``, ``edge_between_oracle``, ``add_one`` and
-``orbit_layers_oracle`` are the earlier construction and orbit search: one
-sorted adjacency scan per vertex, an edge scan per lookup, add-one-with-carry
-on every odometer label, and a copy of the orbit per BFS layer.  Tests check
-the library against them.  The subdendrite
+``graph_oracle``, ``orientation_oracle``, ``edge_between_oracle``, ``add_one``
+and ``orbit_layers_oracle`` are the earlier construction and orbit search:
+components by relabelling, one sorted adjacency scan per vertex, an edge scan
+per lookup, add-one-with-carry on every odometer label, and a copy of the
+orbit per BFS layer.  Tests check the library against them.  The subdendrite
 helpers at the end (``portion_graph``, ``intersection``, ``is_connected``,
 ``sample_points``) serve tests only.
 """
@@ -61,7 +61,7 @@ _ROOT_DISTANCES: WeakKeyDictionary = WeakKeyDictionary()
 
 
 def _rootdist(X: Dendrite) -> dict:
-    """Distance from each vertex to the root of its component, once per dendrite."""
+    """Distance from each vertex to the root, once per dendrite."""
     table = _ROOT_DISTANCES.get(X)
     if table is None:
         table = {}
@@ -89,8 +89,6 @@ def _lca(X: Dendrite, a, b):
         b = X._parent[b]
         db -= 1
     while a != b:
-        if X._parent[a] is None:  # two distinct roots
-            raise DendrodynError("vertices lie in different components")
         a = X._parent[a]
         b = X._parent[b]
     return a
@@ -474,41 +472,50 @@ def pl_value_oracle(xs: Sequence[Fraction], ys: Sequence[Fraction], t: Fraction)
 # -- the earlier construction: orientation, edge lookup, odometer, orbit layers ------
 
 
+def graph_oracle(vertices: Iterable, edges: Sequence) -> tuple[object, int]:
+    """``(first cycle edge id or None, component count)`` of raw construction input.
+
+    A union-find by relabelling: every vertex carries its component's label,
+    and joining two components rewrites one label everywhere.  The first edge,
+    in enumeration order, whose ends already share a label closes a cycle.
+    """
+    label = {v: v for v in vertices}
+    cycle_edge = None
+    for eid, u, v, *_ in edges:
+        if label[u] == label[v]:
+            if cycle_edge is None:
+                cycle_edge = eid
+            continue
+        old, new = label[u], label[v]
+        label = {w: new if lab == old else lab for w, lab in label.items()}
+    return cycle_edge, len(set(label.values()))
+
+
 def orientation_oracle(X: Dendrite) -> dict:
     """The parent tables by one sorted adjacency scan per vertex.
 
-    Every vertex in ``id_key`` order that no earlier walk reached roots a
-    breadth-first walk, which takes each vertex's edges sorted by rank.
-    Returns the tables by attribute name, plus each vertex's degree and
-    the root of its component.
+    A breadth-first walk from the least vertex in ``id_key`` order takes each
+    vertex's edges sorted by rank.  Returns the tables by attribute name,
+    plus each vertex's degree.
     """
     rank = {eid: i for i, eid in enumerate(sorted((e.eid for e in X.edges), key=id_key))}
     adj: dict = {v: [] for v in X.vertices}
     for e in X.edges:
         adj[e.u].append((e, e.v))
         adj[e.v].append((e, e.u))
-    order, parent, parent_edge, depth, component = [], {}, {}, {}, {}
-    for root in sorted(X.vertices, key=id_key):
-        if root in parent:
-            continue
-        parent[root] = parent_edge[root] = None
-        depth[root] = 0
-        component[root] = root
-        queue = [root]
-        for head in queue:
-            order.append(head)
-            for e, other in sorted(adj[head], key=lambda item: rank[item[0].eid]):
-                if other in parent:
-                    continue
-                parent[other] = head
-                parent_edge[other] = e
-                depth[other] = depth[head] + 1
-                component[other] = root
-                queue.append(other)
+    root = min(X.vertices, key=id_key)
+    order, parent, parent_edge, depth = [root], {root: None}, {root: None}, {root: 0}
+    for head in order:
+        for e, other in sorted(adj[head], key=lambda item: rank[item[0].eid]):
+            if other in parent:
+                continue
+            parent[other] = head
+            parent_edge[other] = e
+            depth[other] = depth[head] + 1
+            order.append(other)
     return {"_order": order, "_parent": parent, "_parent_edge": parent_edge,
             "_depth": depth, "_rank": rank,
-            "degree": {v: len(incident) for v, incident in adj.items()},
-            "component": component}
+            "degree": {v: len(incident) for v, incident in adj.items()}}
 
 
 def edge_between_oracle(X: Dendrite, a, b):

@@ -52,6 +52,13 @@ class TestConfigValidation:
     def test_missing_config_file(self, capsys):
         assert main(["run", "--config", "/nonexistent.json"]) == 1
 
+    @pytest.mark.parametrize("out, shown", [(5, "5"), (None, "None"), (["a"], "['a']")])
+    def test_out_that_is_not_a_string(self, tmp_path, capsys, out, shown):
+        cfg = write_config(tmp_path, {"command": "orbit", "system": "thompson",
+                                      "parameters": {"x": "1/3", "R": 2}, "out": out})
+        assert main(["run", "--config", cfg]) == 1
+        assert capsys.readouterr().err == f"error: out must be a string, got {shown}\n"
+
     @pytest.mark.parametrize("command, system, parameters", [
         ("orbit", "thompson", {"x": "abc"}),
         ("orbit", "odometer:D=x", {}),

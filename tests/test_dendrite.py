@@ -24,7 +24,6 @@ from dendrodyn.dendrite import (
 )
 from dendrodyn.errors import (
     ChainingViolation,
-    CycleCreated,
     DendriteMismatch,
     DendrodynError,
     EmptyCover,
@@ -38,13 +37,14 @@ from dendrodyn.zoo import gehman_dendrite, leaf_point, odometer_system
 
 from conftest import (
     nx_metric_oracle,
-    random_forests,
+    random_graphs,
     random_trees,
     tree_points,
     trees_with_points,
 )
 from oracles import (
     edge_between_oracle,
+    graph_oracle,
     hull_arc_diameter_modulus,
     is_connected,
     metric_arc,
@@ -140,11 +140,6 @@ class TestConstruction:
         with pytest.raises(InvalidDendrite):
             Dendrite(["a", "b", "c", "d"], [("e1", "a", "b"), ("e2", "c", "d")])
 
-    def test_forest_allows_components(self):
-        X = Dendrite.forest(["a", "b", "c", "d"],
-                            [("e1", "a", "b"), ("e2", "c", "d")], [1, 1])
-        assert len(X.edges) == 2
-
     def test_chaining_violation(self):
         # e2 attaches nowhere near e1
         with pytest.raises(ChainingViolation) as err:
@@ -172,8 +167,8 @@ class TestConstruction:
         (lambda: Dendrite(["a", "b", "c"], [("e1", "a", "b"), ("e2", "b", "c"),
                                             ("e3", "c", "a")]),
          InvalidDendrite, "edge 'e3' creates a cycle"),
-        (lambda: Dendrite.forest(["a", "b", "c", "d"], [("e1", "c", "d"), ("e2", "a", "b"),
-                                                        ("e3", "b", "a")]),
+        (lambda: Dendrite(["a", "b", "c", "d"], [("e1", "c", "d"), ("e2", "a", "b"),
+                                                 ("e3", "b", "a")]),
          InvalidDendrite, "edge 'e3' creates a cycle"),
         (lambda: Dendrite(["a", "b", "c", "d"], [("e1", "a", "b"), ("e2", "b", "c"),
                                                  ("e3", "c", "a")]),
@@ -215,22 +210,24 @@ class TestOrientation:
     def test_random_trees(self, X):
         assert_construction_matches_oracle(X)
 
-    @settings(max_examples=300, deadline=None)
-    @given(random_forests())
-    def test_random_forests_with_mixed_ids(self, X):
+    @settings(max_examples=600, deadline=None)
+    @given(random_graphs())
+    def test_random_graphs_with_mixed_ids(self, graph):
+        vertices, edges, weights = graph
+        cycle_edge, components = graph_oracle(vertices, edges)
+        if cycle_edge is not None or components > 1:
+            message = ("dendrite is not connected" if cycle_edge is None
+                       else f"edge {cycle_edge!r} creates a cycle")
+            with pytest.raises(DendrodynError) as err:
+                Dendrite(vertices, edges, weights)
+            assert type(err.value) is InvalidDendrite and str(err.value) == message
+            return
+        X = Dendrite(vertices, edges, weights)
         assert_construction_matches_oracle(X)
-        component = orientation_oracle(X)["component"]
         for a, b in itertools.product(X.vertices, repeat=2):
-            pair = [X.vertex_point(a), X.vertex_point(b)]
-            if component[a] == component[b]:
-                path = X.vertex_path(a, b)
-                assert path[0] == a and path[-1] == b
-                assert set(X.hull(pair).vertices) == set(path)
-            else:
-                for query in (lambda: X.vertex_path(a, b), lambda: X.hull(pair)):
-                    with pytest.raises(DendrodynError,
-                                       match="vertices lie in different components"):
-                        query()
+            path = X.vertex_path(a, b)
+            assert path[0] == a and path[-1] == b
+            assert set(X.hull([X.vertex_point(a), X.vertex_point(b)]).vertices) == set(path)
 
     @pytest.mark.parametrize("depth", [1, 2, 5])
     def test_gehman(self, depth):
@@ -239,10 +236,6 @@ class TestOrientation:
     def test_connected_tree_rooted_at_least_vertex(self):
         X = Dendrite([3, "a", 1, "b"], [("x", 3, "a"), (2, "a", 1), ("y", 1, "b")])
         assert X._order[0] == 1 and X._parent[1] is None
-
-    def test_forest_roots_in_id_key_order(self):
-        X = Dendrite.forest(["d", "c", 2, "a"], [("e", "d", "c"), ("f", "a", 2)])
-        assert [v for v in X._order if X._parent[v] is None] == [2, "c"]
 
 
 class TestEdgeBetween:
@@ -503,15 +496,6 @@ class TestGates:
         with pytest.raises(DendrodynError):
             star3.retract_point(sub, star3.vertex_point("l3"))
 
-    def test_query_in_another_component_raises(self):
-        X = Dendrite.forest(["a", "b", "c", "d"],
-                            [("e1", "a", "b"), ("e2", "c", "d")], [1, 1])
-        sub = X.hull([X.point("e1", F(1, 3)), X.vertex_point("b")])
-        assert subdendrite_gates(X, sub, [X.vertex_point("a")]) == [X.point("e1", F(1, 3))]
-        for q in (X.vertex_point("c"), X.vertex_point("d"), X.point("e2", F(1, 2))):
-            with pytest.raises(DendrodynError):
-                subdendrite_gates(X, sub, [q])
-
 
 class TestWeightedMetric:
     def test_reflexive(self, star3):
@@ -608,18 +592,6 @@ class TestArcLengthMetric:
         for p, q in pairs:
             d = X.distance(p, q)
             assert d == metric_distance(X, p, q) == nx_metric_oracle(X, p, q)
-
-    def test_cross_component_pair_raises(self):
-        X = Dendrite.forest(["a", "b", "c", "d"],
-                            [("e1", "a", "b"), ("e2", "c", "d")], [1, 1])
-        assert X.distance(X.point("e1", F(1, 4)), X.vertex_point("b")) == F(3, 4)
-        for p, q in [(X.vertex_point("a"), X.vertex_point("c")),
-                     (X.point("e1", F(1, 2)), X.vertex_point("d")),
-                     (X.point("e1", F(1, 3)), X.point("e2", F(2, 3)))]:
-            with pytest.raises(DendrodynError):
-                X.distance(p, q)
-            with pytest.raises(DendrodynError):
-                metric_distance(X, p, q)
 
     @settings(max_examples=50, deadline=None)
     @given(st.data())
@@ -838,46 +810,6 @@ class TestArcDiameterModulus:
                 for q in probes[i + 1:]:
                     if X.distance(p, q) < delta:
                         assert X.arc(p, q).diameter() < eps
-
-
-class TestCollapse:
-    def test_single_vertex_relabel(self, star3):
-        Y, proj = star3.collapse(["l1"], "z")
-        assert Y.vertices == frozenset({"c", "z", "l2", "l3"})
-        assert proj(star3.vertex_point("l1")) == Y.vertex_point("z")
-
-    def test_two_edges_glued_to_path(self):
-        X = Dendrite.forest(["a", "b", "c", "d"],
-                            [("e1", "a", "b"), ("e2", "c", "d")], [1, 1])
-        Y, proj = X.collapse(["b", "c"], "z")
-        assert Y.degree("z") == 2
-        assert proj(X.vertex_point("b")) == Y.vertex_point("z")
-        assert proj(X.vertex_point("c")) == Y.vertex_point("z")
-
-    def test_three_edges_glued_to_star(self):
-        X = Dendrite.forest(["a1", "b1", "a2", "b2", "a3", "b3"],
-                            [("e1", "a1", "b1"), ("e2", "a2", "b2"),
-                             ("e3", "a3", "b3")], [1, 1, 1])
-        Y, _ = X.collapse(["b1", "b2", "b3"], "z")
-        assert Y.degree("z") == 3
-
-    def test_cycle_detected(self, star3):
-        with pytest.raises(CycleCreated):
-            star3.collapse(["l1", "l2"], "z")
-
-    def test_projection_bijective_off_collapsed(self, star3):
-        Y, proj = star3.collapse(["l1"], "z")
-        images = {proj(p) for p in star3.skeleton_points()}
-        assert len(images) == len(star3.skeleton_points())
-
-    def test_projection_is_short_on_samples(self):
-        # continuity surrogate: collapsing never increases sampled distances
-        X = Dendrite.forest(["a1", "b1", "a2", "b2"],
-                            [("e1", "a1", "b1"), ("e2", "a2", "b2")], [1, 1])
-        Y, proj = X.collapse(["b1", "b2"], "z")
-        samples = [X.point("e1", F(k, 4)) for k in range(5)]
-        for p, q in zip(samples, samples[1:]):
-            assert Y.distance(proj(p), proj(q)) <= X.distance(p, q)
 
 
 class TestIntegerVertexIds:

@@ -72,13 +72,6 @@ class TestCanonicalMeasure:
         arc_mass = mu.arc_mass(X.vertex_point("0"), X.vertex_point("1"))
         assert arc_mass == (F(1, 2) + F(1, 4)) / total
 
-    def test_forest_chaining_propagates(self):
-        from dendrodyn.errors import ChainingViolation
-        X = Dendrite.forest(["a", "b", "c", "d"],
-                            [("e1", "a", "b"), ("e2", "c", "d")], [1, 1])
-        with pytest.raises(ChainingViolation):
-            canonical_measure(X)
-
     def test_edge_masses_proportional_to_weights(self):
         X = gehman_dendrite(2, leaf_weight="level")
         mu = canonical_measure(X)
@@ -457,12 +450,6 @@ class TestIntegrate:
         assert f.vertex_values == {v: metric_distance(X, X.vertex_point(v), p)
                                    for v in X.vertices}
         assert f(q) == metric_distance(X, q, p)
-
-    def test_distance_function_on_a_forest_raises(self):
-        X = Dendrite.forest(["a", "b", "c", "d"],
-                            [("e1", "a", "b"), ("e2", "c", "d")], [1, 1])
-        with pytest.raises(DendrodynError):
-            TestFunction.distance_to(X, X.point("e1", F(1, 2)))
 
 
 class TestUniformOrbitMeasure:

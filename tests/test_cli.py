@@ -8,9 +8,12 @@ from pathlib import Path
 import pytest
 
 import dendrodyn
+from dendrodyn import cli
 from dendrodyn import serialization as ser
 from dendrodyn.cli import ExperimentConfig, export_plot_data, main
+from dendrodyn.equicontinuity import build_tree_tower, frontier_cover
 from dendrodyn.errors import ConfigInvalid, ReportMissing
+from dendrodyn.util import frac_str
 
 F = Fraction
 INTERVAL = {"vertices": ["0", "1"], "edges": [{"id": "e", "u": "0", "v": "1"}]}
@@ -320,6 +323,25 @@ class TestCommands:
             "parameters": {"n": 2}})
         assert code == 0
         assert report["mesh"] == "1/2" and report["equivariant"] is True
+
+    @pytest.mark.parametrize("system, n", [
+        ("odometer:D=3", 1), ("odometer:D=4", 3), ("odometer:D=5", 2),
+        ("odometer:D=4,leaf=level", 2)])
+    def test_cover_cells_match_frontier_cover(self, tmp_path, system, n):
+        # the command cuts its cover from the tower's hull; frontier_cover
+        # builds the hull of m and the level's frontier on its own
+        code, report, _ = run(tmp_path, {"command": "cover", "system": system,
+                                         "parameters": {"n": n}})
+        assert code == 0 and report["n"] == n
+        zoo_system = cli._resolve_system(system)
+        m, _, tower_class = cli._minimal_set(zoo_system, {})
+        level = build_tree_tower(zoo_system.generators, m, n,
+                                 minimal_class=tower_class).levels[-1]
+        cover = frontier_cover(zoo_system.dendrite, m, level.tree, level.index)
+        assert report["cells"] == [
+            {"anchor": ser.point_to_json(a), "diameter": frac_str(d),
+             "edges": len(c.portions)} for (a, c), d in zip(cover.cells, cover.diameters)]
+        assert report["mesh"] == frac_str(cover.mesh())
 
     def test_certify_and_mesh_csv(self, tmp_path):
         code, report, path = run(tmp_path, {

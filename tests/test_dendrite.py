@@ -184,6 +184,31 @@ class TestConstruction:
             build()
         assert type(err.value) is error and str(err.value) == message
 
+    @pytest.mark.parametrize("vertices, edges, message", [
+        (["a", "b", "c"], [("e1", "a", "b")], "dendrite is not connected"),
+        ([0, "a", "b"], [("e", "a", "b")], "dendrite is not connected"),
+        (["a", "b"], [("e1", "a", "b"), ("e2", "b", "a")], "edge 'e2' creates a cycle"),
+        (["a", "b", "c", "d", "e"], [("e1", "a", "b"), ("e2", "b", "c"), ("e3", "c", "a")],
+         "edge 'e3' creates a cycle"),
+        (["a", "b", "c", "d"], [("z1", "a", "b"), ("z2", "b", "a"),
+                                ("a1", "c", "d"), ("a2", "d", "c")],
+         "edge 'z2' creates a cycle"),
+    ], ids=["isolated-vertex", "isolated-least-vertex", "parallel-edges",
+            "cycle-and-too-few-edges", "first-cycle-in-enumeration-order"])
+    def test_refusal_names_the_cycle_before_the_disconnection(self, vertices, edges, message):
+        # a cycle is named whenever there is one, whatever the edge count;
+        # the edge is the first in enumeration order, not in id order
+        with pytest.raises(DendrodynError) as err:
+            Dendrite(vertices, edges)
+        assert type(err.value) is InvalidDendrite and str(err.value) == message
+
+    def test_single_vertex_is_a_dendrite(self):
+        X = Dendrite(["a"], [])
+        a = X.vertex_point("a")
+        assert X._order == ["a"] and X._parent == {"a": None} and X.degree("a") == 0
+        assert X.skeleton_points() == [a] and X.distance(a, a) == 0
+        assert X.hull([a]) == X.whole() and X.whole().diameter() == 0
+
 
 def assert_construction_matches_oracle(X):
     """The parent tables, degrees and edge lookups equal the sorted-scan construction."""

@@ -7,7 +7,6 @@ them, so orbit sets are deduplicated by image rather than by word.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
 from itertools import islice
 from typing import Iterable, Sequence
@@ -19,16 +18,15 @@ from .dendrite import (
     FiniteClosedSet,
     Subdendrite,
     VertexPoint,
-    _distance_to_set,
+    _distances_at,
     _integer_lengths,
-    _point_to_set,
-    _sweep_distances,
+    _sweep_to,
     hausdorff_distance,
     nearest_other_distances,
 )
 from .errors import DendriteMismatch, UnknownSymbol
 from .homeo import Homeo, apply, compose, identity_homeo, invert, validate
-from .util import Record, Value, id_key, set_field
+from .util import Record, Value, frac, id_key, set_field
 
 ZERO = Fraction(0)
 
@@ -299,6 +297,7 @@ def minimal_set_approx(gens: GeneratorSet, x: DPoint, radius: int,
     """Orbit ball with Hausdorff increments between consecutive radii."""
     if radius < 2:
         raise ValueError("radius must be at least 2")
+    eps = frac(eps)
     sizes = []
     for points, size in _orbit_layers(gens, x, radius):
         sizes.append(size)
@@ -316,7 +315,7 @@ def minimal_set_approx(gens: GeneratorSet, x: DPoint, radius: int,
     return MinimalSetApprox(points=sets[-1],
                             radius=radius,
                             increments=increments,
-                            eps=Fraction(eps),
+                            eps=eps,
                             converged=converged,
                             certified_finite=closed_radius is not None,
                             closed_radius=closed_radius)
@@ -325,44 +324,22 @@ def minimal_set_approx(gens: GeneratorSet, x: DPoint, radius: int,
 def _worst_probe(dendrite: Dendrite, m: FiniteClosedSet) -> tuple[DPoint, Fraction]:
     """The skeleton probe farthest from ``m`` and its distance, from one integer sweep.
 
-    The probes are the vertices and the edge midpoints.  A vertex reads its
-    sweep value; a midpoint reads its nearer end's value plus half the edge,
-    or its nearest point of ``m`` on the edge.  Lengths are integers over one
-    common denominator, doubled so that half an edge is whole.  Ties go to
-    the largest ``point_key``: midpoints before vertices, then by id.
+    The probes are the vertices and the edge midpoints, read off one sweep
+    to ``m``; the kernel's lengths are even, so a midpoint is an integer
+    place.  Ties go to the largest ``point_key``: midpoints before vertices,
+    then by id.
     """
-    scale, W, offset = _integer_lengths(dendrite, m.points)
-    W = {eid: 2 * w for eid, w in W.items()}
-    init: dict[object, int] = {}
-    on_edge: dict[object, list[int]] = {}
-    for p in m.points:
-        if isinstance(p, VertexPoint):
-            init[p.vertex] = 0
-            continue
-        e, s = dendrite._edge_by_id[p.edge], 2 * offset[p]
-        for v, c in ((e.u, s), (e.v, W[e.eid] - s)):
-            if init.get(v, c) >= c:
-                init[v] = c
-        on_edge.setdefault(p.edge, []).append(s)
-    dist = _sweep_distances(dendrite, init, W)
-    mid = {}  # edge id -> the midpoint's distance
-    for e in dendrite.edges:
-        half = W[e.eid] // 2
-        d = min(dist[e.u], dist[e.v]) + half
-        ts = sorted(on_edge.get(e.eid, ()))
-        i = bisect_left(ts, half)  # only the points either side of the midpoint can be nearest
-        if i < len(ts):
-            d = min(d, ts[i] - half)
-        if i > 0:
-            d = min(d, half - ts[i - 1])
-        mid[e.eid] = d
+    scale, W, places = _integer_lengths(dendrite, list(m.points))
+    swept = _sweep_to(dendrite, W, places)
+    dist = swept[0]
+    mid = dict(zip(W, _distances_at(dendrite, W, swept, [(eid, w // 2) for eid, w in W.items()])))
     worst = max(max(dist.values()), max(mid.values(), default=-1))
     ties = [eid for eid, d in mid.items() if d == worst]
     if ties:
         probe = EdgePoint(max(ties, key=id_key), Fraction(1, 2))
     else:
         probe = VertexPoint(max((v for v, d in dist.items() if d == worst), key=id_key))
-    return probe, Fraction(worst, 2 * scale)
+    return probe, Fraction(worst, scale)
 
 
 class Classification(Record, uncompared=("details",)):
@@ -379,7 +356,7 @@ def classify_minimal_set(dendrite: Dendrite, m: FiniteClosedSet, eps,
     (whole space), or epsilon-perfect but not dense (Cantor-like at this
     resolution), or nothing fires.  Never a proof; the epsilon is recorded.
     """
-    eps = Fraction(eps)
+    eps = frac(eps)
     if len(m) == 0:
         raise ValueError("cannot classify an empty set")
     if certified_finite:
@@ -424,17 +401,16 @@ def detect_recurrence(gens: GeneratorSet, x: DPoint, eps, max_length: int
     """
     if max_length < 1:
         raise ValueError("max_length must be at least 1")
-    eps = Fraction(eps)
+    eps = frac(eps)
     X = gens.dendrite
     x = X.check_point(x)
-    from_x, on_edge = _distance_to_set(X, [x])
-    witnesses = []
-    for w, image in word_images(gens, word_ball(gens, max_length)[1:], x, apply):
-        if image == x:
-            continue
-        d = _point_to_set(X, from_x, on_edge, image)
-        if d < eps:
-            witnesses.append(RecurrenceWitness(w, image, d))
+    moved = [(w, image) for w, image in word_images(gens, word_ball(gens, max_length)[1:],
+                                                   x, apply) if image != x]
+    scale, lengths, places = _integer_lengths(X, [x] + [image for _, image in moved])
+    dists = _distances_at(X, lengths, _sweep_to(X, lengths, places[:1]), places[1:])
+    bound = eps * scale
+    witnesses = [RecurrenceWitness(w, image, Fraction(d, scale))
+                 for (w, image), d in zip(moved, dists) if d < bound]
     witnesses.sort(key=lambda wit: (wit.distance, len(wit.word), str(wit.word)))
     return RecurrenceDiagnostic(x, eps, max_length, tuple(witnesses))
 

@@ -345,7 +345,7 @@ def _cmd_cover(cfg, system):
     level = tower.levels[-1]
     # a tower level's tree lies in the tower's hull, so the cover reads it off that hull
     cover = _covers(system.dendrite, m, tower.hull,
-                    [(level.tree, level.frontier, level.index)])[0]
+                    [(level.frontier, level.index)])[0]
     equi = verify_cover_equivariance(system.generators, cover)
     cells = [{"anchor": ser.point_to_json(a),
               "diameter": frac_str(d),

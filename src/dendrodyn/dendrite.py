@@ -547,40 +547,47 @@ class FiniteClosedSet:
         return f"FiniteClosedSet({sorted(self.points, key=point_key)})"
 
 
-def _distance_to_set(dendrite: Dendrite, targets: Iterable[DPoint]):
-    """Per-vertex distance to the nearest target plus sorted per-edge targets."""
-    init: dict[object, Fraction] = {}
-    on_edge: dict[object, list[Fraction]] = {}
+def _integer_lengths(dendrite: Dendrite, points: Sequence[DPoint]):
+    """``(L, lengths, places)``: each edge's weight, and per point its place
+    ``(vertex, None)`` or ``(edge id, s)`` with ``s`` its distance from the
+    edge's ``u`` end, as integers over ``L``, twice their least common
+    denominator, so that half of every length is whole."""
+    edges, edge = dendrite.edges, dendrite._edge_by_id
+    offsets = [p.t * edge[p.edge].weight if isinstance(p, EdgePoint) else None for p in points]
+    lcd, _ = integer_scale(chain((e.weight for e in edges), filter(None, offsets)))
+    scale, length = integer_scale([Fraction(1, 2 * lcd)])  # L = 2 * lcd, and x -> x*L
+    places = [(p.vertex, None) if s is None else (p.edge, length(s))
+              for p, s in zip(points, offsets)]
+    return scale, {e.eid: length(e.weight) for e in edges}, places
 
-    def relax(v, d):
-        if v not in init or d < init[v]:
-            init[v] = d
 
-    count = 0
-    for p in targets:
-        count += 1
-        p = dendrite.check_point(p)
-        if isinstance(p, VertexPoint):
-            relax(p.vertex, ZERO)
-        else:
-            e = dendrite.edge(p.edge)
-            relax(e.u, p.t * e.weight)
-            relax(e.v, (1 - p.t) * e.weight)
-            on_edge.setdefault(p.edge, []).append(p.t)
-    if count == 0:
+def _sweep_to(dendrite: Dendrite, lengths: Mapping, places: Iterable) -> tuple[dict, dict]:
+    """One sweep to the target ``places`` (see :func:`_integer_lengths`): every
+    vertex's distance to them, and their sorted offsets on each edge."""
+    init: dict[object, int] = {}
+    on_edge: dict[object, list[int]] = {}
+    for where, s in places:
+        if s is None:
+            init[where] = 0
+            continue
+        e = dendrite._edge_by_id[where]
+        for v, c in ((e.u, s), (e.v, lengths[where] - s)):
+            if init.get(v, c) >= c:
+                init[v] = c
+        on_edge.setdefault(where, []).append(s)
+    if not init:
         raise EmptySet("distance to an empty set")
-    for ts in on_edge.values():
-        ts.sort()
-    weight = {e.eid: e.weight for e in dendrite.edges}
-    return _sweep_distances(dendrite, init, weight), on_edge
+    for offsets in on_edge.values():
+        offsets.sort()
+    return _sweep_distances(dendrite, init, lengths), on_edge
 
 
 def _sweep_distances(dendrite: Dendrite, init: Mapping, weight: Mapping) -> dict:
     """Least ``init[s] + d(s, v)`` over the seed vertices ``s``, for every vertex ``v``.
 
-    Two passes over the rooted tree, up then down.  Edge lengths come from
-    ``weight`` (edge id -> length), so exact weights and integer-scaled ones
-    share this walk.  ``None`` marks a vertex that no seed has reached yet.
+    Two passes over the rooted tree, up then down, on edge lengths ``weight``:
+    integers over one common denominator, or exact weights in the tests'
+    ``Fraction`` reference kernel.  ``None`` marks a vertex not reached yet.
     """
     dist = dict.fromkeys(dendrite.vertices)
     dist.update(init)
@@ -605,33 +612,35 @@ def _sweep_distances(dendrite: Dendrite, init: Mapping, weight: Mapping) -> dict
     return dist
 
 
-def _point_to_set(dendrite: Dendrite, dist, on_edge, p: DPoint) -> Fraction:
-    if isinstance(p, VertexPoint):
-        return dist[p.vertex]
-    e = dendrite.edge(p.edge)
-    cands = [dist[e.u] + p.t * e.weight, dist[e.v] + (1 - p.t) * e.weight]
-    ts = on_edge.get(p.edge, ())
-    i = bisect_left(ts, p.t)  # only the targets either side of p can be nearest
-    if i < len(ts):
-        cands.append((ts[i] - p.t) * e.weight)
-    if i > 0:
-        cands.append((p.t - ts[i - 1]) * e.weight)
-    return min(cands)
+def _distances_at(dendrite: Dendrite, lengths: Mapping, swept: tuple[dict, dict],
+                  places: Iterable) -> list[int]:
+    """The distance from each place to the targets ``swept``: a vertex's sweep
+    value, or along an edge the nearer route through either end or to a
+    target on the edge, where only the two found by bisection can win."""
+    dist, on_edge = swept
+    edge = dendrite._edge_by_id
+    out = []
+    for where, s in places:
+        if s is None:
+            out.append(dist[where])
+            continue
+        e = edge[where]
+        d = min(dist[e.u] + s, dist[e.v] + lengths[where] - s)
+        offsets = on_edge.get(where)
+        if offsets:
+            i = bisect_left(offsets, s)
+            if i < len(offsets):
+                d = min(d, offsets[i] - s)
+            if i:
+                d = min(d, s - offsets[i - 1])
+        out.append(d)
+    return out
 
 
 def set_distance(dendrite: Dendrite, p: DPoint, targets: FiniteClosedSet) -> Fraction:
-    dist, on_edge = _distance_to_set(dendrite, targets)
-    return _point_to_set(dendrite, dist, on_edge, dendrite.check_point(p))
-
-
-def _integer_lengths(dendrite: Dendrite, points: Iterable[DPoint]):
-    """``(L, lengths, offsets)``: each edge's length and each edge point's distance
-    from its edge's ``u`` end, as integers over their least common denominator ``L``."""
-    weight = {e.eid: e.weight for e in dendrite.edges}
-    offset = {p: p.t * weight[p.edge] for p in points if isinstance(p, EdgePoint)}
-    scale, length = integer_scale(chain(weight.values(), offset.values()))
-    return (scale, {eid: length(w) for eid, w in weight.items()},
-            {p: length(s) for p, s in offset.items()})
+    scale, lengths, places = _integer_lengths(dendrite, [*targets.points, dendrite.check_point(p)])
+    swept = _sweep_to(dendrite, lengths, places[:-1])
+    return Fraction(_distances_at(dendrite, lengths, swept, places[-1:])[0], scale)
 
 
 def _two_nearest(entries) -> list[tuple[int, int]]:
@@ -657,17 +666,17 @@ def nearest_other_distances(dendrite: Dendrite, points: Sequence[DPoint]
     edges); only the results become ``Fraction``s.
     """
     points = [dendrite.check_point(p) for p in points]
-    scale, W, offset = _integer_lengths(dendrite, points)
+    scale, W, places = _integer_lengths(dendrite, points)
     near: dict[object, list[tuple[int, int]]] = {}
     along: dict[object, list[tuple[int, int]]] = {}
     anchors = []  # per point, (vertex, scaled cost from the point) pairs
-    for i, p in enumerate(points):
-        if isinstance(p, VertexPoint):
-            ends = [(p.vertex, 0)]
+    for i, (where, s) in enumerate(places):
+        if s is None:
+            ends = [(where, 0)]
         else:
-            e, s = dendrite._edge_by_id[p.edge], offset[p]
-            ends = [(e.u, s), (e.v, W[e.eid] - s)]
-            along.setdefault(p.edge, []).append((s, i))
+            e = dendrite._edge_by_id[where]
+            ends = [(e.u, s), (e.v, W[where] - s)]
+            along.setdefault(where, []).append((s, i))
         anchors.append(ends)
         for v, c in ends:
             near.setdefault(v, []).append((c, i))
@@ -760,11 +769,14 @@ def hausdorff_distance(a: FiniteClosedSet, b: FiniteClosedSet) -> Fraction:
     if not a.dendrite.same_space(b.dendrite):
         raise DendriteMismatch("sets live on different dendrites")
 
-    def directed(src: FiniteClosedSet, dst: FiniteClosedSet) -> Fraction:
-        dist, on_edge = _distance_to_set(src.dendrite, dst)
-        return max(_point_to_set(src.dendrite, dist, on_edge, p) for p in src)
+    X = a.dendrite
+    scale, lengths, places = _integer_lengths(X, [*a.points, *b.points])
+    at_a, at_b = places[:len(a)], places[len(a):]
 
-    return max(directed(a, b), directed(b, a))
+    def directed(src: list, dst: list) -> int:
+        return max(_distances_at(X, lengths, _sweep_to(X, lengths, dst), src))
+
+    return Fraction(max(directed(at_a, at_b), directed(at_b, at_a)), scale)
 
 
 def mesh(cover: Sequence[Subdendrite]) -> Fraction:
@@ -803,21 +815,24 @@ def arc_diameter_modulus(dendrite: Dendrite, eps_grid: Sequence[Fraction]
     Checks every pair of skeleton probes: whenever the pair is closer than
     delta, the arc it spans must have diameter below epsilon.  An arc of a
     tree is a geodesic, so its diameter is the pair's distance, read from one
-    sweep per probe.  Delta 0 means no candidate could be certified.
+    sweep per probe; epsilon and delta are scaled to its integers.  Delta 0
+    means no candidate could be certified.
     """
     eps_grid = eps_grid_values(eps_grid)
     probes: list[DPoint] = [VertexPoint(v) for v in sorted(dendrite.vertices, key=id_key)]
     for e in dendrite.edges:
         probes.extend(dendrite.point(e.eid, Fraction(k, 4)) for k in (1, 2, 3))
+    scale, lengths, places = _integer_lengths(dendrite, probes)
     dists = []
-    for i, p in enumerate(probes):
-        dist, on_edge = _distance_to_set(dendrite, [p])
-        dists.extend(_point_to_set(dendrite, dist, on_edge, q) for q in probes[i + 1:])
+    for i, place in enumerate(places):
+        swept = _sweep_to(dendrite, lengths, [place])
+        dists += _distances_at(dendrite, lengths, swept, places[i + 1:])
     table = []
     for eps in eps_grid:
-        chosen = ZERO
+        chosen, bound = ZERO, eps * scale
         for cand in (Fraction(1, 2**k) for k in range(13)):  # 1, 1/2, ..., 2**-12
-            if all(d < eps for d in dists if d < cand):
+            reach = cand * scale
+            if all(d < bound for d in dists if d < reach):
                 chosen = cand
                 break
         table.append((eps, chosen))

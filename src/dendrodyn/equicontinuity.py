@@ -21,9 +21,11 @@ from .dendrite import (
     FiniteClosedSet,
     Subdendrite,
     VertexPoint,
+    _distances_at,
+    _integer_lengths,
     _node,
     _point,
-    _sweep_distances,
+    _sweep_to,
     eps_grid_values,
 )
 from .errors import (
@@ -37,7 +39,7 @@ from .errors import (
 from .homeo import apply, image_subdendrite
 from .action import GeneratorSet, _is_closed, detect_finite_orbit, word_ball, word_images
 from .measure import PLMeasure, push_forward
-from .util import Record, id_key, integer_scale, point_key
+from .util import Record, frac, id_key, integer_scale, point_key
 
 ZERO = Fraction(0)
 
@@ -84,9 +86,8 @@ def build_tree_tower(gens: GeneratorSet, m: FiniteClosedSet, n_max: int,
     branch_points = [v for v, d in hull._degrees().items() if d >= 3]  # vertices only
     if not branch_points:
         raise NoFiniteOrbitFound("the hull has no branch points to scan")
-    _, length = integer_scale(e.weight for e in X.edges)
-    from_root = _sweep_distances(X, {min(hull.vertices, key=id_key): 0},
-                                 {e.eid: length(e.weight) for e in X.edges})
+    _, lengths, _ = _integer_lengths(X, ())
+    from_root, _ = _sweep_to(X, lengths, [(min(hull.vertices, key=id_key), None)])
     branch_points.sort(key=lambda v: (from_root[v], id_key(v)))
 
     orbits: list[FiniteClosedSet] = []
@@ -125,7 +126,6 @@ def build_tree_tower(gens: GeneratorSet, m: FiniteClosedSet, n_max: int,
 
 class FrontierCover(Record):
     level: int
-    tree: Subdendrite
     cells: tuple[tuple[DPoint, Subdendrite], ...]
     diameters: tuple[Fraction, ...]  # per cell, in the order of ``cells``
 
@@ -223,11 +223,10 @@ class _RootedHull:
         self.children = [(k, height[k] + reach[k], diam[k])
                          for k in range(1, len(order)) if parent[k] == 0]
 
-    def cover(self, n: int, tree: Subdendrite, frontier: FiniteClosedSet, level: int
-              ) -> FrontierCover:
-        """The cover of ``tree``, the ``n``-th level, whose frontier is ``frontier``.
+    def cover(self, n: int, frontier: FiniteClosedSet, level: int) -> FrontierCover:
+        """The cover of the ``n``-th level's tree, the hull of its ``frontier``.
 
-        A top-down pass labels every node with its gate on ``tree``, the
+        A top-down pass labels every node with its gate on the tree, the
         first node of rank at most ``n`` on its way up.  A minimal-set point
         whose gate is no frontier point is a coverage gap; every other node
         and the segment above it belong to its gate's cell.  Each cell
@@ -271,18 +270,18 @@ class _RootedHull:
             else:
                 d = self.below[k]
             diameters.append(Fraction(d, self.scale))
-        return FrontierCover(level, tree, tuple(cells), tuple(diameters))
+        return FrontierCover(level, tuple(cells), tuple(diameters))
 
 
 def _covers(dendrite: Dendrite, m: FiniteClosedSet, hull: Subdendrite,
-            levels: Sequence[tuple[Subdendrite, FiniteClosedSet, int]]) -> list[FrontierCover]:
-    """The cover of each ``(tree, frontier, index)`` level, from one rooted ``hull``.
+            levels: Sequence[tuple[FiniteClosedSet, int]]) -> list[FrontierCover]:
+    """The cover of each ``(frontier, index)`` level, from one rooted ``hull``.
 
-    Each tree must be the hull of its frontier and lie in the next, and the
-    hull must be the hull of ``m`` and the trees.  Raises the first level's
-    coverage gap, if any.
+    A level's tree is the hull of its frontier; each tree must lie in the
+    next, and the hull must be the hull of ``m`` and the trees.  Raises the
+    first level's coverage gap, if any.
     """
-    rooted = _RootedHull(dendrite, hull, m, [frontier for _, frontier, _ in levels])
+    rooted = _RootedHull(dendrite, hull, m, [frontier for frontier, _ in levels])
     return [rooted.cover(n, *level) for n, level in enumerate(levels, start=1)]
 
 
@@ -298,7 +297,7 @@ def frontier_cover(dendrite: Dendrite, m: FiniteClosedSet,
     if len(frontier) == 0:
         raise FrontierEmpty("sub-tree has no frontier")
     hull = dendrite.hull(chain(m.points, frontier.points))
-    return _covers(dendrite, m, hull, [(tree, frontier, level)])[0]
+    return _covers(dendrite, m, hull, [(frontier, level)])[0]
 
 
 class EquivarianceEntry(Record):
@@ -375,17 +374,21 @@ def equicontinuity_certificate(gens: GeneratorSet, m: FiniteClosedSet, n_max: in
 
     Certified: every level is exactly equivariant and meshes strictly decay
     (reaching ``mesh_target`` when one is given); such a modulus is valid for
-    the entire generated group, not just the sampled generators.  Failed
-    states a witness.  ``cover_tamper`` deterministically corrupts each cover
-    before verification (negative-control hook).  A given ``eps_grid`` must be
-    positive and strictly decreasing (``ValueError`` otherwise).
+    the entire generated group, not just the sampled generators.  A one-level
+    tower shows no decay, and its explanation says so.  Failed states a
+    witness.  ``cover_tamper`` deterministically corrupts each cover before
+    verification (negative-control hook).  A given ``eps_grid`` must be
+    positive and strictly decreasing (``ValueError`` otherwise); it and
+    ``mesh_target`` are exact rationals (``TypeError`` for a float).
     """
     if eps_grid is not None:
         eps_grid = eps_grid_values(eps_grid)
+    if mesh_target is not None:
+        mesh_target = frac(mesh_target)
     tower = build_tree_tower(gens, m, n_max, minimal_class=minimal_class,
                              orbit_budget=orbit_budget)
     covers = _covers(gens.dendrite, m, tower.hull,
-                     [(level.tree, level.frontier, level.index) for level in tower.levels])
+                     [(level.frontier, level.index) for level in tower.levels])
     covers.reverse()  # popped level by level, so each cover is dropped once checked
     levels = []
     witness = None
@@ -415,8 +418,12 @@ def equicontinuity_certificate(gens: GeneratorSet, m: FiniteClosedSet, n_max: in
         explanation = f"equivariance counterexample at {witness!r}"
     elif decaying and target_ok:
         verdict = "Certified"
-        explanation = ("cells are permuted exactly by every generator and the "
-                       "mesh decays strictly; the modulus holds for the whole group")
+        if len(meshes) > 1:
+            explanation = ("cells are permuted exactly by every generator and the "
+                           "mesh decays strictly; the modulus holds for the whole group")
+        else:
+            explanation = ("cells are permuted exactly by every generator; the modulus "
+                           "rests on one level, so no decay is shown")
     else:
         verdict = "Failed"
         explanation = ("mesh sequence does not decay to the requested target"
@@ -433,12 +440,11 @@ def tamper_remove_edge(cover: FrontierCover) -> FrontierCover:
             portions = dict(cell.portions)
             eid = sorted(portions, key=lambda k: str(k))[0]
             del portions[eid]
-            broken = Subdendrite._make(cover.tree.dendrite, set(cell.vertices),
-                                       portions)
+            broken = Subdendrite._make(cell.dendrite, set(cell.vertices), portions)
             cells[i] = (anchor, broken)
             diameters[i] = broken.diameter()
             break
-    return FrontierCover(cover.level, cover.tree, tuple(cells), tuple(diameters))
+    return FrontierCover(cover.level, tuple(cells), tuple(diameters))
 
 
 # a measure's spread is the radius of the smallest ball holding this share of its mass
@@ -455,7 +461,8 @@ class ProximalityTrace(Record):
 def _spread(mu: PLMeasure, threshold: Fraction) -> Fraction:
     """Smallest radius of a vertex- or atom-centred closed ball holding the threshold.
 
-    Per centre, one distance sweep gives every vertex's and atom's distance.
+    Per centre, one distance sweep (``_sweep_to``) gives every vertex's and
+    atom's distance.
     The ball mass is then a non-decreasing function of the radius: an atom is
     a jump at its distance, and a density piece of density r is a ramp of
     slope r over the radii at which the ball sweeps across it.  One sorted
@@ -481,33 +488,23 @@ def _spread(mu: PLMeasure, threshold: Fraction) -> Fraction:
     W = {eid: length(w) for eid, w in weight.items()}
     ramps = [(X.edge(eid), W[eid], [(length(a), length(b), rate(r)) for a, b, r in rows])
              for eid, rows in spans]
-    # an atom is (vertex, None, jump) or (edge, scaled distance from its u end, jump)
-    atoms = [(p.vertex, None, rate(w) * scale) if p not in inside
-             else (X.edge(p.edge), length(inside[p]), rate(w) * scale)
-             for p, w in mu.atoms]
+    # a place is (vertex, None) or (edge id, scaled distance from its u end)
+    places = {p: (p.edge, length(s)) for p, s in inside.items()}
+    atoms = [places[p] if p in places else (p.vertex, None) for p, _ in mu.atoms]
+    jumps = [rate(w) * scale for _, w in mu.atoms]
     theta = rate(threshold) * scale
     # centres: every vertex, then every atom inside an edge (an atom at a
     # vertex is already a centre)
-    centers = [(None, v) for v in sorted(X.vertices, key=lambda v: point_key(VertexPoint(v)))]
-    centers.extend((X.edge(p.edge), length(s)) for p, s in inside.items())
+    centers = [(v, None) for v in sorted(X.vertices, key=lambda v: point_key(VertexPoint(v)))]
+    centers.extend(places.values())
     best_num, best_den = 1, 0  # the best radius so far times L, as a ratio; 1/0 is none yet
-    for own, c in centers:
-        if own is None:
-            init = {c: 0}
-        else:
-            init = {own.u: c, own.v: W[own.eid] - c}
-        dist = _sweep_distances(X, init, W)
-        events = []  # (radius, jump, slope change)
-        for where, s, jump in atoms:
-            if s is None:
-                d = dist[where]
-            elif where is own:
-                d = abs(s - c)
-            else:
-                d = min(dist[where.u] + s, dist[where.v] + W[where.eid] - s)
-            events.append((d, jump, 0))
+    for where, c in centers:
+        swept = _sweep_to(X, W, [(where, c)])
+        dist = swept[0]
+        events = [(d, jump, 0)  # (radius, jump, slope change)
+                  for d, jump in zip(_distances_at(X, W, swept, atoms), jumps)]
         for e, w, rows in ramps:
-            if e is own:
+            if c is not None and e.eid == where:
                 # the centre's own edge is swept outwards on both sides of c
                 for a, b, r in rows:
                     if b > c:

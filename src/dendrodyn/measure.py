@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .action import Word, reduce_word, word_images
-from .dendrite import Dendrite, DPoint, EdgePoint, VertexPoint, _distance_to_set
+from .dendrite import Dendrite, DPoint, EdgePoint, VertexPoint, _integer_lengths, _sweep_to
 from .errors import (
     DendriteMismatch,
     DomainMismatch,
@@ -323,7 +323,9 @@ class TestFunction:
     def distance_to(cls, dendrite: Dendrite, p: DPoint) -> "TestFunction":
         """The exact distance function x -> d(x, p)."""
         p = dendrite.check_point(p)
-        vv, _ = _distance_to_set(dendrite, [p])
+        scale, lengths, places = _integer_lengths(dendrite, [p])
+        dist, _ = _sweep_to(dendrite, lengths, places)
+        vv = {v: Fraction(d, scale) for v, d in dist.items()}
         ed = {}
         for e in dendrite.edges:
             du, dv = vv[e.u], vv[e.v]

@@ -1,24 +1,27 @@
 """Reference versions of the dendrite's metric, arc and nearest-point queries.
 
-The library measures a distance as the length of its arc and finds arcs,
-gates and retractions from the tree's topology alone (``Dendrite.hull`` and a
-root walk in ``subdendrite_gates``).  These are the earlier algorithms that
-work by exact distances instead: ``metric_distance`` meets at the lowest
-common ancestor over a table of root distances, ``metric_arc`` joins the
-closest pair of anchor vertices, ``metric_retract_point`` compares the
-distance to every candidate point, ``swept_gates`` carries (distance, gate)
-labels over the whole tree in two passes, and ``hull_arc_diameter_modulus``
-builds one arc per probe pair.  ``measure_oracle``, ``add_oracle`` and
-``pl_value_oracle`` are the earlier measure layer: a validating constructor
-that merges touching rows itself, a sum on its own cut grid, and an indexed
-interpolation loop.  ``frontier_cover_oracle``, ``union_connected``,
-``classify_oracle``, ``nearest_other_oracle`` and ``node_degree_oracle`` are
-the earlier cover and classification layer: one gate walk, one hull and one
-diameter per cell and level, a nesting check through a validated union,
-``Fraction`` sweeps over 2|V| - 1 skeleton probes and two-nearest labels, and
-a node graph of tagged tuples that endpoints and branch points were counted on.
-``graph_oracle``, ``orientation_oracle``, ``edge_between_oracle``, ``add_one``
-and ``orbit_layers_oracle`` are the earlier construction and orbit search:
+The library measures a distance as the length of its arc and finds arcs, gates
+and retractions from the tree's topology alone (``Dendrite.hull`` and a root
+walk in ``subdendrite_gates``), and it measures distances to a finite set on
+integers over one common denominator (``_sweep_to``).  These are the earlier
+algorithms that work by exact distances instead: ``_distance_to_set`` and
+``_point_to_set`` sweep ``Fraction`` weights to a set and read a point off the
+sweep, ``metric_distance`` meets at the lowest common ancestor over a table of
+root distances, ``metric_arc`` joins the closest pair of anchor vertices,
+``metric_retract_point`` compares the distance to every candidate point,
+``swept_gates`` carries (distance, gate) labels over the whole tree in two
+passes, and ``hull_arc_diameter_modulus`` builds one arc per probe pair.
+``measure_oracle``, ``add_oracle`` and ``pl_value_oracle`` are the earlier
+measure layer: a validating constructor that merges touching rows itself, a
+sum on its own cut grid, and an indexed interpolation loop.
+``frontier_cover_oracle``, ``union_connected``, ``classify_oracle``,
+``nearest_other_oracle`` and ``node_degree_oracle`` are the earlier cover and
+classification layer: one gate walk, one hull and one diameter per cell and
+level, a nesting check through a validated union, ``Fraction`` sweeps over
+2|V| - 1 skeleton probes and two-nearest labels, and a node graph of tagged
+tuples that endpoints and branch points were counted on.  ``graph_oracle``,
+``orientation_oracle``, ``edge_between_oracle``, ``add_one`` and
+``orbit_layers_oracle`` are the earlier construction and orbit search:
 components by relabelling, one sorted adjacency scan per vertex, an edge scan
 per lookup, add-one-with-carry on every odometer label, and a copy of the
 orbit per BFS layer.  Tests check the library against them.  The subdendrite
@@ -26,6 +29,7 @@ helpers at the end (``portion_graph``, ``intersection``, ``is_connected``,
 ``sample_points``) serve tests only.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable, Sequence
 from weakref import WeakKeyDictionary
@@ -40,8 +44,7 @@ from dendrodyn.dendrite import (
     FiniteClosedSet,
     Subdendrite,
     VertexPoint,
-    _distance_to_set,
-    _point_to_set,
+    _sweep_distances,
     eps_grid_values,
     subdendrite_gates,
 )
@@ -50,6 +53,7 @@ from dendrodyn.errors import (
     CoverageGap,
     DendriteMismatch,
     DendrodynError,
+    EmptySet,
     EmptySubdendrite,
     FrontierEmpty,
 )
@@ -92,6 +96,48 @@ def _lca(X: Dendrite, a, b):
         a = X._parent[a]
         b = X._parent[b]
     return a
+
+
+def _distance_to_set(dendrite: Dendrite, targets: Iterable[DPoint]):
+    """Per-vertex distance to the nearest target plus sorted per-edge targets."""
+    init: dict[object, Fraction] = {}
+    on_edge: dict[object, list[Fraction]] = {}
+
+    def relax(v, d):
+        if v not in init or d < init[v]:
+            init[v] = d
+
+    count = 0
+    for p in targets:
+        count += 1
+        p = dendrite.check_point(p)
+        if isinstance(p, VertexPoint):
+            relax(p.vertex, ZERO)
+        else:
+            e = dendrite.edge(p.edge)
+            relax(e.u, p.t * e.weight)
+            relax(e.v, (1 - p.t) * e.weight)
+            on_edge.setdefault(p.edge, []).append(p.t)
+    if count == 0:
+        raise EmptySet("distance to an empty set")
+    for ts in on_edge.values():
+        ts.sort()
+    weight = {e.eid: e.weight for e in dendrite.edges}
+    return _sweep_distances(dendrite, init, weight), on_edge
+
+
+def _point_to_set(dendrite: Dendrite, dist, on_edge, p: DPoint) -> Fraction:
+    if isinstance(p, VertexPoint):
+        return dist[p.vertex]
+    e = dendrite.edge(p.edge)
+    cands = [dist[e.u] + p.t * e.weight, dist[e.v] + (1 - p.t) * e.weight]
+    ts = on_edge.get(p.edge, ())
+    i = bisect_left(ts, p.t)  # only the targets either side of p can be nearest
+    if i < len(ts):
+        cands.append((ts[i] - p.t) * e.weight)
+    if i > 0:
+        cands.append((p.t - ts[i - 1]) * e.weight)
+    return min(cands)
 
 
 def vertex_distance(X: Dendrite, a, b) -> Fraction:
@@ -287,7 +333,7 @@ def frontier_cover_oracle(dendrite: Dendrite, m: FiniteClosedSet,
     cells = []
     for a in sorted(anchors, key=point_key):
         cells.append((a, dendrite.hull([a] + assigned[a])))
-    return FrontierCover(level, tree, tuple(cells), tuple(c.diameter() for _, c in cells))
+    return FrontierCover(level, tuple(cells), tuple(c.diameter() for _, c in cells))
 
 
 def node_degree_oracle(sub: Subdendrite) -> dict:

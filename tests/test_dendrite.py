@@ -6,13 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dendrodyn.action import GeneratorSet, detect_recurrence, evaluate_word, word_ball
 from dendrodyn.dendrite import (
     Dendrite,
     FiniteClosedSet,
     Subdendrite,
-    _distance_to_set,
+    _distances_at,
+    _integer_lengths,
     _point,
-    _point_to_set,
+    _sweep_to,
     arc_decomposition,
     arc_diameter_modulus,
     boundary_classification,
@@ -32,17 +34,22 @@ from dendrodyn.errors import (
     InvalidDendrite,
     PointOffDendrite,
 )
+from dendrodyn.homeo import Homeo, apply
+from dendrodyn.measure import TestFunction
 from dendrodyn.util import point_key
 from dendrodyn.zoo import gehman_dendrite, leaf_point, odometer_system
 
 from conftest import (
     nx_metric_oracle,
+    pl_maps,
     random_graphs,
     random_trees,
     tree_points,
     trees_with_points,
 )
 from oracles import (
+    _distance_to_set,
+    _point_to_set,
     edge_between_oracle,
     graph_oracle,
     hull_arc_diameter_modulus,
@@ -634,12 +641,73 @@ class TestPointToSet:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_bisect_matches_linear_scan(self, data):
+        # the integer kernel's bisection against a scan of every same-edge
+        # target on the Fraction oracle's sweep
         X = data.draw(random_trees(max_edges=3))
         targets = data.draw(st.lists(tree_points(X), min_size=1, max_size=12))
         queries = data.draw(st.lists(tree_points(X), min_size=1, max_size=12))
         dist, on_edge = _distance_to_set(X, targets)
-        for p in queries:
-            assert _point_to_set(X, dist, on_edge, p) == scanned_point_to_set(X, dist, on_edge, p)
+        scale, lengths, places = _integer_lengths(X, targets + queries)
+        swept = _sweep_to(X, lengths, places[:len(targets)])
+        got = _distances_at(X, lengths, swept, places[len(targets):])
+        assert [F(d, scale) for d in got] == [scanned_point_to_set(X, dist, on_edge, p)
+                                              for p in queries]
+
+
+@st.composite
+def shared_edge_points(draw, X, max_size=8):
+    """Points of ``X``, about half of them on one shared edge (parameters k/16)."""
+    e = draw(st.sampled_from(X.edges))
+    on_e = [X.point(e.eid, F(k, 16)) for k in draw(st.lists(st.integers(0, 16), max_size=4))]
+    return on_e + draw(st.lists(tree_points(X), min_size=1, max_size=max_size - len(on_e)))
+
+
+def oracle_distance(X, targets, p):
+    """The distance from ``p`` to ``targets`` by the Fraction oracle kernel."""
+    return _point_to_set(X, *_distance_to_set(X, targets), X.check_point(p))
+
+
+class TestIntegerKernel:
+    """Every set-distance query against the Fraction sweep kept in ``oracles``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_hausdorff_and_set_distance(self, data):
+        X = data.draw(random_trees(max_edges=5))
+        A = FiniteClosedSet(X, data.draw(shared_edge_points(X)))
+        B = FiniteClosedSet(X, data.draw(shared_edge_points(X)))
+        directed = [max(oracle_distance(X, dst.points, p) for p in src.points)
+                    for src, dst in ((A, B), (B, A))]
+        assert hausdorff_distance(A, B) == max(directed)
+        for p in A.points:
+            assert set_distance(X, p, B) == oracle_distance(X, B.points, p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(trees_with_points(count=1, max_edges=6))
+    def test_distance_function_vertex_values(self, data):
+        X, (p,) = data
+        dist, _ = _distance_to_set(X, [p])
+        assert TestFunction.distance_to(X, p).vertex_values == dist
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_recurrence_witness_distances(self, data):
+        # each generator fixes every vertex and moves points along their own
+        # edge by a PL map, so every image shares the base point's edge
+        X = data.draw(random_trees(max_edges=4))
+        gens = GeneratorSet(X, [
+            (sym, Homeo(X, {v: v for v in X.vertices},
+                        {e.eid: (e.eid, data.draw(pl_maps())) for e in X.edges}))
+            for sym in ("f", "g")])
+        x = X.point(data.draw(st.sampled_from(X.edges)).eid, F(data.draw(st.integers(1, 15)), 16))
+        eps = F(data.draw(st.integers(1, 16)), 8)
+        diag = detect_recurrence(gens, x, eps, 2)
+        for wit in diag.witnesses:
+            assert wit.distance == oracle_distance(X, [x], wit.image)
+            assert 0 < wit.distance < eps
+        images = ((w, apply(evaluate_word(w, gens), x)) for w in word_ball(gens, 2)[1:])
+        near = {(w, q) for w, q in images if q != x and oracle_distance(X, [x], q) < eps}
+        assert {(wit.word, wit.image) for wit in diag.witnesses} == near
 
 
 class TestHausdorff:

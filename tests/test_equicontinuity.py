@@ -5,10 +5,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dendrodyn import equicontinuity
-from dendrodyn.action import detect_finite_orbit, evaluate_word, word_ball
+from dendrodyn.action import (
+    classify_minimal_set,
+    detect_finite_orbit,
+    detect_recurrence,
+    evaluate_word,
+    minimal_set_approx,
+    word_ball,
+)
 from dendrodyn.dendrite import FiniteClosedSet, arc_diameter_modulus, hausdorff_distance, mesh
 from dendrodyn.equicontinuity import _RootedHull, _covers
-from dendrodyn.dendrite import Dendrite, VertexPoint, _distance_to_set, _point, _point_to_set
+from dendrodyn.dendrite import Dendrite, VertexPoint, _point
 from dendrodyn.equicontinuity import (
     FrontierCover,
     _spread,
@@ -34,6 +41,8 @@ from dendrodyn.action import GeneratorSet
 
 from conftest import random_measures, random_trees, tree_points
 from oracles import (
+    _distance_to_set,
+    _point_to_set,
     frontier_cover_oracle,
     intersection,
     metric_distance,
@@ -132,12 +141,12 @@ class TestTower:
         m = leaf_set(system, depth)
         swept = build_tree_tower(system.generators, m, depth - 1)
 
-        def per_pair(X, init, weight):
-            ((root, _),) = init.items()
+        def per_pair(X, lengths, places):
+            ((root, _),) = places
             return {v: metric_distance(X, VertexPoint(root), VertexPoint(v))
-                    for v in X.vertices}
+                    for v in X.vertices}, {}
 
-        monkeypatch.setattr(equicontinuity, "_sweep_distances", per_pair)
+        monkeypatch.setattr(equicontinuity, "_sweep_to", per_pair)
         assert build_tree_tower(system.generators, m, depth - 1) == swept
         assert len(swept) == depth - 1
 
@@ -319,6 +328,42 @@ class TestCertificate:
         cert = equicontinuity_certificate(system.generators, m, 2,
                                           mesh_target=F(1, 64))
         assert cert.verdict == "Failed"
+
+    MULTI_LEVEL = ("cells are permuted exactly by every generator and the mesh "
+                   "decays strictly; the modulus holds for the whole group")
+    ONE_LEVEL = ("cells are permuted exactly by every generator; the modulus "
+                 "rests on one level, so no decay is shown")
+
+    @pytest.mark.parametrize("n_max, explanation", [(1, ONE_LEVEL), (4, MULTI_LEVEL)],
+                             ids=["one-level", "four-levels"])
+    def test_one_level_claims_no_decay(self, n_max, explanation):
+        system = odometer_system(5)
+        cert = equicontinuity_certificate(system.generators, leaf_set(system, 5), n_max)
+        assert cert.verdict == "Certified" and len(cert.levels) == n_max
+        assert cert.explanation == explanation
+
+    def test_finite_tower_claims_no_decay(self):
+        system = thompson_system()
+        X = system.dendrite
+        m = FiniteClosedSet(X, [X.vertex_point("0")])
+        cert = equicontinuity_certificate(system.generators, m, 4, minimal_class="finite")
+        assert cert.verdict == "Certified" and [lvl.mesh for lvl in cert.levels] == [0]
+        assert cert.explanation == self.ONE_LEVEL
+
+    @pytest.mark.parametrize("call", [
+        lambda s, x, m: minimal_set_approx(s.generators, x, 2, 0.1),
+        lambda s, x, m: classify_minimal_set(s.dendrite, m, 0.1),
+        lambda s, x, m: detect_recurrence(s.generators, x, 0.1, 2),
+        lambda s, x, m: equicontinuity_certificate(s.generators, m, 4, mesh_target=0.2),
+    ], ids=["minimal_set_approx", "classify_minimal_set", "detect_recurrence",
+            "equicontinuity_certificate"])
+    def test_float_resolution_refused(self, call):
+        # a float would be read as its binary expansion, 0.1 as
+        # 3602879701896397/36028797018963968, or compared inexactly
+        system = odometer_system(5)
+        x = leaf_point(system.dendrite, 5, 0)
+        with pytest.raises(TypeError, match="cannot interpret 0.[12] as an exact rational"):
+            call(system, x, leaf_set(system, 5))
 
     @pytest.mark.parametrize("eps_grid", [[F(1, 2), F(1, 2), -1], [F(1, 4), F(1, 2)],
                                           [F(1, 2), 0]])
@@ -510,7 +555,7 @@ def trees_with_sets(draw, max_points=6):
 def tower_covers(tower):
     """Every level's cover of a tower, as the certificate builds them."""
     return _covers(tower.dendrite, tower.minimal_set, tower.hull,
-                   [(lvl.tree, lvl.frontier, lvl.index) for lvl in tower.levels])
+                   [(lvl.frontier, lvl.index) for lvl in tower.levels])
 
 
 class TestOnePassCovers:
@@ -539,14 +584,14 @@ class TestOnePassCovers:
         levels = []
         for i in range(1, len(chosen) + 1):
             tree = X.hull(chosen[:i])
-            levels.append((tree, tree.endpoint_set(), i))
+            levels.append((tree, i))
         expected = []
-        for tree, _, i in levels:
+        for tree, i in levels:
             cover = outcome(frontier_cover_oracle, X, m, tree, i)
             expected.append(cover)
             if not isinstance(cover, FrontierCover):
                 break
-        got = outcome(_covers, X, m, hull, levels)
+        got = outcome(_covers, X, m, hull, [(tree.endpoint_set(), i) for tree, i in levels])
         if isinstance(expected[-1], FrontierCover):
             assert got == expected
         else:

@@ -27,7 +27,6 @@ from .action import (
 )
 from .dendrite import eps_grid_values, hausdorff_distance
 from .equicontinuity import (
-    _covers,
     build_tree_tower,
     equicontinuity_certificate,
     strong_proximality_scan,
@@ -343,9 +342,7 @@ def _cmd_cover(cfg, system):
                              minimal_class=tower_class,
                              orbit_budget=_orbit_budget(params))
     level = tower.levels[-1]
-    # a tower level's tree lies in the tower's hull, so the cover reads it off that hull
-    cover = _covers(system.dendrite, m, tower.hull,
-                    [(level.frontier, level.index)])[0]
+    cover = tower.cover(level.index)
     equi = verify_cover_equivariance(system.generators, cover)
     cells = [{"anchor": ser.point_to_json(a),
               "diameter": frac_str(d),

@@ -47,19 +47,35 @@ ZERO = Fraction(0)
 class TowerLevel(Record):
     index: int
     orbit: FiniteClosedSet
-    tree: Subdendrite
     frontier: FiniteClosedSet
     strict: bool
 
 
-class TreeTower(Record):
-    dendrite: Dendrite
-    hull: Subdendrite
-    minimal_set: FiniteClosedSet
+class TreeTower(Record, uncompared=("rooted",)):
     levels: tuple[TowerLevel, ...]
+    rooted: _RootedHull  # the hull of the minimal set and every level, ranked by level
 
     def __len__(self):
         return len(self.levels)
+
+    def cover(self, n: int) -> FrontierCover:
+        """The cover of level ``n``'s tree; raises its coverage gap, if any."""
+        return self.rooted.cover(n, n)
+
+
+def _branch_order(X: Dendrite, hull: Subdendrite) -> list:
+    """The hull's branch points (vertices only), nearest its smallest vertex first.
+
+    A function of its own, so that the sweep's per-vertex dicts are freed
+    before the tower's rooted hull is built (peak memory).
+    """
+    branch_points = [v for v, d in hull._degrees().items() if d >= 3]
+    if not branch_points:
+        raise NoFiniteOrbitFound("the hull has no branch points to scan")
+    _, lengths, _ = _integer_lengths(X, ())
+    from_root, _ = _sweep_to(X, lengths, [(min(hull.vertices, key=id_key), None)])
+    branch_points.sort(key=lambda v: (from_root[v], id_key(v)))
+    return branch_points
 
 
 def build_tree_tower(gens: GeneratorSet, m: FiniteClosedSet, n_max: int,
@@ -70,7 +86,9 @@ def build_tree_tower(gens: GeneratorSet, m: FiniteClosedSet, n_max: int,
     ``minimal_class`` is "cantor-like" or "finite", which short-circuits to
     the one-level tower [m]; ``n_max`` must be at least 1 (``ValueError``
     otherwise).  Branch points are scanned in increasing distance from the
-    hull's smallest vertex; the first certified orbits win.
+    hull's smallest vertex; the first certified orbits win.  Level n's tree
+    is the hull of the first n orbits; every frontier is read off one rooted
+    hull, which the tower keeps for its covers.
     """
     if minimal_class not in ("finite", "cantor-like"):
         raise ValueError(f"minimal_class must be 'finite' or 'cantor-like', got {minimal_class!r}")
@@ -79,21 +97,14 @@ def build_tree_tower(gens: GeneratorSet, m: FiniteClosedSet, n_max: int,
     X = gens.dendrite
     hull = X.hull(m)
     if minimal_class == "finite":
-        level = TowerLevel(1, m, hull, hull.endpoint_set(), strict=True)
-        return TreeTower(X, hull, m, (level,))
+        rooted = _RootedHull(X, hull, m, [m])
+        return TreeTower((TowerLevel(1, m, rooted.frontiers[0], strict=True),), rooted)
 
     budget = orbit_budget if orbit_budget is not None else max(64, 2 ** n_max)
-    branch_points = [v for v, d in hull._degrees().items() if d >= 3]  # vertices only
-    if not branch_points:
-        raise NoFiniteOrbitFound("the hull has no branch points to scan")
-    _, lengths, _ = _integer_lengths(X, ())
-    from_root, _ = _sweep_to(X, lengths, [(min(hull.vertices, key=id_key), None)])
-    branch_points.sort(key=lambda v: (from_root[v], id_key(v)))
-
     orbits: list[FiniteClosedSet] = []
     visited: set[DPoint] = set()
     pending_growth = None
-    for b in branch_points:
+    for b in _branch_order(X, hull):
         pb = VertexPoint(b)
         if pb in visited:
             continue
@@ -111,17 +122,15 @@ def build_tree_tower(gens: GeneratorSet, m: FiniteClosedSet, n_max: int,
                 f"no orbit closed within budget {budget}; growth {pending_growth}")
         raise NoFiniteOrbitFound("no finite orbit among the hull's branch points")
 
-    levels: list[TowerLevel] = []
-    accumulated: list[DPoint] = []
-    for i, orb in enumerate(orbits, start=1):
-        accumulated.extend(orb)  # so the trees nest
-        tree = X.hull(accumulated)
-        frontier = tree.endpoint_set()
-        strict = frontier == orb
+    if not all(map(hull.contains, visited)):  # an orbit leaves hull(m), so m is not invariant
+        hull = X.hull(chain(m.points, visited))
+    rooted = _RootedHull(X, hull, m, orbits)
+    levels = []
+    for i, (orb, frontier) in enumerate(zip(orbits, rooted.frontiers), start=1):
         if not _is_closed(gens, dict.fromkeys(frontier)):
             raise CoverageGap(f"frontier at level {i} is not generator-closed")
-        levels.append(TowerLevel(i, orb, tree, frontier, strict))
-    return TreeTower(X, hull, m, tuple(levels))
+        levels.append(TowerLevel(i, orb, frontier, frontier == orb))
+    return TreeTower(tuple(levels), rooted)
 
 
 class FrontierCover(Record):
@@ -136,29 +145,32 @@ class FrontierCover(Record):
 
 
 class _RootedHull:
-    """A hull rooted at a first-level frontier point, with two labels per node.
+    """A tower's hull, rooted at a first-level point, with two labels per node.
 
-    Nodes are the hull's vertices (by id) and its cut points (``EdgePoint``s):
-    the minimal-set points and the frontier points where they lie inside
-    edges.  A segment runs between consecutive nodes along a portion; the
-    segments are kept in the hull's portion order, an uncut portion as the
-    hull's own ``(edge id, (lo, hi))`` item, which the cells then share.
-    Nodes are numbered breadth-first from the root, the least first-level
-    frontier point by ``point_key``, so each segment has a lower node.  One
-    bottom-up pass, on segment lengths that are integers over the common
-    denominator ``scale``, gives each node two labels.  Its diameter below:
-    the larger of its two longest reaches summed and the largest diameter
-    below a child.  Its rank: the first level with a frontier point at or
-    below it.  A level tree is the hull of its frontier and holds the root,
-    so it is the union of the arcs from the root to its frontier points, and
-    the trees nest: a node lies in level n's tree exactly when its rank is at
-    most n.  Each cover level is then one top-down pass (:meth:`cover`).
+    Level n's tree is the hull of the point sets ``levels[:n]``; the hull
+    must hold them all.  Nodes are the hull's vertices (by id) and its cut
+    points (``EdgePoint``s): the minimal-set and level points inside edges.
+    A segment runs between consecutive nodes along a portion; the segments
+    are kept in the hull's portion order, an uncut portion as the hull's own
+    ``(edge id, (lo, hi))`` item, which the cells then share.  Nodes are
+    numbered breadth-first from the root, the least first-level point by
+    ``point_key``, so each segment has a lower node.  Every level tree holds
+    the root, so it is the union of the arcs from the root to its points.
+
+    A node's rank is the first level with a point at or below it: the node
+    lies in level n's tree exactly when its rank is at most n, and is a
+    frontier point there when, besides, no child (at the root, no two
+    children) has rank at most n.  Its diameter below, from one bottom-up
+    pass on segment lengths that are integers over the common denominator
+    ``scale``, is the larger of its two longest reaches summed and the
+    largest diameter below a child.  Each cover level is then one top-down
+    pass (:meth:`cover`).
     """
 
     def __init__(self, dendrite: Dendrite, hull: Subdendrite, m: FiniteClosedSet,
-                 frontiers: Sequence[FiniteClosedSet]):
+                 levels: Sequence[FiniteClosedSet]):
         X = dendrite
-        anchors = [a for frontier in frontiers for a in frontier.points]
+        anchors = [a for points in levels for a in points.points]
         at: dict[object, set] = {}  # edge id -> cut parameters
         for p in chain(m.points, anchors):
             if isinstance(p, EdgePoint):
@@ -184,7 +196,7 @@ class _RootedHull:
                 items.append(item if not ts else (eid, (a, b)))
                 lengths.append(e.weight if whole else (b - a) * e.weight)
         self.scale, length = integer_scale(lengths)
-        top = _node(min(frontiers[0].points, key=point_key))
+        top = _node(min(levels[0].points, key=point_key))
         order, index, parent = [top], {top: 0}, [0]
         lower = [0] * len(items)  # per segment, its lower node
         for k, n in enumerate(order):  # breadth-first; the list grows as it is read
@@ -196,12 +208,17 @@ class _RootedHull:
         reach = [0] * len(order)  # the length of the segment above each node
         for i, k in enumerate(lower):
             reach[k] = length(lengths[i])
-        rank = [len(frontiers) + 1] * len(order)  # past every level until a frontier is met
-        for n, frontier in enumerate(frontiers, start=1):
-            for a in frontier.points:  # mark the way up, down to an earlier level's mark
+        past = len(levels) + 1
+        rank = [past] * len(order)  # past every level until a level point is met
+        entered: dict[int, list[int]] = {}  # node -> its children's ranks, least first
+        for n, points in enumerate(levels, start=1):
+            for a in points.points:  # mark the way up, down to an earlier level's mark
                 k = index[_node(a)]
                 while rank[k] > n:
-                    rank[k], k = n, parent[k]
+                    rank[k] = n
+                    if k:
+                        k = parent[k]
+                        entered.setdefault(k, []).append(n)
         height, second, diam = [0] * len(order), [0] * len(order), [0] * len(order)
         for k in range(len(order) - 1, 0, -1):
             d = max(diam[k], height[k] + second[k])
@@ -222,9 +239,15 @@ class _RootedHull:
         self.below = {k: diam[k] for k in self.index.values()}
         self.children = [(k, height[k] + reach[k], diam[k])
                          for k in range(1, len(order)) if parent[k] == 0]
+        ends: list[list] = [[] for _ in levels]  # every tree's endpoints are level points
+        for node, k in self.index.items():
+            kids = entered.get(k, ())[not k:]  # a root with one child in the tree is an end
+            for n in range(rank[k], kids[0] if kids else past):
+                ends[n - 1].append(_point(node))
+        self.frontiers = [FiniteClosedSet(X, points) for points in ends]
 
-    def cover(self, n: int, frontier: FiniteClosedSet, level: int) -> FrontierCover:
-        """The cover of the ``n``-th level's tree, the hull of its ``frontier``.
+    def cover(self, n: int, level: int) -> FrontierCover:
+        """The cover, labelled ``level``, of the ``n``-th level's tree.
 
         A top-down pass labels every node with its gate on the tree, the
         first node of rank at most ``n`` on its way up.  A minimal-set point
@@ -234,6 +257,7 @@ class _RootedHull:
         sort.
         """
         order, index, parent, rank = self.order, self.index, self.parent, self.rank
+        frontier = self.frontiers[n - 1]
         gate = [0] * len(order)
         for k in range(1, len(order)):
             gate[k] = k if rank[k] <= n else gate[parent[k]]
@@ -273,44 +297,24 @@ class _RootedHull:
         return FrontierCover(level, tuple(cells), tuple(diameters))
 
 
-def _covers(dendrite: Dendrite, m: FiniteClosedSet, hull: Subdendrite,
-            levels: Sequence[tuple[FiniteClosedSet, int]]) -> list[FrontierCover]:
-    """The cover of each ``(frontier, index)`` level, from one rooted ``hull``.
-
-    A level's tree is the hull of its frontier; each tree must lie in the
-    next, and the hull must be the hull of ``m`` and the trees.  Raises the
-    first level's coverage gap, if any.
-    """
-    rooted = _RootedHull(dendrite, hull, m, [frontier for frontier, _ in levels])
-    return [rooted.cover(n, *level) for n, level in enumerate(levels, start=1)]
-
-
 def frontier_cover(dendrite: Dendrite, m: FiniteClosedSet,
                    tree: Subdendrite, level: int = 0) -> FrontierCover:
     """One cell per frontier point: the arcs to minimal-set points that touch
     the sub-tree only at that frontier point.
 
-    This is the one-level case of ``_covers``, on the hull of ``m`` and the
-    tree's frontier.
+    This is the one-level case of a tower's covers, on the hull of ``m`` and
+    the tree's frontier.
     """
     frontier = tree.endpoint_set()
     if len(frontier) == 0:
         raise FrontierEmpty("sub-tree has no frontier")
     hull = dendrite.hull(chain(m.points, frontier.points))
-    return _covers(dendrite, m, hull, [(frontier, level)])[0]
-
-
-class EquivarianceEntry(Record):
-    symbol: str
-    sign: int
-    anchor: DPoint
-    ok: bool
+    return _RootedHull(dendrite, hull, m, [frontier]).cover(1, level)
 
 
 class EquivarianceReport(Record):
     level: int
     ok: bool
-    entries: tuple[EquivarianceEntry, ...]
     counterexample: tuple[str, int, DPoint] | None
     note: str = ("equivariance on generators extends to every word "
                  "of the generated group by composition")
@@ -322,21 +326,18 @@ def verify_cover_equivariance(gens: GeneratorSet, cover: FrontierCover
 
     Positive generators suffice: a homeomorphism that permutes the finitely
     many cells exactly has an inverse doing the inverse permutation, and
-    compositions extend the property to every word.
+    compositions extend the property to every word.  The check stops at the
+    first failing ``(symbol, anchor)``, generators in order and cells in
+    cover order, which is the counterexample.
     """
-    entries = []
-    counterexample = None
     cell_of = dict(cover.cells)
     for sym in gens.symbols:
         h = gens.homeo(sym, 1)
         for anchor, cell in cover.cells:
             expected = cell_of.get(apply(h, anchor))
-            ok = expected is not None and image_subdendrite(h, cell) == expected
-            entries.append(EquivarianceEntry(sym, 1, anchor, ok))
-            if not ok and counterexample is None:
-                counterexample = (sym, 1, anchor)
-    all_ok = all(e.ok for e in entries)
-    return EquivarianceReport(cover.level, all_ok, tuple(entries), counterexample)
+            if expected is None or image_subdendrite(h, cell) != expected:
+                return EquivarianceReport(cover.level, False, (sym, 1, anchor))
+    return EquivarianceReport(cover.level, True, None)
 
 
 class CertificateLevel(Record):
@@ -348,7 +349,7 @@ class CertificateLevel(Record):
 
 
 class EquicontinuityCertificate(Record):
-    verdict: str  # "Certified" | "Empirical" | "Failed"
+    verdict: str  # "Certified" | "Failed"
     levels: tuple[CertificateLevel, ...]
     delta_table: tuple[tuple[Fraction, Fraction], ...]
     explanation: str
@@ -387,15 +388,12 @@ def equicontinuity_certificate(gens: GeneratorSet, m: FiniteClosedSet, n_max: in
         mesh_target = frac(mesh_target)
     tower = build_tree_tower(gens, m, n_max, minimal_class=minimal_class,
                              orbit_budget=orbit_budget)
-    covers = _covers(gens.dendrite, m, tower.hull,
-                     [(level.frontier, level.index) for level in tower.levels])
-    covers.reverse()  # popped level by level, so each cover is dropped once checked
     levels = []
     witness = None
     all_equivariant = True
     meshes: list[Fraction] = []
     for level in tower.levels:
-        cover = covers.pop()
+        cover = tower.cover(level.index)  # dropped once checked
         if cover_tamper is not None:
             cover = cover_tamper(cover)
         report = verify_cover_equivariance(gens, cover)

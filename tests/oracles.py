@@ -14,9 +14,10 @@ passes, and ``hull_arc_diameter_modulus`` builds one arc per probe pair.
 ``measure_oracle``, ``add_oracle`` and ``pl_value_oracle`` are the earlier
 measure layer: a validating constructor that merges touching rows itself, a
 sum on its own cut grid, and an indexed interpolation loop.
-``frontier_cover_oracle``, ``union_connected``, ``classify_oracle``,
-``nearest_other_oracle`` and ``node_degree_oracle`` are the earlier cover and
-classification layer: one gate walk, one hull and one diameter per cell and
+``tower_levels_oracle``, ``frontier_cover_oracle``, ``union_connected``,
+``classify_oracle``, ``nearest_other_oracle`` and ``node_degree_oracle`` are
+the earlier tower, cover and classification layer: one hull and one endpoint
+set per tower level, one gate walk, one hull and one diameter per cell and
 level, a nesting check through a validated union, ``Fraction`` sweeps over
 2|V| - 1 skeleton probes and two-nearest labels, and a node graph of tagged
 tuples that endpoints and branch points were counted on.  ``graph_oracle``,
@@ -314,6 +315,23 @@ def hull_arc_diameter_modulus(dendrite: Dendrite, eps_grid: Sequence[Fraction]
 
 
 # -- covers and classification before the rooted hull and the integer sweeps ------
+
+
+def tower_levels_oracle(dendrite: Dendrite, orbits: Sequence[FiniteClosedSet]
+                        ) -> list[tuple[Subdendrite, FiniteClosedSet, bool]]:
+    """Each tower level's ``(tree, frontier, strict)``, one hull per level.
+
+    Level n's tree is the hull of the first n orbits, its frontier is the
+    tree's endpoint set, and the level is strict when that is its own orbit.
+    """
+    levels = []
+    accumulated: list[DPoint] = []
+    for orb in orbits:
+        accumulated.extend(orb)  # so the trees nest
+        tree = dendrite.hull(accumulated)
+        frontier = tree.endpoint_set()
+        levels.append((tree, frontier, frontier == orb))
+    return levels
 
 
 def frontier_cover_oracle(dendrite: Dendrite, m: FiniteClosedSet,

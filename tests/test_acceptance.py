@@ -171,7 +171,7 @@ def test_criterion_04_tower_hausdorff_convergence_depth10():
         assert len(tails) == 1, f"level {lvl.index} frontier tails {tails}"
         expected.append(tails.pop())
         values.append(hausdorff_distance(lvl.frontier, m))
-        meshes.append(frontier_cover(X, m, lvl.tree, lvl.index).mesh())
+        meshes.append(frontier_cover(X, m, X.hull(lvl.frontier), lvl.index).mesh())
     halving = all(b == a / 2 for a, b in zip(values, values[1:]))
     ok = (values == expected and meshes == [2 * v for v in expected]
           and halving)
@@ -362,8 +362,8 @@ def test_criterion_13_negative_controls(tmp_path):
     system = odometer_system(4)
     m = leaf_orbit(system, 4)
     tower = build_tree_tower(system.generators, m, 2)
-    cover = tamper_remove_edge(
-        frontier_cover(system.dendrite, m, tower.levels[1].tree, 2))
+    tree = system.dendrite.hull(tower.levels[1].frontier)
+    cover = tamper_remove_edge(frontier_cover(system.dendrite, m, tree, 2))
     equi = verify_cover_equivariance(system.generators, cover)
     cover_ok = (not equi.ok) and equi.counterexample is not None
 

@@ -337,7 +337,8 @@ class TestCommands:
         m, _, tower_class = cli._minimal_set(zoo_system, {})
         level = build_tree_tower(zoo_system.generators, m, n,
                                  minimal_class=tower_class).levels[-1]
-        cover = frontier_cover(zoo_system.dendrite, m, level.tree, level.index)
+        X = zoo_system.dendrite
+        cover = frontier_cover(X, m, X.hull(level.frontier), level.index)
         assert report["cells"] == [
             {"anchor": ser.point_to_json(a), "diameter": frac_str(d),
              "edges": len(c.portions)} for (a, c), d in zip(cover.cells, cover.diameters)]

@@ -512,9 +512,10 @@ class TestGates:
         X, m, tower = odometer_tower(depth)
         points = list(m)
         for level in tower.levels:
-            gates = subdendrite_gates(X, level.tree, points)
-            assert gates == swept_gates(X, level.tree, points)
-            assert gates == [metric_retract_point(X, level.tree, x) for x in points]
+            tree = X.hull(level.frontier)
+            gates = subdendrite_gates(X, tree, points)
+            assert gates == swept_gates(X, tree, points)
+            assert gates == [metric_retract_point(X, tree, x) for x in points]
 
     @pytest.mark.parametrize("vertices, portions", [
         ({"l1", "l2"}, {}),

@@ -14,7 +14,7 @@ from dendrodyn.action import (
     word_ball,
 )
 from dendrodyn.dendrite import FiniteClosedSet, arc_diameter_modulus, hausdorff_distance, mesh
-from dendrodyn.equicontinuity import _RootedHull, _covers
+from dendrodyn.equicontinuity import _RootedHull
 from dendrodyn.dendrite import Dendrite, VertexPoint, _point
 from dendrodyn.equicontinuity import (
     FrontierCover,
@@ -47,6 +47,7 @@ from oracles import (
     intersection,
     metric_distance,
     sample_points,
+    tower_levels_oracle,
     union_connected,
 )
 
@@ -81,23 +82,27 @@ class TestTower:
         tower = build_tree_tower(system.generators, res.orbit, 3,
                                  minimal_class="finite")
         assert len(tower) == 1
-        assert tower.levels[0].tree == system.dendrite.hull(res.orbit)
+        X = system.dendrite
+        assert X.hull(tower.levels[0].frontier) == X.hull(res.orbit)
 
     def test_two_nested_orbits(self):
         # two branch-point orbits of the depth-3 tree: levels 1 and 2
         system = odometer_system(3)
+        X = system.dendrite
         m = leaf_set(system, 3)
         tower = build_tree_tower(system.generators, m, 2)
         assert len(tower) == 2
-        t1, t2 = tower.levels
-        assert union_connected(t1.tree, t2.tree) == t2.tree
-        assert t1.tree != t2.tree
+        t1, t2 = (X.hull(lvl.frontier) for lvl in tower.levels)
+        assert union_connected(t1, t2) == t2
+        assert t1 != t2
 
     def test_nesting_exact(self, odo4_setup):
         system, m = odo4_setup
+        X = system.dendrite
         tower = build_tree_tower(system.generators, m, 3)
-        for a, b in zip(tower.levels, tower.levels[1:]):
-            assert union_connected(a.tree, b.tree) == b.tree
+        trees = [X.hull(lvl.frontier) for lvl in tower.levels]
+        for a, b in zip(trees, trees[1:]):
+            assert union_connected(a, b) == b
 
     def test_frontier_generator_closed(self, odo4_setup):
         system, m = odo4_setup
@@ -186,35 +191,39 @@ class TestFrontierCover:
     def test_depth4_level1_subtree_cells(self, odo4_setup):
         # explicit subtree diameter sum with tail weights
         system, m = odo4_setup
+        X = system.dendrite
         tower = build_tree_tower(system.generators, m, 3)
-        cover = frontier_cover(system.dendrite, m, tower.levels[0].tree, 1)
+        cover = frontier_cover(X, m, X.hull(tower.levels[0].frontier), 1)
         assert len(cover.cells) == 2
         assert cover.mesh() == 2 * (F(1, 4) + F(1, 8) + F(1, 8)) == 1
 
     def test_depth4_level3_single_edge_pairs(self, odo4_setup):
         system, m = odo4_setup
+        X = system.dendrite
         tower = build_tree_tower(system.generators, m, 3)
-        cover = frontier_cover(system.dendrite, m, tower.levels[2].tree, 3)
+        cover = frontier_cover(X, m, X.hull(tower.levels[2].frontier), 3)
         assert len(cover.cells) == 8
         assert cover.mesh() == 2 * F(1, 8)
 
     def test_plain_weights_match_truncated_sums(self):
         system = odometer_system(4, leaf_weight="level")
+        X = system.dendrite
         m = leaf_set(system, 4)
         tower = build_tree_tower(system.generators, m, 3)
-        cover1 = frontier_cover(system.dendrite, m, tower.levels[0].tree, 1)
+        cover1 = frontier_cover(X, m, X.hull(tower.levels[0].frontier), 1)
         assert cover1.mesh() == 2 * (F(1, 4) + F(1, 8) + F(1, 16))
-        cover3 = frontier_cover(system.dendrite, m, tower.levels[2].tree, 3)
+        cover3 = frontier_cover(X, m, X.hull(tower.levels[2].frontier), 3)
         assert cover3.mesh() == 2 * F(1, 16)
 
     def test_cells_touch_tree_only_at_anchor(self, odo4_setup):
         system, m = odo4_setup
+        X = system.dendrite
         tower = build_tree_tower(system.generators, m, 2)
         for lvl in tower.levels:
-            cover = frontier_cover(system.dendrite, m, lvl.tree, lvl.index)
+            cover = frontier_cover(X, m, X.hull(lvl.frontier), lvl.index)
             for anchor, cell in cover.cells:
-                inter = intersection(cell, lvl.tree)
-                single = system.dendrite.hull([anchor])
+                inter = intersection(cell, X.hull(lvl.frontier))
+                single = X.hull([anchor])
                 assert inter == single
 
     def test_anchor_outside_frontier_reported(self, star3):
@@ -227,8 +236,9 @@ class TestFrontierCover:
 
     def test_cells_cover_minimal_set(self, odo4_setup):
         system, m = odo4_setup
+        X = system.dendrite
         tower = build_tree_tower(system.generators, m, 2)
-        cover = frontier_cover(system.dendrite, m, tower.levels[1].tree, 2)
+        cover = frontier_cover(X, m, X.hull(tower.levels[1].frontier), 2)
         for x in m:
             assert any(cell.contains(x) for _, cell in cover.cells)
 
@@ -239,15 +249,16 @@ class TestEquivariance:
         system, m = odo4_setup
         X = system.dendrite
         tower = build_tree_tower(system.generators, m, 2)
-        cover = frontier_cover(X, m, tower.levels[0].tree, 1)
+        cover = frontier_cover(X, m, X.hull(tower.levels[0].frontier), 1)
         idgens = GeneratorSet(X, [("i", identity_homeo(X))])
         assert verify_cover_equivariance(idgens, cover).ok
 
     def test_odometer_equivariant_all_levels(self, odo4_setup):
         system, m = odo4_setup
+        X = system.dendrite
         tower = build_tree_tower(system.generators, m, 3)
         for lvl in tower.levels:
-            cover = frontier_cover(system.dendrite, m, lvl.tree, lvl.index)
+            cover = frontier_cover(X, m, X.hull(lvl.frontier), lvl.index)
             report = verify_cover_equivariance(system.generators, cover)
             assert report.ok and report.counterexample is None
 
@@ -255,7 +266,7 @@ class TestEquivariance:
         system, m = odo4_setup
         X = system.dendrite
         tower = build_tree_tower(system.generators, m, 2)
-        cover = frontier_cover(X, m, tower.levels[0].tree, 1)
+        cover = frontier_cover(X, m, X.hull(tower.levels[0].frontier), 1)
         bad = GeneratorSet(X, [("c", corrupted_leaf_collapse(4, X))], check=False)
         report = verify_cover_equivariance(bad, cover)
         assert not report.ok
@@ -264,8 +275,9 @@ class TestEquivariance:
     def test_word_equivariance_extends(self, odo4_setup):
         # spot check: words up to length 4 still permute the cells
         system, m = odo4_setup
+        X = system.dendrite
         tower = build_tree_tower(system.generators, m, 2)
-        cover = frontier_cover(system.dendrite, m, tower.levels[1].tree, 2)
+        cover = frontier_cover(X, m, X.hull(tower.levels[1].frontier), 2)
         cell_of = dict(cover.cells)
         for w in word_ball(system.generators, 4):
             h = evaluate_word(w, system.generators)
@@ -552,10 +564,11 @@ def trees_with_sets(draw, max_points=6):
     return X, FiniteClosedSet(X, points)
 
 
-def tower_covers(tower):
-    """Every level's cover of a tower, as the certificate builds them."""
-    return _covers(tower.dendrite, tower.minimal_set, tower.hull,
-                   [(lvl.frontier, lvl.index) for lvl in tower.levels])
+def rooted_covers(X, m, hull, levels):
+    """The cover of each ``(frontier, index)`` level, from one rooted ``hull``;
+    raises the first level's coverage gap, if any."""
+    rooted = _RootedHull(X, hull, m, [frontier for frontier, _ in levels])
+    return [rooted.cover(n, i) for n, (_, i) in enumerate(levels, start=1)]
 
 
 class TestOnePassCovers:
@@ -591,7 +604,7 @@ class TestOnePassCovers:
             expected.append(cover)
             if not isinstance(cover, FrontierCover):
                 break
-        got = outcome(_covers, X, m, hull, [(tree.endpoint_set(), i) for tree, i in levels])
+        got = outcome(rooted_covers, X, m, hull, [(tree.endpoint_set(), i) for tree, i in levels])
         if isinstance(expected[-1], FrontierCover):
             assert got == expected
         else:
@@ -602,10 +615,10 @@ class TestOnePassCovers:
         system = odometer_system(depth)
         X, m = system.dendrite, leaf_set(system, depth)
         tower = build_tree_tower(system.generators, m, depth)
-        covers = tower_covers(tower)
-        assert len(covers) == depth - 1
-        for level, cover in zip(tower.levels, covers):
-            assert cover == frontier_cover_oracle(X, m, level.tree, level.index)
+        assert len(tower) == depth - 1
+        for level in tower.levels:
+            cover = tower.cover(level.index)
+            assert cover == frontier_cover_oracle(X, m, X.hull(level.frontier), level.index)
             assert cover.mesh() == mesh([c for _, c in cover.cells])
 
     def test_coverage_gap_names_the_same_gate(self, star3):
@@ -633,12 +646,13 @@ class TestOnePassCovers:
         m = FiniteClosedSet(X, [X.vertex_point(f"l{i}{j}") for i in arms for j in "01"])
         cert = equicontinuity_certificate(gens, m, 2)
         tower = build_tree_tower(gens, m, 2)
-        covers = tower_covers(tower)
         assert [len(lvl.orbit) for lvl in tower.levels] == [1, 3]
-        assert tower.levels[0].tree == X.hull([X.vertex_point("a")])
-        assert covers[0].cells == ((X.vertex_point("a"), X.hull(m)),)
-        for level, cover in zip(tower.levels, covers):
-            assert cover == frontier_cover_oracle(X, m, level.tree, level.index)
+        assert_levels_match_oracle(X, tower)
+        assert X.hull(tower.levels[0].frontier) == X.hull([X.vertex_point("a")])
+        assert tower.cover(1).cells == ((X.vertex_point("a"), X.hull(m)),)
+        for level in tower.levels:
+            assert tower.cover(level.index) == frontier_cover_oracle(
+                X, m, X.hull(level.frontier), level.index)
         assert [lvl.mesh for lvl in cert.levels] == [3, 1]
         assert cert.verdict == "Certified"
 
@@ -694,9 +708,66 @@ class TestRank:
     def test_odometer_tower(self, depth):
         system = odometer_system(depth)
         tower = build_tree_tower(system.generators, leaf_set(system, depth), depth)
-        rooted = _RootedHull(tower.dendrite, tower.hull, tower.minimal_set,
-                             [lvl.frontier for lvl in tower.levels])
-        self.check(rooted, [lvl.tree for lvl in tower.levels])
+        X = system.dendrite
+        self.check(tower.rooted, [X.hull(lvl.frontier) for lvl in tower.levels])
+
+
+def assert_levels_match_oracle(X, tower):
+    """The tower's frontiers and strictness against one hull per level."""
+    expected = tower_levels_oracle(X, [lvl.orbit for lvl in tower.levels])
+    assert [(lvl.frontier, lvl.strict) for lvl in tower.levels] == \
+        [(frontier, strict) for _, frontier, strict in expected]
+
+
+class TestTowerLevels:
+    """Every level's frontier and every node's rank from one rooted hull, against
+    one hull and one endpoint set per level."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_rooted_hull_matches_oracle(self, data):
+        # level point sets anywhere on the tree, vertices or edge points, the
+        # first often a single point; the hull spans the minimal set and them
+        X, m = data.draw(trees_with_sets())
+        levels = []
+        for n in range(data.draw(st.integers(1, 4))):
+            size = 1 if n == 0 and data.draw(st.booleans()) else data.draw(st.integers(1, 3))
+            levels.append(FiniteClosedSet(X, [data.draw(tree_points(X)) for _ in range(size)]))
+        hull = X.hull([*m.points, *(p for points in levels for p in points.points)])
+        rooted = _RootedHull(X, hull, m, levels)
+        expected = tower_levels_oracle(X, levels)
+        assert rooted.frontiers == [frontier for _, frontier, _ in expected]
+        trees = [tree for tree, _, _ in expected]
+        for node, rank in zip(rooted.order, rooted.rank):
+            p = _point(node)
+            assert rank == next((n for n, tree in enumerate(trees, start=1) if tree.contains(p)),
+                                len(trees) + 1), (p, rank)
+
+    @pytest.mark.parametrize("depth", range(3, 9))
+    def test_odometer(self, depth):
+        system = odometer_system(depth)
+        tower = build_tree_tower(system.generators, leaf_set(system, depth), depth)
+        assert len(tower) == depth - 1
+        assert_levels_match_oracle(system.dendrite, tower)
+
+    def test_level_weights(self):
+        system = odometer_system(5, leaf_weight="level")
+        tower = build_tree_tower(system.generators, leaf_set(system, 5), 4)
+        assert len(tower) == 4
+        assert_levels_match_oracle(system.dendrite, tower)
+
+    def test_orbit_leaving_the_hull(self):
+        # m is not invariant: the orbit of its branch point 00 holds 10 and
+        # 11, outside hull(m), so the tower roots the hull of m and the orbit
+        system = odometer_system(3)
+        X = system.dendrite
+        m = FiniteClosedSet(X, [X.vertex_point(v) for v in ("000", "001", "010")])
+        tower = build_tree_tower(system.generators, m, 3)
+        assert [len(lvl.orbit) for lvl in tower.levels] == [4]
+        assert_levels_match_oracle(X, tower)
+        assert tower.cover(1) == frontier_cover_oracle(X, m, X.hull(tower.levels[0].frontier), 1)
+        cert = equicontinuity_certificate(system.generators, m, 3)
+        assert cert.verdict == "Failed" and cert.witness == ("g", 1, X.vertex_point("00"))
 
 
 class TestDefaultEpsGrid:

@@ -26,7 +26,6 @@ from dendrodyn.dendrite import Edge, EdgePoint, VertexPoint
 from dendrodyn.equicontinuity import (
     CertificateLevel,
     EquicontinuityCertificate,
-    EquivarianceEntry,
     EquivarianceReport,
     FrontierCover,
     ProximalityTrace,
@@ -44,10 +43,11 @@ UNCOMPARED = {
     Classification: {"details"},
     ParadoxReport: {"first_letter_counts"},
     ZooSystem: {"properties"},
+    TreeTower: {"rooted"},
 }
 RECORDS = [Violation, ValidationReport, OrbitReport, FiniteOrbitResult, MinimalSetApprox,
            Classification, RecurrenceWitness, RecurrenceDiagnostic, TowerLevel, TreeTower,
-           FrontierCover, EquivarianceEntry, EquivarianceReport, CertificateLevel,
+           FrontierCover, EquivarianceReport, CertificateLevel,
            EquicontinuityCertificate, ProximalityTrace, FolnerScheme, ParadoxReport,
            ZooSystem, ExperimentConfig]
 
@@ -126,7 +126,7 @@ def test_record_defaults():
     assert ValidationReport(True, ()).notes == ()
     cert = EquicontinuityCertificate("Certified", (), (), "why")
     assert cert.witness is None
-    assert EquivarianceReport(1, True, (), None).note.startswith("equivariance on generators")
+    assert EquivarianceReport(1, True, None).note.startswith("equivariance on generators")
     assert ZooSystem("z", None, None, {}).corrupt_cover is False
     cfg = ExperimentConfig("zoo", parameters={})
     assert (cfg.system, cfg.out, cfg.format, cfg.seed) == (None, ".", "json", 0)

@@ -7,9 +7,6 @@ from .dendrite import (
     FiniteClosedSet,
     Subdendrite,
     VertexPoint,
-    arc_decomposition,
-    arc_diameter_modulus,
-    boundary_classification,
     hausdorff_distance,
     mesh,
 )
@@ -32,7 +29,6 @@ from .action import (
     detect_finite_orbit,
     detect_recurrence,
     evaluate_word,
-    invariant_subdendrite,
     minimal_set_approx,
     orbit,
     reduce_word,

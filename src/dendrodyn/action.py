@@ -16,7 +16,6 @@ from .dendrite import (
     DPoint,
     EdgePoint,
     FiniteClosedSet,
-    Subdendrite,
     VertexPoint,
     _distances_at,
     _integer_lengths,
@@ -387,10 +386,6 @@ class RecurrenceDiagnostic(Record):
     max_length: int
     witnesses: tuple[RecurrenceWitness, ...]
 
-    @property
-    def recurrent(self) -> bool:
-        return bool(self.witnesses)
-
 
 def detect_recurrence(gens: GeneratorSet, x: DPoint, eps, max_length: int
                       ) -> RecurrenceDiagnostic:
@@ -413,9 +408,3 @@ def detect_recurrence(gens: GeneratorSet, x: DPoint, eps, max_length: int
                  for (w, image), d in zip(moved, dists) if d < bound]
     witnesses.sort(key=lambda wit: (wit.distance, len(wit.word), str(wit.word)))
     return RecurrenceDiagnostic(x, eps, max_length, tuple(witnesses))
-
-
-def invariant_subdendrite(gens: GeneratorSet, x: DPoint, radius: int) -> Subdendrite:
-    """Hull of the orbit ball; exactly the invariant hull for a closed orbit."""
-    report = orbit(gens, x, max(radius, 1))
-    return gens.dendrite.hull(report.points)

@@ -396,7 +396,7 @@ def _cmd_pushforward(cfg, system):
 
 def _cmd_folner_average(cfg, system):
     params = cfg.parameters
-    scheme = folner_scheme_Z(params.get("scheme_symbol", system.generators.symbols[0]))
+    scheme = folner_scheme_Z(_param_text(params, "scheme_symbol", system.generators.symbols[0]))
     mu0 = _resolve_measure(params.get("measure", {"dirac": params.get("x")}), system)
     n = read_param(params.get("n", 4), "n")
     nu = folner_average(system.generators, scheme, mu0, n)
@@ -409,7 +409,7 @@ def _cmd_folner_average(cfg, system):
 def _cmd_defect(cfg, system):
     params = cfg.parameters
     ns = [read_param(n, "ns") for n in _param_list(params, "ns", [1, 2, 4, 8, 16])]
-    scheme = folner_scheme_Z(params.get("scheme_symbol", system.generators.symbols[0]))
+    scheme = folner_scheme_Z(_param_text(params, "scheme_symbol", system.generators.symbols[0]))
     mu0 = _resolve_measure(params.get("measure", {"dirac": params.get("x")}), system)
     fns = _default_dictionary(system, params)
     sup = max(f.sup_norm() for f in fns)

@@ -358,18 +358,6 @@ class Dendrite:
             portions[e.eid] = (min(ends), max(ends))
         return Subdendrite._trusted(self, marked, portions)
 
-    def whole(self) -> "Subdendrite":
-        return Subdendrite._make(self, set(self._vertices),
-                                 {e.eid: (ZERO, ONE) for e in self._edges})
-
-    # -- retraction ------------------------------------------------------------
-
-    def retract_point(self, sub: "Subdendrite", x: DPoint) -> DPoint:
-        """The gate of ``x`` on the connected ``sub``, which is its nearest point."""
-        if sub.dendrite is not self and not self.same_space(sub.dendrite):
-            raise DendriteMismatch("subdendrite lives on a different dendrite")
-        return subdendrite_gates(self, sub, [x])[0]
-
 
 def _node(p: DPoint):
     """A point's node in a tree: a vertex by its id, a point inside an edge as itself."""
@@ -715,6 +703,8 @@ def subdendrite_gates(dendrite: Dendrite, sub: Subdendrite,
     to the first point of ``sub`` it meets, or to ``sub``'s top point, the
     one nearest the root, if its root path misses ``sub``.
     """
+    if sub.dendrite is not dendrite and not dendrite.same_space(sub.dendrite):
+        raise DendriteMismatch("subdendrite lives on a different dendrite")
     if sub.is_empty():
         raise EmptySubdendrite("cannot retract onto an empty subdendrite")
     parent, parent_edge, lower = dendrite._parent, dendrite._parent_edge, dendrite._lower
@@ -786,18 +776,6 @@ def mesh(cover: Sequence[Subdendrite]) -> Fraction:
     return max(cell.diameter() for cell in cells)
 
 
-def boundary_classification(dendrite: Dendrite) -> tuple[FiniteClosedSet, FiniteClosedSet]:
-    """(endpoints, branch points); degree-2 vertices belong to neither."""
-    endpoints = [VertexPoint(v) for v in dendrite.vertices if dendrite.degree(v) == 1]
-    branches = [VertexPoint(v) for v in dendrite.vertices if dendrite.degree(v) >= 3]
-    return (FiniteClosedSet(dendrite, endpoints), FiniteClosedSet(dendrite, branches))
-
-
-def arc_decomposition(dendrite: Dendrite) -> list[tuple[object, Fraction]]:
-    """The stored chained enumeration as (edge id, weight) pairs."""
-    return [(e.eid, e.weight) for e in dendrite.edges]
-
-
 def eps_grid_values(eps_grid: Sequence) -> list[Fraction]:
     """An epsilon grid as Fractions; ValueError unless positive and strictly decreasing."""
     eps_grid = [frac(e) for e in eps_grid]
@@ -806,34 +784,3 @@ def eps_grid_values(eps_grid: Sequence) -> list[Fraction]:
     if any(a <= b for a, b in zip(eps_grid, eps_grid[1:])):
         raise ValueError("epsilon grid must be strictly decreasing")
     return eps_grid
-
-
-def arc_diameter_modulus(dendrite: Dendrite, eps_grid: Sequence[Fraction]
-                         ) -> list[tuple[Fraction, Fraction]]:
-    """For each epsilon, the largest dyadic delta certified on the skeleton.
-
-    Checks every pair of skeleton probes: whenever the pair is closer than
-    delta, the arc it spans must have diameter below epsilon.  An arc of a
-    tree is a geodesic, so its diameter is the pair's distance, read from one
-    sweep per probe; epsilon and delta are scaled to its integers.  Delta 0
-    means no candidate could be certified.
-    """
-    eps_grid = eps_grid_values(eps_grid)
-    probes: list[DPoint] = [VertexPoint(v) for v in sorted(dendrite.vertices, key=id_key)]
-    for e in dendrite.edges:
-        probes.extend(dendrite.point(e.eid, Fraction(k, 4)) for k in (1, 2, 3))
-    scale, lengths, places = _integer_lengths(dendrite, probes)
-    dists = []
-    for i, place in enumerate(places):
-        swept = _sweep_to(dendrite, lengths, [place])
-        dists += _distances_at(dendrite, lengths, swept, places[i + 1:])
-    table = []
-    for eps in eps_grid:
-        chosen, bound = ZERO, eps * scale
-        for cand in (Fraction(1, 2**k) for k in range(13)):  # 1, 1/2, ..., 2**-12
-            reach = cand * scale
-            if all(d < bound for d in dists if d < reach):
-                chosen = cand
-                break
-        table.append((eps, chosen))
-    return table

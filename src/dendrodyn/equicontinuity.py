@@ -163,8 +163,10 @@ class _RootedHull:
     children) has rank at most n.  Its diameter below, from one bottom-up
     pass on segment lengths that are integers over the common denominator
     ``scale``, is the larger of its two longest reaches summed and the
-    largest diameter below a child.  Each cover level is then one top-down
-    pass (:meth:`cover`).
+    largest diameter below a child; the same pass carries its distance to
+    the nearest minimal-set node below.  Each cover level is then one
+    top-down pass (:meth:`cover`), and each level's gap one bottom-up pass
+    over that level's tree (:meth:`gap`).
     """
 
     def __init__(self, dendrite: Dendrite, hull: Subdendrite, m: FiniteClosedSet,
@@ -219,6 +221,11 @@ class _RootedHull:
                     if k:
                         k = parent[k]
                         entered.setdefault(k, []).append(n)
+        self.minimal = minimal = bytearray(len(order))  # 1 at the minimal set's nodes
+        for x in m.points:
+            minimal[index[_node(x)]] = 1
+        self.far = far = sum(reach) + 1  # past every distance in the hull
+        near = [0 if x else far for x in minimal]  # to the nearest minimal-set node below
         height, second, diam = [0] * len(order), [0] * len(order), [0] * len(order)
         for k in range(len(order) - 1, 0, -1):
             d = max(diam[k], height[k] + second[k])
@@ -230,15 +237,16 @@ class _RootedHull:
                 second[p] = r
             if d > diam[p]:
                 diam[p] = d
+            if near[k] + reach[k] < near[p]:
+                near[p] = near[k] + reach[k]
         self.dendrite, self.order, self.parent, self.rank = X, order, parent, rank
         self.items, self.lower = items, lower
-        self.minimal = bytearray(len(order))  # 1 at the minimal set's nodes
-        for x in m.points:
-            self.minimal[index[_node(x)]] = 1
         self.index = {n: index[n] for n in map(_node, anchors)}
-        self.below = {k: diam[k] for k in self.index.values()}
-        self.children = [(k, height[k] + reach[k], diam[k])
+        self.below = {k: (diam[k], near[k]) for k in self.index.values()}
+        self.children = [(k, height[k] + reach[k], diam[k], near[k] + reach[k])
                          for k in range(1, len(order)) if parent[k] == 0]
+        # every level tree's nodes but the root, each below its parent, deepest first
+        self.tree = [(k, reach[k]) for k in range(len(order) - 1, 0, -1) if rank[k] < past]
         ends: list[list] = [[] for _ in levels]  # every tree's endpoints are level points
         for node, k in self.index.items():
             kids = entered.get(k, ())[not k:]  # a root with one child in the tree is an end
@@ -288,13 +296,47 @@ class _RootedHull:
                 items.append((a.edge, (a.t, a.t)))
             cells.append((a, Subdendrite(self.dendrite, frozenset(nodes), tuple(items))))
             if k == 0:  # the root's cell leaves out the branch holding the tree
-                outer = [(r, d) for c, r, d in self.children if rank[c] > n]
+                outer = [(r, d) for c, r, d, _ in self.children if rank[c] > n]
                 reach = sorted((r for r, _ in outer), reverse=True)
                 d = max([sum(reach[:2])] + [d for _, d in outer])
             else:
-                d = self.below[k]
+                d = self.below[k][0]
             diameters.append(Fraction(d, self.scale))
         return FrontierCover(level, tuple(cells), tuple(diameters))
+
+    def gap(self, n: int) -> Fraction | None:
+        """The least distance between minimal-set points in different cells of level ``n``.
+
+        A cell meets the level tree only at its anchor, so points in the
+        cells of anchors a and b lie h_a + d(a, b) + h_b apart at least,
+        h being an anchor's distance to the nearest minimal-set point in its
+        cell.  One bottom-up pass over the tree's nodes carries the least
+        h_a + d(a, node) over the anchors below each node, and pairs the
+        value coming up from each child with the least one met so far.
+        None when fewer than two cells hold a minimal-set point.
+        """
+        rank, parent, far = self.rank, self.parent, self.far
+        best = {}  # node -> the least h_a + d(a, node) over the anchors at or below it
+        for a in self.frontiers[n - 1].points:
+            k = self.index[_node(a)]
+            if k:
+                h = self.below[k][1]
+            else:  # the root's cell is its own point and the branches off the tree
+                h = 0 if self.minimal[0] else min(
+                    [far] + [up for c, _, _, up in self.children if rank[c] > n])
+            if h < far:
+                best[k] = h
+        least = far
+        for k, reach in self.tree:
+            if rank[k] > n or k not in best:
+                continue
+            d, p = best[k] + reach, parent[k]
+            met = best.get(p)
+            if met is None or d < met:
+                best[p] = d
+            if met is not None and met + d < least:
+                least = met + d
+        return None if least == far else Fraction(least, self.scale)
 
 
 def frontier_cover(dendrite: Dendrite, m: FiniteClosedSet,
@@ -356,11 +398,18 @@ class EquicontinuityCertificate(Record):
     witness: tuple | None = None
 
 
-def _delta_table(meshes: Sequence[Fraction], eps_grid: Sequence[Fraction]):
-    """delta(eps) = the largest certified mesh not exceeding eps (0 if none)."""
+def _delta_table(meshes: Sequence[Fraction], gaps: Sequence[Fraction | None],
+                 eps_grid: Sequence[Fraction]):
+    """delta(eps) = the largest min(mesh, gap) over the levels whose mesh is at most eps.
+
+    Points of the minimal set closer than a level's gap share a cell, which
+    every group element maps into one cell, so their images are at most the
+    mesh apart.  A level with no gap (one cell) gives its mesh; no fitting
+    level gives 0.
+    """
     rows = []
     for eps in eps_grid:
-        fitting = [m for m in meshes if m <= eps]
+        fitting = [m if g is None else min(m, g) for m, g in zip(meshes, gaps) if m <= eps]
         rows.append((Fraction(eps), max(fitting) if fitting else ZERO))
     return tuple(rows)
 
@@ -392,6 +441,7 @@ def equicontinuity_certificate(gens: GeneratorSet, m: FiniteClosedSet, n_max: in
     witness = None
     all_equivariant = True
     meshes: list[Fraction] = []
+    gaps: list[Fraction | None] = []
     for level in tower.levels:
         cover = tower.cover(level.index)  # dropped once checked
         if cover_tamper is not None:
@@ -402,12 +452,13 @@ def equicontinuity_certificate(gens: GeneratorSet, m: FiniteClosedSet, n_max: in
         all_equivariant = all_equivariant and report.ok
         cell_mesh = cover.mesh()
         meshes.append(cell_mesh)
+        gaps.append(tower.rooted.gap(level.index))
         levels.append(CertificateLevel(level.index, cell_mesh, report.ok,
                                        level.strict, len(cover.cells)))
 
     if eps_grid is None:
         eps_grid = sorted({m for m in meshes if m > 0} | {Fraction(1)}, reverse=True)
-    table = _delta_table(meshes, eps_grid)
+    table = _delta_table(meshes, gaps, eps_grid)
 
     decaying = all(a > b for a, b in zip(meshes, meshes[1:]))
     target_ok = mesh_target is None or (meshes and meshes[-1] <= mesh_target)
@@ -451,9 +502,6 @@ MASS_THRESHOLD = Fraction(15, 16)
 
 class ProximalityTrace(Record):
     rows: tuple[tuple[int, Fraction, str], ...]  # (radius, spread, best word)
-
-    def spreads(self) -> list[Fraction]:
-        return [s for _, s, _ in self.rows]
 
 
 def _spread(mu: PLMeasure, threshold: Fraction) -> Fraction:

@@ -314,12 +314,6 @@ class TestFunction:
         self.name = name
 
     @classmethod
-    def constant(cls, dendrite: Dendrite, value) -> "TestFunction":
-        value = frac(value)
-        return cls(dendrite, {v: value for v in dendrite.vertices}, {},
-                   name=f"const({value})")
-
-    @classmethod
     def distance_to(cls, dendrite: Dendrite, p: DPoint) -> "TestFunction":
         """The exact distance function x -> d(x, p)."""
         p = dendrite.check_point(p)

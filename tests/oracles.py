@@ -8,9 +8,9 @@ algorithms that work by exact distances instead: ``_distance_to_set`` and
 ``_point_to_set`` sweep ``Fraction`` weights to a set and read a point off the
 sweep, ``metric_distance`` meets at the lowest common ancestor over a table of
 root distances, ``metric_arc`` joins the closest pair of anchor vertices,
-``metric_retract_point`` compares the distance to every candidate point,
+``metric_retract_point`` compares the distance to every candidate point, and
 ``swept_gates`` carries (distance, gate) labels over the whole tree in two
-passes, and ``hull_arc_diameter_modulus`` builds one arc per probe pair.
+passes.
 ``measure_oracle``, ``add_oracle`` and ``pl_value_oracle`` are the earlier
 measure layer: a validating constructor that merges touching rows itself, a
 sum on its own cut grid, and an indexed interpolation loop.
@@ -20,14 +20,17 @@ the earlier tower, cover and classification layer: one hull and one endpoint
 set per tower level, one gate walk, one hull and one diameter per cell and
 level, a nesting check through a validated union, ``Fraction`` sweeps over
 2|V| - 1 skeleton probes and two-nearest labels, and a node graph of tagged
-tuples that endpoints and branch points were counted on.  ``graph_oracle``,
+tuples that endpoints and branch points were counted on.  ``cell_gap_oracle``
+measures a cover's gap pair by pair, and ``group_modulus_audit`` checks a
+certified modulus against every element of the group at once, by a search
+over pair orbits.  ``graph_oracle``,
 ``orientation_oracle``, ``edge_between_oracle``, ``add_one`` and
 ``orbit_layers_oracle`` are the earlier construction and orbit search:
 components by relabelling, one sorted adjacency scan per vertex, an edge scan
 per lookup, add-one-with-carry on every odometer label, and a copy of the
 orbit per BFS layer.  Tests check the library against them.  The subdendrite
-helpers at the end (``portion_graph``, ``intersection``, ``is_connected``,
-``sample_points``) serve tests only.
+helpers at the end (``whole``, ``portion_graph``, ``intersection``,
+``is_connected``, ``sample_points``) serve tests only.
 """
 
 from bisect import bisect_left
@@ -46,7 +49,6 @@ from dendrodyn.dendrite import (
     Subdendrite,
     VertexPoint,
     _sweep_distances,
-    eps_grid_values,
     subdendrite_gates,
 )
 from dendrodyn.equicontinuity import FrontierCover
@@ -237,8 +239,8 @@ def swept_gates(dendrite: Dendrite, sub: Subdendrite,
                 points: Iterable[DPoint]) -> list[DPoint]:
     """Nearest point of ``sub`` for each query point, via one tree sweep.
 
-    Equivalent to :meth:`Dendrite.retract_point` per point but amortised: a two-pass dynamic
-    program carries (distance, gate) labels over the whole tree.
+    Equivalent to :func:`metric_retract_point` per point but amortised: a two-pass
+    dynamic program carries (distance, gate) labels over the whole tree.
     """
     if sub.is_empty():
         raise EmptySubdendrite("cannot retract onto an empty subdendrite")
@@ -292,28 +294,6 @@ def swept_gates(dendrite: Dendrite, sub: Subdendrite,
     return gates
 
 
-def hull_arc_diameter_modulus(dendrite: Dendrite, eps_grid: Sequence[Fraction]
-                              ) -> list[tuple[Fraction, Fraction]]:
-    """``arc_diameter_modulus`` with one metric distance and one arc per probe pair."""
-    eps_grid = eps_grid_values(eps_grid)
-    probes: list[DPoint] = [VertexPoint(v) for v in sorted(dendrite.vertices, key=id_key)]
-    for e in dendrite.edges:
-        probes.extend(dendrite.point(e.eid, Fraction(k, 4)) for k in (1, 2, 3))
-    pairs = []
-    for i, p in enumerate(probes):
-        for q in probes[i + 1:]:
-            pairs.append((metric_distance(dendrite, p, q), dendrite.arc(p, q).diameter()))
-    table = []
-    for eps in eps_grid:
-        chosen = ZERO
-        for cand in (Fraction(1, 2**k) for k in range(13)):  # 1, 1/2, ..., 2**-12
-            if all(diam < eps for d, diam in pairs if d < cand):
-                chosen = cand
-                break
-        table.append((eps, chosen))
-    return table
-
-
 # -- covers and classification before the rooted hull and the integer sweeps ------
 
 
@@ -352,6 +332,49 @@ def frontier_cover_oracle(dendrite: Dendrite, m: FiniteClosedSet,
     for a in sorted(anchors, key=point_key):
         cells.append((a, dendrite.hull([a] + assigned[a])))
     return FrontierCover(level, tuple(cells), tuple(c.diameter() for _, c in cells))
+
+
+def cell_gap_oracle(dendrite: Dendrite, m: FiniteClosedSet, cover: FrontierCover):
+    """The least distance between points of ``m`` in different cells, pair by pair
+    (None when no two cells hold a point of ``m``)."""
+    points = list(m)
+    owner = [next(a for a, cell in cover.cells if cell.contains(x)) for x in points]
+    return min((metric_distance(dendrite, x, y)
+                for i, x in enumerate(points) for j, y in enumerate(points[:i])
+                if owner[i] != owner[j]), default=None)
+
+
+def group_modulus_audit(gens, m: FiniteClosedSet, delta_table) -> list:
+    """Each ``(eps, delta)`` row with the largest d(gx, gy) over the whole group
+    and over the pairs x, y of ``m`` closer than delta.
+
+    ``m`` is finite and every generator permutes it, so each pair's orbit
+    under the signed generators is finite: a breadth-first search over it
+    gives the exact supremum over the group, not a sample of words.
+    """
+    X = gens.dendrite
+    points = list(m)
+    at = {p: i for i, p in enumerate(points)}
+    moves = [[at[apply(h, p)] for p in points] for _, _, h in gens.signed()]
+    dist = {(i, j): metric_distance(X, points[i], points[j])
+            for i in range(len(points)) for j in range(i)}  # unordered pairs, i > j
+    sup: dict[tuple[int, int], Fraction] = {}
+    for start in dist:
+        if start in sup:
+            continue
+        orbit, todo = {start}, [start]
+        while todo:
+            i, j = todo.pop()
+            for move in moves:
+                a, b = move[i], move[j]
+                pair = (a, b) if a > b else (b, a)
+                if pair not in orbit:
+                    orbit.add(pair)
+                    todo.append(pair)
+        worst = max(dist[pair] for pair in orbit)
+        sup.update(dict.fromkeys(orbit, worst))
+    return [(eps, delta, max((sup[pair] for pair, d in dist.items() if d < delta), default=ZERO))
+            for eps, delta in delta_table]
 
 
 def node_degree_oracle(sub: Subdendrite) -> dict:
@@ -621,6 +644,11 @@ def orbit_layers_oracle(gens, x: DPoint, radius: int):
 
 
 # -- subdendrite helpers used by tests only ------------------------------------------
+
+
+def whole(X: Dendrite) -> Subdendrite:
+    """The whole tree as a subdendrite."""
+    return Subdendrite._make(X, X.vertices, {e.eid: (ZERO, ONE) for e in X.edges})
 
 
 def portion_graph(sub: Subdendrite) -> dict:

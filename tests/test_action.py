@@ -19,7 +19,6 @@ from dendrodyn.action import (
     detect_finite_orbit,
     detect_recurrence,
     evaluate_word,
-    invariant_subdendrite,
     minimal_set_approx,
     orbit,
     reduce_word,
@@ -27,7 +26,7 @@ from dendrodyn.action import (
     word_images,
     word_power,
 )
-from dendrodyn.dendrite import FiniteClosedSet, set_distance
+from dendrodyn.dendrite import FiniteClosedSet, set_distance, subdendrite_gates
 from dendrodyn.errors import UnknownSymbol
 from dendrodyn.homeo import apply, compose, identity_homeo, interval_homeo, tree_automorphism
 from dendrodyn.measure import canonical_measure, dirac, push_forward
@@ -42,7 +41,7 @@ from dendrodyn.zoo import (
 )
 
 from conftest import pl_maps, tree_points, trees_with_points
-from oracles import classify_oracle, metric_distance, orbit_layers_oracle
+from oracles import classify_oracle, metric_distance, orbit_layers_oracle, whole
 
 F = Fraction
 
@@ -453,14 +452,14 @@ class TestRecurrence:
         system = thompson_system()
         diag = detect_recurrence(system.generators,
                                  system.dendrite.vertex_point("0"), F(1, 2), 3)
-        assert not diag.recurrent
+        assert not diag.witnesses
 
     def test_odometer_leaf_witnesses(self):
         # cycle distances: g**(2**k) returns within 2**(1-k) of the start
         system = odometer_system(5)
         x = leaf_point(system.dendrite, 5)
         diag = detect_recurrence(system.generators, x, F(1, 4), 16)
-        assert diag.recurrent
+        assert diag.witnesses
         best = diag.witnesses[0]
         assert best.distance < F(1, 4)
         assert str(best.word) in ("g g g g g g g g g g g g g g g g",
@@ -472,7 +471,7 @@ class TestRecurrence:
         X = system.dendrite
         diag = detect_recurrence(system.generators, X.point("e", F(1, 2)),
                                  F(1, 8), 4)
-        assert diag.recurrent
+        assert diag.witnesses
         words = {str(w.word) for w in diag.witnesses}
         assert "g g f^-1" in words
         assert all(0 < w.distance < F(1, 8) for w in diag.witnesses)
@@ -497,27 +496,28 @@ class TestRecurrence:
 class TestInvariantSubdendrite:
     def test_fixed_point_singleton(self):
         system = thompson_system()
-        sub = invariant_subdendrite(system.generators,
-                                    system.dendrite.vertex_point("0"), 3)
+        sub = system.dendrite.hull(
+            orbit(system.generators, system.dendrite.vertex_point("0"), 3).points)
         assert sub.contains(system.dendrite.vertex_point("0"))
         assert sub.diameter() == 0
 
     def test_odometer_hull_is_whole_tree(self):
         system = odometer_system(3)
-        sub = invariant_subdendrite(system.generators,
-                                    leaf_point(system.dendrite, 3), 4)
-        assert sub == system.dendrite.whole()
+        sub = system.dendrite.hull(
+            orbit(system.generators, leaf_point(system.dendrite, 3), 4).points)
+        assert sub == whole(system.dendrite)
 
     def test_two_point_orbit_arc(self):
         system = odometer_system(1)
         X = system.dendrite
-        sub = invariant_subdendrite(system.generators, leaf_point(X, 1), 2)
+        sub = X.hull(orbit(system.generators, leaf_point(X, 1), 2).points)
         assert sub == X.arc(X.vertex_point("0"), X.vertex_point("1"))
 
     def test_closed_orbit_hull_invariant(self):
         from dendrodyn.homeo import image_subdendrite
         system = odometer_system(3)
-        sub = invariant_subdendrite(system.generators, leaf_point(system.dendrite, 3), 4)
+        sub = system.dendrite.hull(
+            orbit(system.generators, leaf_point(system.dendrite, 3), 4).points)
         g = system.generators.homeo("g")
         assert image_subdendrite(g, sub) == sub
 
@@ -527,17 +527,17 @@ class TestRetractOfFiniteOrbitPoint:
         # retraction onto the invariant hull sends finite orbits to finite orbits
         system = odometer_system(3)
         X = system.dendrite
-        hull = invariant_subdendrite(system.generators, leaf_point(X, 3), 4)
+        hull = X.hull(orbit(system.generators, leaf_point(X, 3), 4).points)
         for v in ["0", "00", "r"]:
-            gate = X.retract_point(hull, X.vertex_point(v))
+            [gate] = subdendrite_gates(X, hull, [X.vertex_point(v)])
             res = detect_finite_orbit(system.generators, gate, 16)
             assert res.found
 
     def test_thompson_endpoint_case(self):
         system = thompson_system()
         X = system.dendrite
-        hull = invariant_subdendrite(system.generators, X.vertex_point("0"), 2)
-        gate = X.retract_point(hull, X.point("e", F(1, 3)))
+        hull = X.hull(orbit(system.generators, X.vertex_point("0"), 2).points)
+        [gate] = subdendrite_gates(X, hull, [X.point("e", F(1, 3))])
         res = detect_finite_orbit(system.generators, gate, 4)
         assert res.found and len(res.orbit) == 1
 

@@ -15,9 +15,6 @@ from dendrodyn.dendrite import (
     _integer_lengths,
     _point,
     _sweep_to,
-    arc_decomposition,
-    arc_diameter_modulus,
-    boundary_classification,
     hausdorff_distance,
     mesh,
     nearest_other_distances,
@@ -52,7 +49,6 @@ from oracles import (
     _point_to_set,
     edge_between_oracle,
     graph_oracle,
-    hull_arc_diameter_modulus,
     is_connected,
     metric_arc,
     metric_distance,
@@ -64,6 +60,7 @@ from oracles import (
     sample_points,
     swept_gates,
     union_connected,
+    whole,
 )
 
 F = Fraction
@@ -214,7 +211,7 @@ class TestConstruction:
         a = X.vertex_point("a")
         assert X._order == ["a"] and X._parent == {"a": None} and X.degree("a") == 0
         assert X.skeleton_points() == [a] and X.distance(a, a) == 0
-        assert X.hull([a]) == X.whole() and X.whole().diameter() == 0
+        assert X.hull([a]) == whole(X) and whole(X).diameter() == 0
 
 
 def assert_construction_matches_oracle(X):
@@ -350,7 +347,7 @@ class TestConvexHull:
     def test_depth2_leaves_fill_tree(self):
         X = gehman_dendrite(2)
         leaves = [X.vertex_point(v) for v in gehman_leaves(X, 2)]
-        assert X.hull(FiniteClosedSet(X, leaves)) == X.whole()
+        assert X.hull(FiniteClosedSet(X, leaves)) == whole(X)
 
     def test_empty_raises(self, star3):
         with pytest.raises(EmptySet):
@@ -417,7 +414,7 @@ class TestNodeDegrees:
         # edge), of two (an arc) and of more, and the whole tree
         X = data.draw(random_trees(max_edges=8))
         count = data.draw(st.integers(0, 4))
-        sub = X.hull([data.draw(tree_points(X)) for _ in range(count)]) if count else X.whole()
+        sub = X.hull([data.draw(tree_points(X)) for _ in range(count)]) if count else whole(X)
         expected = node_degree_oracle(sub)
         degrees = sub._degrees()
         assert {_point(n): d for n, d in degrees.items()} == expected
@@ -436,11 +433,12 @@ class TestRetract:
     def test_identity_on_member(self, star3):
         sub = star3.arc(star3.vertex_point("l1"), star3.vertex_point("c"))
         p = star3.point("e1", F(1, 3))
-        assert star3.retract_point(sub, p) == p
+        assert subdendrite_gates(star3, sub, [p]) == [p]
 
     def test_branch_point_forced(self, star3):
         sub = star3.arc(star3.vertex_point("l1"), star3.vertex_point("c"))
-        assert star3.retract_point(sub, star3.vertex_point("l2")) == star3.vertex_point("c")
+        assert (subdendrite_gates(star3, sub, [star3.vertex_point("l2")])
+                == [star3.vertex_point("c")])
 
     def test_gehman_leaf_to_level1_hull(self):
         # exhaustive nearest-point search oracle over skeleton samples
@@ -448,7 +446,7 @@ class TestRetract:
         hull = X.hull([X.vertex_point("0"), X.vertex_point("1")])
         for leaf in gehman_leaves(X, 3):
             p = X.vertex_point(leaf)
-            got = X.retract_point(hull, p)
+            [got] = subdendrite_gates(X, hull, [p])
             best = min(sample_points(hull), key=lambda q: (X.distance(p, q), str(q)))
             assert X.distance(p, got) == X.distance(p, best)
             assert got == X.vertex_point(leaf[0])
@@ -457,7 +455,7 @@ class TestRetract:
         from dendrodyn.dendrite import Subdendrite
         empty = Subdendrite._make(star3, set(), {})
         with pytest.raises(EmptySubdendrite):
-            star3.retract_point(empty, star3.vertex_point("c"))
+            subdendrite_gates(star3, empty, [star3.vertex_point("c")])
 
     @settings(max_examples=40, deadline=None)
     @given(trees_with_points(count=5, max_edges=6))
@@ -474,9 +472,9 @@ class TestRetract:
         X, pts = data
         sub = X.hull(pts[:2])
         x = pts[2]
-        r1 = X.retract_point(sub, x)
+        [r1] = subdendrite_gates(X, sub, [x])
         assert sub.contains(r1)
-        assert X.retract_point(sub, r1) == r1
+        assert subdendrite_gates(X, sub, [r1]) == [r1]
 
 
 @st.composite
@@ -526,8 +524,6 @@ class TestGates:
         sub = Subdendrite._make(star3, vertices, portions)
         with pytest.raises(DendrodynError):
             subdendrite_gates(star3, sub, [star3.vertex_point("l3")])
-        with pytest.raises(DendrodynError):
-            star3.retract_point(sub, star3.vertex_point("l3"))
 
 
 class TestWeightedMetric:
@@ -767,10 +763,10 @@ class TestCrossDendrite:
         with pytest.raises(DendriteMismatch):
             hausdorff_distance(A, B)
 
-    def test_retract_point_rejects_other_dendrite(self):
+    def test_gates_reject_other_dendrite(self):
         X2, X3 = gehman_dendrite(2), gehman_dendrite(3)
         with pytest.raises(DendriteMismatch):
-            X2.retract_point(X3.whole(), X2.vertex_point("00"))
+            subdendrite_gates(X2, whole(X3), [X2.vertex_point("00")])
 
 
 class TestMesh:
@@ -780,7 +776,7 @@ class TestMesh:
         assert mesh(cells) == 0
 
     def test_whole_unit_edge(self, interval):
-        assert mesh([interval.whole()]) == 1
+        assert mesh([whole(interval)]) == 1
 
     def test_gehman_level1_subtrees(self):
         # leaf-pair enumeration oracle, plain weights
@@ -832,33 +828,39 @@ class TestNearestOther:
         assert nearest_other_distances(star3, [star3.point("e2", F(1, 3))]) == [None]
 
 
+def ends_and_branches(X):
+    """The vertices of degree 1 and those of degree at least 3."""
+    return ({v for v in X.vertices if X.degree(v) == 1},
+            {v for v in X.vertices if X.degree(v) >= 3})
+
+
 class TestBoundary:
     def test_single_edge(self, interval):
-        ends, branches = boundary_classification(interval)
+        ends, branches = ends_and_branches(interval)
         assert len(ends) == 2 and len(branches) == 0
 
     def test_three_star(self, star3):
-        ends, branches = boundary_classification(star3)
-        assert {p.vertex for p in ends} == {"l1", "l2", "l3"}
-        assert {p.vertex for p in branches} == {"c"}
+        assert ends_and_branches(star3) == ({"l1", "l2", "l3"}, {"c"})
 
     @pytest.mark.parametrize("depth", [2, 3, 4])
     def test_gehman_counts(self, depth):
         # count by level: the root has degree 2, so it is in neither class
         X = gehman_dendrite(depth)
-        ends, branches = boundary_classification(X)
+        ends, branches = ends_and_branches(X)
         assert len(ends) == 2 ** depth
         assert len(branches) == 2 ** depth - 2
 
 
 class TestArcDecomposition:
+    """The edges in their chained enumeration, as (edge id, weight) pairs."""
+
     def test_single_edge_default(self):
         X = Dendrite(["a", "b"], [("e1", "a", "b")])
-        assert arc_decomposition(X) == [("e1", F(1, 2))]
+        assert [(e.eid, e.weight) for e in X.edges] == [("e1", F(1, 2))]
 
     def test_two_edge_path_default(self):
         X = Dendrite(["a", "b", "c"], [("e1", "a", "b"), ("e2", "b", "c")])
-        assert arc_decomposition(X) == [("e1", F(1, 2)), ("e2", F(1, 4))]
+        assert [(e.eid, e.weight) for e in X.edges] == [("e1", F(1, 2)), ("e2", F(1, 4))]
 
     def test_gehman_shape_with_dyadic_rule(self):
         # depth-2 shape under the default rule: six dyadic weights in BFS order
@@ -866,52 +868,16 @@ class TestArcDecomposition:
         shaped = Dendrite(sorted(X.vertices, key=str),
                           [(e.eid, e.u, e.v, e.level) for e in X.edges],
                           "dyadic")
-        weights = [w for _, w in arc_decomposition(shaped)]
+        weights = [e.weight for e in shaped.edges]
         assert weights == [F(1, 2 ** i) for i in range(1, 7)]
         assert all(a > b for a, b in zip(weights, weights[1:]))
-
-
-class TestArcDiameterModulus:
-    def test_unit_edge(self, interval):
-        table = arc_diameter_modulus(interval, [F(1, 2), F(1, 4)])
-        assert table == [(F(1, 2), F(1, 2)), (F(1, 4), F(1, 4))]
-
-    def test_three_star_exhaustive(self, star3):
-        for eps, delta in arc_diameter_modulus(star3, [F(1), F(1, 2), F(1, 4)]):
-            assert delta == eps
-
-    def test_grid_preconditions(self, interval):
-        with pytest.raises(ValueError):
-            arc_diameter_modulus(interval, [F(1, 4), F(1, 2)])
-        with pytest.raises(ValueError):
-            arc_diameter_modulus(interval, [F(1, 2), F(0)])
-
-    @pytest.mark.parametrize("space", ["star3", "interval", "gehman4"])
-    def test_matches_hull_per_pair_version(self, request, space):
-        X = gehman_dendrite(4) if space == "gehman4" else request.getfixturevalue(space)
-        grid = [F(3, 2), F(1), F(1, 2), F(1, 4), F(1, 8), F(1, 16)]
-        assert arc_diameter_modulus(X, grid) == hull_arc_diameter_modulus(X, grid)
-
-    def test_gehman_depth4(self):
-        X = gehman_dendrite(4)
-        table = arc_diameter_modulus(X, [F(1, 2), F(1, 4), F(1, 8)])
-        # arcs are geodesics, so their diameter equals the end distance and
-        # every certified delta must at least reach eps
-        probes = X.skeleton_points()
-        for eps, delta in table:
-            assert delta >= eps or delta == 0
-            for i, p in enumerate(probes):
-                for q in probes[i + 1:]:
-                    if X.distance(p, q) < delta:
-                        assert X.arc(p, q).diameter() < eps
 
 
 class TestIntegerVertexIds:
     def test_construction_and_metric(self):
         X = Dendrite([1, 2, 3], [(10, 1, 2), (11, 2, 3)], [1, 1])
         assert X.distance(X.vertex_point(1), X.vertex_point(3)) == 2
-        ends, _ = boundary_classification(X)
-        assert {p.vertex for p in ends} == {1, 3}
+        assert ends_and_branches(X) == ({1, 3}, set())
 
     def test_serialization_round_trip(self):
         from dendrodyn import serialization as ser

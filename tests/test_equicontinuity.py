@@ -13,7 +13,7 @@ from dendrodyn.action import (
     minimal_set_approx,
     word_ball,
 )
-from dendrodyn.dendrite import FiniteClosedSet, arc_diameter_modulus, hausdorff_distance, mesh
+from dendrodyn.dendrite import FiniteClosedSet, hausdorff_distance, mesh
 from dendrodyn.equicontinuity import _RootedHull
 from dendrodyn.dendrite import Dendrite, VertexPoint, _point
 from dendrodyn.equicontinuity import (
@@ -27,7 +27,7 @@ from dendrodyn.equicontinuity import (
     verify_cover_equivariance,
 )
 from dendrodyn.errors import CoverageGap, NoFiniteOrbitFound
-from dendrodyn.homeo import Homeo, PLMap, apply, image_subdendrite
+from dendrodyn.homeo import Homeo, PLMap, apply, image_subdendrite, tree_automorphism
 from dendrodyn.measure import PLMeasure, canonical_measure, dirac
 from dendrodyn.util import point_key
 from dendrodyn.zoo import (
@@ -43,7 +43,9 @@ from conftest import random_measures, random_trees, tree_points
 from oracles import (
     _distance_to_set,
     _point_to_set,
+    cell_gap_oracle,
     frontier_cover_oracle,
+    group_modulus_audit,
     intersection,
     metric_distance,
     sample_points,
@@ -380,13 +382,10 @@ class TestCertificate:
     @pytest.mark.parametrize("eps_grid", [[F(1, 2), F(1, 2), -1], [F(1, 4), F(1, 2)],
                                           [F(1, 2), 0]])
     def test_bad_eps_grid_raises(self, eps_grid):
-        # the same check as dendrite.arc_diameter_modulus
         system = odometer_system(3)
         with pytest.raises(ValueError, match="epsilon grid"):
             equicontinuity_certificate(system.generators, leaf_set(system, 3), 2,
                                        eps_grid=eps_grid)
-        with pytest.raises(ValueError, match="epsilon grid"):
-            arc_diameter_modulus(system.dendrite, eps_grid)
 
 
 class TestProximalityScan:
@@ -400,7 +399,7 @@ class TestProximalityScan:
         system = odometer_system(3)
         mu = canonical_measure(system.dendrite)
         trace = strong_proximality_scan(system.generators, mu, 2)
-        spreads = trace.spreads()
+        spreads = [s for _, s, _ in trace.rows]
         assert spreads[0] == spreads[-1]
         assert spreads[0] > 0
 
@@ -408,7 +407,7 @@ class TestProximalityScan:
         system = thompson_f_system()
         mu = canonical_measure(system.dendrite)
         trace = strong_proximality_scan(system.generators, mu, 4)
-        spreads = trace.spreads()
+        spreads = [s for _, s, _ in trace.rows]
         assert all(a > b for a, b in zip(spreads, spreads[1:]))
 
     def test_requires_probability(self):
@@ -768,6 +767,106 @@ class TestTowerLevels:
         assert tower.cover(1) == frontier_cover_oracle(X, m, X.hull(tower.levels[0].frontier), 1)
         cert = equicontinuity_certificate(system.generators, m, 3)
         assert cert.verdict == "Failed" and cert.witness == ("g", 1, X.vertex_point("00"))
+
+
+def seven_vertex_example():
+    """Two arms at a centre c, each with a long leaf a_i and a short leaf b_i,
+    and one generator that swaps the arms and cycles a1 -> a2 -> b1 -> b2 -> a1:
+    b1 and b2 are 1/16 apart, their images b2 and a1 are 67/64 apart."""
+    X = Dendrite(["c", "p1", "p2", "a1", "a2", "b1", "b2"],
+                 [("cp1", "c", "p1", 1), ("cp2", "c", "p2", 1),
+                  ("pa1", "p1", "a1", 2), ("pb1", "p1", "b1", 2),
+                  ("pa2", "p2", "a2", 2), ("pb2", "p2", "b2", 2)],
+                 [F(1, 64), F(1, 64), 1, F(1, 64), 1, F(1, 64)])
+    g = tree_automorphism(X, {"c": "c", "p1": "p2", "p2": "p1",
+                              "a1": "a2", "a2": "b1", "b1": "b2", "b2": "a1"})
+    m = FiniteClosedSet(X, [X.vertex_point(v) for v in ("a1", "a2", "b1", "b2")])
+    return GeneratorSet(X, [("g", g)]), m
+
+
+@st.composite
+def rotated_copies(draw):
+    """Two or three copies of one random tree hung off a centre by their first
+    vertex, each copy with its own weights, the generator that rotates the
+    copies, and the leaves as the minimal set."""
+    base = draw(random_trees(max_edges=5))
+    k = draw(st.integers(2, 3))
+
+    def weight():
+        return F(draw(st.integers(1, 8)), draw(st.sampled_from((1, 2, 4, 8))))
+
+    vertices, edges, weights = ["c"], [], []
+    for i in range(k):
+        vertices += [f"{i}.{v}" for v in base.vertices]
+        edges.append((f"c{i}", "c", f"{i}.v0", 1))
+        edges += [(f"{i}.{e.eid}", f"{i}.{e.u}", f"{i}.{e.v}", n)
+                  for n, e in enumerate(base.edges, start=2)]
+        weights += [weight() for _ in range(len(base.edges) + 1)]
+    X = Dendrite(vertices, edges, weights)
+    turn = {"c": "c"} | {f"{i}.{v}": f"{(i + 1) % k}.{v}" for i in range(k) for v in base.vertices}
+    m = FiniteClosedSet(X, [X.vertex_point(v) for v in X.vertices if X.degree(v) == 1])
+    return GeneratorSet(X, [("r", tree_automorphism(X, turn))]), m
+
+
+class TestSoundModulus:
+    """delta(eps) is at most each chosen level's gap, the least distance between
+    minimal-set points in different cells, so it holds for the whole group."""
+
+    def test_seven_vertex_example(self):
+        gens, m = seven_vertex_example()
+        cert = equicontinuity_certificate(gens, m, 2)
+        assert cert.verdict == "Certified"
+        assert [lvl.mesh for lvl in cert.levels] == [F(65, 64)]
+        assert cert.delta_table == ((F(65, 64), F(1, 16)), (F(1), F(0)))
+        assert all(worst <= eps for eps, _, worst in group_modulus_audit(gens, m, cert.delta_table))
+
+    @pytest.mark.parametrize("leaf_weight", ["tail", "level"])
+    @pytest.mark.parametrize("depth", range(3, 7))
+    def test_odometer_audit(self, depth, leaf_weight):
+        # the gap is at least twice the mesh, so delta(eps) is still the
+        # largest mesh at most eps
+        system = odometer_system(depth, leaf_weight=leaf_weight)
+        gens, X, m = system.generators, system.dendrite, leaf_set(system, depth)
+        cert = equicontinuity_certificate(gens, m, 6)
+        assert cert.verdict == "Certified"
+        meshes = [lvl.mesh for lvl in cert.levels]
+        assert cert.delta_table == tuple((eps, max((x for x in meshes if x <= eps), default=0))
+                                         for eps, _ in cert.delta_table)
+        for eps, delta, worst in group_modulus_audit(gens, m, cert.delta_table):
+            assert worst <= eps, (eps, delta, worst)
+        tower = build_tree_tower(gens, m, 6)
+        for level, mesh_n in zip(tower.levels, meshes):
+            gap = tower.rooted.gap(level.index)
+            assert gap == cell_gap_oracle(X, m, tower.cover(level.index))
+            assert gap >= 2 * mesh_n
+
+    @settings(max_examples=200, deadline=None)
+    @given(rotated_copies())
+    def test_rotated_copies_audit(self, data):
+        gens, m = data
+        cert = outcome(equicontinuity_certificate, gens, m, 3)
+        if isinstance(cert, tuple):  # a refused tower claims nothing
+            assert issubclass(cert[0], (CoverageGap, NoFiniteOrbitFound)), cert
+        elif cert.verdict == "Certified":
+            for eps, delta, worst in group_modulus_audit(gens, m, cert.delta_table):
+                assert worst <= eps, (eps, delta, worst)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_gap_matches_pair_oracle(self, data):
+        # level point sets anywhere on the tree, so a cell may hold no point of
+        # the minimal set; levels stop at the first coverage gap
+        X, m = data.draw(trees_with_sets())
+        levels = [FiniteClosedSet(X, [data.draw(tree_points(X))
+                                      for _ in range(data.draw(st.integers(1, 3)))])
+                  for _ in range(data.draw(st.integers(1, 3)))]
+        hull = X.hull([*m.points, *(p for points in levels for p in points.points)])
+        rooted = _RootedHull(X, hull, m, levels)
+        for n in range(1, len(levels) + 1):
+            cover = outcome(rooted.cover, n, n)
+            if not isinstance(cover, FrontierCover):
+                break
+            assert rooted.gap(n) == cell_gap_oracle(X, m, cover)
 
 
 class TestDefaultEpsGrid:

@@ -8,7 +8,6 @@ them, so orbit sets are deduplicated by image rather than by word.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
 from typing import Iterable, Sequence
 
 from .dendrite import (
@@ -20,7 +19,6 @@ from .dendrite import (
     _distances_at,
     _integer_lengths,
     _sweep_to,
-    hausdorff_distance,
     nearest_other_distances,
 )
 from .errors import DendriteMismatch, UnknownSymbol
@@ -81,9 +79,6 @@ class Word(Value):
 
     def __mul__(self, other: "Word") -> "Word":
         return reduce_word(Word(self.letters + other.letters))
-
-    def inverse(self) -> "Word":
-        return Word(tuple((s, -sign) for s, sign in reversed(self.letters)))
 
     def is_reduced(self) -> bool:
         return all(not (a == b and sa == -sb)
@@ -293,16 +288,24 @@ class MinimalSetApprox(Record):
 
 def minimal_set_approx(gens: GeneratorSet, x: DPoint, radius: int,
                        eps: Fraction) -> MinimalSetApprox:
-    """Orbit ball with Hausdorff increments between consecutive radii."""
+    """Orbit ball with Hausdorff increments between consecutive radii.
+
+    Each ball holds the one before it, so an increment is the largest
+    distance from the new layer to the previous ball (0 for an empty layer):
+    one sweep per radius on the final ball's integer lengths.
+    """
     if radius < 2:
         raise ValueError("radius must be at least 2")
     eps = frac(eps)
     sizes = []
     for points, size in _orbit_layers(gens, x, radius):
         sizes.append(size)
-    sets = [FiniteClosedSet(gens.dendrite, islice(points, size)) for size in sizes]
-    increments = tuple(hausdorff_distance(sets[i - 1], sets[i])
-                       for i in range(1, len(sets)))
+    X = gens.dendrite
+    scale, lengths, places = _integer_lengths(X, list(points))
+    increments = tuple(
+        Fraction(max(_distances_at(X, lengths, _sweep_to(X, lengths, places[:before]),
+                                   places[before:after]), default=0), scale)
+        for before, after in zip(sizes, sizes[1:]))
     closed_radius = None
     for r in range(1, len(sizes)):
         if sizes[r] == sizes[r - 1]:
@@ -311,7 +314,7 @@ def minimal_set_approx(gens: GeneratorSet, x: DPoint, radius: int,
     if closed_radius is None and _is_closed(gens, points):
         closed_radius = len(sizes) - 1
     converged = bool(increments) and increments[-1] < eps
-    return MinimalSetApprox(points=sets[-1],
+    return MinimalSetApprox(points=FiniteClosedSet(X, points),
                             radius=radius,
                             increments=increments,
                             eps=eps,

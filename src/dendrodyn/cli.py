@@ -94,7 +94,10 @@ class ExperimentConfig(Record):
 
 
 def _load_document(path, what: str):
-    """The JSON document at ``path``; a missing, unreadable or undecodable file is a config error."""
+    """The JSON document at ``path``; a path that is no string, or a missing,
+    unreadable or undecodable file, is a config error."""
+    if not isinstance(path, str):  # os.path.exists and open take an int as a descriptor
+        raise ConfigInvalid(f"{what} file path must be a string, got {path!r}")
     if not os.path.exists(path):
         raise ConfigInvalid(f"{what} file {path!r} does not exist")
     try:

@@ -130,10 +130,7 @@ class Dendrite:
         self._edges = tuple(resolved)
         # the weights live on the edges; a custom rule is read back from them
         self._weight_rule = "dyadic" if weight_rule == "dyadic" else "custom"
-        # the one portion order: an edge's place among the ids sorted by id_key
-        ranked = sorted(self._edge_by_id, key=id_key)
-        self._rank = {eid: i for i, eid in enumerate(ranked)}
-        self._build_orientation(ranked)
+        self._build_orientation()
         # a tree has |V| - 1 edges and one walk reaches all of it; anything else
         # has a cycle, named here, or is disconnected
         if len(resolved) != len(vset) - 1 or len(self._order) < len(vset):
@@ -159,14 +156,13 @@ class Dendrite:
                 raise InvalidDendrite(f"edge {e.eid!r} creates a cycle")
             parent[ra] = rb
 
-    def _build_orientation(self, ranked: Sequence):
-        """BFS parent tables from the least vertex, children in edge rank order.
+    def _build_orientation(self):
+        """BFS parent tables from the least vertex, children in enumeration order.
 
-        The adjacency lists, filled in rank order, live only for the walk.
+        The adjacency lists, filled in enumeration order, live only for the walk.
         """
         adj: dict[object, list[Edge]] = {v: [] for v in self._vertices}
-        for eid in ranked:
-            e = self._edge_by_id[eid]
+        for e in self._edges:
             adj[e.u].append(e)
             adj[e.v].append(e)
         root = min(self._vertices, key=id_key)
@@ -187,7 +183,6 @@ class Dendrite:
         self._parent = parent
         self._parent_edge = parent_edge
         self._depth = depth
-        self._degree = {v: len(incident) for v, incident in adj.items()}
 
     def _check_chaining(self):
         """Every edge meets the part built before it in exactly one end."""
@@ -213,12 +208,6 @@ class Dendrite:
             return self._edge_by_id[eid]
         except KeyError:
             raise PointOffDendrite(f"unknown edge {eid!r}") from None
-
-    def degree(self, vid) -> int:
-        try:
-            return self._degree[vid]
-        except KeyError:
-            raise PointOffDendrite(f"unknown vertex {vid!r}") from None
 
     def total_weight(self) -> Fraction:
         return sum((e.weight for e in self._edges), ZERO)
@@ -356,7 +345,7 @@ class Dendrite:
             if self._lower(e) in marked:
                 ends = ends + [lower_end]
             portions[e.eid] = (min(ends), max(ends))
-        return Subdendrite._trusted(self, marked, portions)
+        return Subdendrite(self, frozenset(marked), portions)
 
 
 def _node(p: DPoint):
@@ -371,13 +360,16 @@ def _point(n) -> DPoint:
 class Subdendrite:
     """A connected union of vertices and rational edge portions.
 
-    Canonical form: portions touching an edge end imply the end vertex is in
-    the vertex set; parameter-0/1 degenerate portions are stored as vertices.
+    ``portions`` maps edge ids to ``(lo, hi)`` parts, in no set order, and
+    is never mutated.  Canonical form: portions touching an edge end imply
+    the end vertex is in the vertex set; parameter-0/1 degenerate portions
+    are stored as vertices.  The constructor trusts its input to be
+    canonical; :meth:`_make` canonicalises and checks.
     """
 
     __slots__ = ("dendrite", "vertices", "portions")
 
-    def __init__(self, dendrite: Dendrite, vertices: frozenset, portions: tuple):
+    def __init__(self, dendrite: Dendrite, vertices: frozenset, portions: dict):
         self.dendrite = dendrite
         self.vertices = vertices
         self.portions = portions
@@ -404,24 +396,7 @@ class Subdendrite:
         for v in vset:
             if v not in dendrite.vertices:
                 raise PointOffDendrite(f"unknown vertex {v!r}")
-        rank = dendrite._rank
-        ordered = tuple(sorted(parts.items(), key=lambda it: rank[it[0]]))
-        return cls(dendrite, frozenset(vset), ordered)
-
-    @classmethod
-    def _trusted(cls, dendrite: Dendrite, vertices: Iterable,
-                 portions: Mapping) -> "Subdendrite":
-        """Build from portions that are already canonical on ``dendrite``.
-
-        Precondition: every portion is an exact ``(lo, hi)`` with
-        ``0 <= lo <= hi <= 1`` on an edge of ``dendrite``, a degenerate portion
-        lies strictly inside its edge, and ``vertices`` are vertices of
-        ``dendrite`` that include each edge end a portion touches.  Only the
-        portions are sorted, by the dendrite's edge rank; nothing is checked.
-        """
-        rank = dendrite._rank
-        ordered = tuple(sorted(portions.items(), key=lambda it: rank[it[0]]))
-        return cls(dendrite, frozenset(vertices), ordered)
+        return cls(dendrite, frozenset(vset), parts)
 
     def __eq__(self, other):
         return (isinstance(other, Subdendrite)
@@ -429,10 +404,11 @@ class Subdendrite:
                 and self.portions == other.portions)
 
     def __hash__(self):
-        return hash((self.vertices, self.portions))
+        return hash((self.vertices, frozenset(self.portions)))
 
     def __repr__(self):
-        return f"Subdendrite({sorted(self.vertices, key=id_key)}, {list(self.portions)})"
+        parts = sorted(self.portions.items(), key=lambda item: id_key(item[0]))
+        return f"Subdendrite({sorted(self.vertices, key=id_key)}, {parts})"
 
     def is_empty(self) -> bool:
         return not self.vertices and not self.portions
@@ -441,20 +417,15 @@ class Subdendrite:
         p = self.dendrite.check_point(p)
         if isinstance(p, VertexPoint):
             return p.vertex in self.vertices
-        for eid, (lo, hi) in self.portions:
-            if eid == p.edge and lo <= p.t <= hi:
-                return True
-        return False
-
-    def portion_map(self) -> dict:
-        return dict(self.portions)
+        part = self.portions.get(p.edge)
+        return part is not None and part[0] <= p.t <= part[1]
 
     def _degrees(self) -> dict:
         """The number of segments at each node: a vertex by its id, a portion
         end inside its edge as an ``EdgePoint`` (the convention of ``_node``)."""
         edge = self.dendrite._edge_by_id
         degree = dict.fromkeys(self.vertices, 0)
-        for eid, (lo, hi) in self.portions:
+        for eid, (lo, hi) in self.portions.items():
             e = edge[eid]
             a = e.u if lo == 0 else EdgePoint(eid, lo)
             b = e.v if hi == 1 else EdgePoint(eid, hi)
@@ -483,7 +454,7 @@ class Subdendrite:
         branches: dict[object, list[Fraction]] = {v: [] for v in self.vertices}
         up_edge: dict[object, Fraction] = {}  # lower vertex -> weight of its full parent edge
         best = ZERO
-        for eid, (lo, hi) in self.portions:
+        for eid, (lo, hi) in self.portions.items():
             e = X.edge(eid)
             at_u, at_v = lo == 0, hi == 1
             if at_u and at_v:
@@ -708,7 +679,7 @@ def subdendrite_gates(dendrite: Dendrite, sub: Subdendrite,
     if sub.is_empty():
         raise EmptySubdendrite("cannot retract onto an empty subdendrite")
     parent, parent_edge, lower = dendrite._parent, dendrite._parent_edge, dendrite._lower
-    portions = sub.portion_map()
+    portions = sub.portions
     # a top point has nothing of sub right above it; each piece of sub has one
     tops: list[DPoint] = []
     entry: dict[object, DPoint] = {}  # edge id -> first point of sub met climbing the edge

@@ -150,9 +150,9 @@ class _RootedHull:
     Level n's tree is the hull of the point sets ``levels[:n]``; the hull
     must hold them all.  Nodes are the hull's vertices (by id) and its cut
     points (``EdgePoint``s): the minimal-set and level points inside edges.
-    A segment runs between consecutive nodes along a portion; the segments
-    are kept in the hull's portion order, an uncut portion as the hull's own
-    ``(edge id, (lo, hi))`` item, which the cells then share.  Nodes are
+    A segment runs between consecutive nodes along a portion, kept as an
+    ``(edge id, (lo, hi))`` item in order along its edge; an uncut portion
+    keeps the hull's own ``(lo, hi)``, which the cells then share.  Nodes are
     numbered breadth-first from the root, the least first-level point by
     ``point_key``, so each segment has a lower node.  Every level tree holds
     the root, so it is the union of the arcs from the root to its points.
@@ -179,7 +179,7 @@ class _RootedHull:
                 at.setdefault(p.edge, set()).add(p.t)
         adj: dict[object, list] = {v: [] for v in hull.vertices}
         items, lengths = [], []  # per segment
-        for item in hull.portions:
+        for item in hull.portions.items():
             eid, (lo, hi) = item
             e = X._edge_by_id[eid]
             ts = sorted(t for t in at[eid] if lo < t < hi) if eid in at else ()
@@ -260,9 +260,10 @@ class _RootedHull:
         A top-down pass labels every node with its gate on the tree, the
         first node of rank at most ``n`` on its way up.  A minimal-set point
         whose gate is no frontier point is a coverage gap; every other node
-        and the segment above it belong to its gate's cell.  Each cell
-        collects its segments in the hull's portion order, so it needs no
-        sort.
+        and the segment above it belong to its gate's cell.  A cell meets an
+        edge in one interval, and that edge's segments come in order along
+        it, so a cut portion's segments merge into their first ``lo`` and
+        last ``hi``.
         """
         order, index, parent, rank = self.order, self.index, self.parent, self.rank
         frontier = self.frontiers[n - 1]
@@ -275,26 +276,24 @@ class _RootedHull:
             x, g = min(((_point(order[k]), _point(order[gate[k]])) for k in stray),
                        key=lambda xg: point_key(xg[0]))
             raise CoverageGap(f"minimal-set point {x!r} attaches at {g!r}, outside the frontier")
-        members = {k: (set(), []) for k in anchors}
-        for item, k in zip(self.items, self.lower):
+        members = {k: (set(), {}) for k in anchors}
+        for (eid, seg), k in zip(self.items, self.lower):
             if rank[k] <= n:
                 continue
-            nodes, items = members[gate[k]]
-            if items and items[-1][0] == item[0]:  # the next segment of a cut portion
-                items[-1] = (item[0], (items[-1][1][0], item[1][1]))
-            else:
-                items.append(item)
+            nodes, parts = members[gate[k]]
+            part = parts.get(eid)
+            parts[eid] = seg if part is None else (part[0], seg[1])
             if not isinstance(order[k], EdgePoint):
                 nodes.add(order[k])
         cells, diameters = [], []
         for a in sorted(frontier.points, key=point_key):
             k = index[_node(a)]
-            nodes, items = members[k]
+            nodes, parts = members[k]
             if isinstance(a, VertexPoint):
                 nodes.add(a.vertex)
-            elif not items:
-                items.append((a.edge, (a.t, a.t)))
-            cells.append((a, Subdendrite(self.dendrite, frozenset(nodes), tuple(items))))
+            elif not parts:
+                parts[a.edge] = (a.t, a.t)
+            cells.append((a, Subdendrite(self.dendrite, frozenset(nodes), parts)))
             if k == 0:  # the root's cell leaves out the branch holding the tree
                 outer = [(r, d) for c, r, d, _ in self.children if rank[c] > n]
                 reach = sorted((r for r, _ in outer), reverse=True)

@@ -372,7 +372,7 @@ def image_subdendrite(h: Homeo, sub: Subdendrite) -> Subdendrite:
     relabel a portion without evaluating the map.
     """
     portions: dict = {}
-    for eid, (lo, hi) in sub.portions:
+    for eid, (lo, hi) in sub.portions.items():
         tgt, plm = h.edge_map[eid]
         if plm.linear:
             portions[tgt] = (lo, hi) if plm.increasing else (1 - hi, 1 - lo)
@@ -380,5 +380,5 @@ def image_subdendrite(h: Homeo, sub: Subdendrite) -> Subdendrite:
             portions[tgt] = (plm(lo), plm(hi))
         else:
             portions[tgt] = (plm(hi), plm(lo))
-    return Subdendrite._trusted(h.dendrite, {h.vertex_map[v] for v in sub.vertices},
-                                portions)
+    return Subdendrite(h.dendrite, frozenset({h.vertex_map[v] for v in sub.vertices}),
+                       portions)

@@ -145,7 +145,7 @@ class PLMeasure:
         for p, w in self.atoms:
             if arc.contains(p):
                 total += w
-        portions = arc.portion_map()
+        portions = arc.portions
         for eid, pieces in self.densities.items():
             if eid not in portions:
                 continue

@@ -19,7 +19,7 @@ from .dendrite import Dendrite, DPoint, VertexPoint
 from .errors import ConfigInvalid, NotReduced
 from .homeo import Homeo, PLMap, interval_homeo, tree_automorphism
 from .measure import FolnerScheme
-from .util import Record, frac, read_param
+from .util import Record, read_param
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -33,12 +33,8 @@ def unit_interval_dendrite() -> Dendrite:
     return Dendrite(["0", "1"], [("e", "0", "1", 1)], [1])
 
 
-def interval_point(dendrite: Dendrite, value) -> DPoint:
-    return dendrite.point("e", frac(value))
-
-
 def interval_value(p: DPoint) -> Fraction:
-    """Inverse of :func:`interval_point` for reporting."""
+    """The value in [0, 1] of a point of the unit interval, for reporting."""
     if isinstance(p, VertexPoint):
         return Fraction(int(p.vertex))
     return p.t

@@ -219,7 +219,7 @@ def metric_retract_point(X: Dendrite, sub: Subdendrite, x: DPoint) -> DPoint:
     candidates: list[tuple[Fraction, DPoint]] = []
     for v in sub.vertices:
         candidates.append((metric_distance(X, x, VertexPoint(v)), VertexPoint(v)))
-    for eid, (lo, hi) in sub.portions:
+    for eid, (lo, hi) in sub.portions.items():
         e = X.edge(eid)
         if isinstance(x, EdgePoint) and x.edge == eid:
             t = min(max(x.t, lo), hi)
@@ -253,7 +253,7 @@ def swept_gates(dendrite: Dendrite, sub: Subdendrite,
 
     for v in sub.vertices:
         relax(v, ZERO, VertexPoint(v))
-    portions = sub.portion_map()
+    portions = sub.portions
     for eid, (lo, hi) in portions.items():
         e = dendrite.edge(eid)
         if lo > 0:
@@ -384,7 +384,7 @@ def node_degree_oracle(sub: Subdendrite) -> dict:
     segments: list[tuple[object, object]] = []
     for v in sub.vertices:
         nodes.add(("v", v))
-    for eid, (lo, hi) in sub.portions:
+    for eid, (lo, hi) in sub.portions.items():
         e = sub.dendrite.edge(eid)
         n_lo = ("v", e.u) if lo == 0 else ("p", eid, lo)
         n_hi = ("v", e.v) if hi == 1 else ("p", eid, hi)
@@ -403,7 +403,7 @@ def node_degree_oracle(sub: Subdendrite) -> dict:
 def union_connected(a: Subdendrite, b: Subdendrite) -> Subdendrite:
     """Union of two subdendrites whose union is known to be connected, validated."""
     parts = dict(a.portions)
-    for eid, (lo, hi) in b.portions:
+    for eid, (lo, hi) in b.portions.items():
         if eid in parts:
             plo, phi = parts[eid]
             parts[eid] = (min(plo, lo), max(phi, hi))
@@ -579,13 +579,12 @@ def graph_oracle(vertices: Iterable, edges: Sequence) -> tuple[object, int]:
 
 
 def orientation_oracle(X: Dendrite) -> dict:
-    """The parent tables by one sorted adjacency scan per vertex.
+    """The parent tables by one adjacency scan per vertex.
 
     A breadth-first walk from the least vertex in ``id_key`` order takes each
-    vertex's edges sorted by rank.  Returns the tables by attribute name,
-    plus each vertex's degree.
+    vertex's edges in enumeration order.  Returns the tables by attribute
+    name, plus each vertex's degree.
     """
-    rank = {eid: i for i, eid in enumerate(sorted((e.eid for e in X.edges), key=id_key))}
     adj: dict = {v: [] for v in X.vertices}
     for e in X.edges:
         adj[e.u].append((e, e.v))
@@ -593,7 +592,7 @@ def orientation_oracle(X: Dendrite) -> dict:
     root = min(X.vertices, key=id_key)
     order, parent, parent_edge, depth = [root], {root: None}, {root: None}, {root: 0}
     for head in order:
-        for e, other in sorted(adj[head], key=lambda item: rank[item[0].eid]):
+        for e, other in adj[head]:
             if other in parent:
                 continue
             parent[other] = head
@@ -601,8 +600,13 @@ def orientation_oracle(X: Dendrite) -> dict:
             depth[other] = depth[head] + 1
             order.append(other)
     return {"_order": order, "_parent": parent, "_parent_edge": parent_edge,
-            "_depth": depth, "_rank": rank,
+            "_depth": depth,
             "degree": {v: len(incident) for v, incident in adj.items()}}
+
+
+def degree(X: Dendrite, v) -> int:
+    """The number of edges at vertex ``v``."""
+    return sum((e.u == v) + (e.v == v) for e in X.edges)
 
 
 def edge_between_oracle(X: Dendrite, a, b):
@@ -654,7 +658,7 @@ def whole(X: Dendrite) -> Subdendrite:
 def portion_graph(sub: Subdendrite) -> dict:
     """Node -> [(neighbour, segment length)]; nodes are vertices and portion ends."""
     adj: dict = {("v", v): [] for v in sub.vertices}
-    for eid, (lo, hi) in sub.portions:
+    for eid, (lo, hi) in sub.portions.items():
         e = sub.dendrite.edge(eid)
         a = ("v", e.u) if lo == 0 else ("p", eid, lo)
         b = ("v", e.v) if hi == 1 else ("p", eid, hi)
@@ -669,7 +673,7 @@ def portion_graph(sub: Subdendrite) -> dict:
 def intersection(a: Subdendrite, b: Subdendrite) -> Subdendrite:
     parts: dict[object, tuple[Fraction, Fraction]] = {}
     mine = dict(a.portions)
-    for eid, (lo, hi) in b.portions:
+    for eid, (lo, hi) in b.portions.items():
         if eid in mine:
             plo, phi = mine[eid]
             nlo, nhi = max(plo, lo), min(phi, hi)
@@ -696,7 +700,7 @@ def is_connected(sub: Subdendrite) -> bool:
 def sample_points(sub: Subdendrite) -> list[DPoint]:
     """Vertices plus portion boundaries and midpoints (for spot checks)."""
     pts = {VertexPoint(v) for v in sub.vertices}
-    for eid, (lo, hi) in sub.portions:
+    for eid, (lo, hi) in sub.portions.items():
         pts.add(sub.dendrite.point(eid, lo))
         pts.add(sub.dendrite.point(eid, hi))
         pts.add(sub.dendrite.point(eid, (lo + hi) / 2))

@@ -26,14 +26,13 @@ from dendrodyn.action import (
     word_images,
     word_power,
 )
-from dendrodyn.dendrite import FiniteClosedSet, set_distance, subdendrite_gates
+from dendrodyn.dendrite import FiniteClosedSet, hausdorff_distance, set_distance, subdendrite_gates
 from dendrodyn.errors import UnknownSymbol
 from dendrodyn.homeo import apply, compose, identity_homeo, interval_homeo, tree_automorphism
 from dendrodyn.measure import canonical_measure, dirac, push_forward
 from dendrodyn.zoo import (
     corrupted_leaf_collapse,
     gehman_dendrite,
-    interval_point,
     leaf_point,
     odometer_system,
     thompson_system,
@@ -251,7 +250,7 @@ def orbit_cases(star3):
         yield system.generators, X.point("e" + "1" * depth, F(1, 3)), 5
     system = thompson_system()
     for t in (F(1, 3), F(1, 2), F(0)):
-        yield system.generators, interval_point(system.dendrite, t), 5
+        yield system.generators, system.dendrite.point("e", t), 5
     turn = tree_automorphism(star3, {"c": "c", "l1": "l2", "l2": "l3", "l3": "l1"})
     gens = GeneratorSet(star3, [("t", turn)], check=False)  # a homeomorphism that moves levels
     yield gens, star3.vertex_point("l1"), 3
@@ -339,6 +338,21 @@ class TestMinimalSetApprox:
         assert len(approx.increments) == 6
         assert all(tval(p).denominator & (tval(p).denominator - 1) == 0
                    for p in approx.points)  # dyadic orbit
+
+    @pytest.mark.parametrize("start", ["3/13", "2/15", "16/17", "odometer"])
+    def test_increments_are_hausdorff_distances_of_consecutive_balls(self, start):
+        if start == "odometer":  # the leaf orbit closes at radius 32, so later layers are empty
+            system, radius = odometer_system(6), 36
+            x = leaf_point(system.dendrite, 6)
+        else:
+            system, radius = thompson_system(), 13
+            x = system.dendrite.point("e", F(start))
+        balls = [FiniteClosedSet(system.dendrite, ball)
+                 for ball in orbit_layers_oracle(system.generators, x, radius)]
+        approx = minimal_set_approx(system.generators, x, radius, F(1, 64))
+        assert approx.increments == tuple(hausdorff_distance(a, b)
+                                          for a, b in zip(balls, balls[1:]))
+        assert approx.points == balls[-1]
 
     def test_apply_work_independent_of_hash_seed(self):
         # the closure check must not iterate points in hash order
@@ -481,7 +495,7 @@ class TestRecurrence:
     def test_thompson_witnesses_match_per_pair_loop(self, x):
         system = thompson_system()
         gens, X = system.generators, system.dendrite
-        base = interval_point(X, x)
+        base = X.point("e", x)
         diag = detect_recurrence(gens, base, F(1, 4), 4)
         expected = []
         for w, image in word_images(gens, word_ball(gens, 4)[1:], base, apply):

@@ -223,6 +223,23 @@ class TestConfigValidation:
         assert capsys.readouterr().err.startswith(f"error: {role} file ")
         assert report is None
 
+    @pytest.mark.parametrize("path", [0, True, ["a"]], ids=["zero", "true", "list"])
+    @pytest.mark.parametrize("role", ["dendrite", "homeo", "measure"])
+    def test_referenced_file_path_that_is_not_a_string(self, tmp_path, capsys, role, path):
+        # an int path would be opened as a file descriptor: 0 reads standard input
+        from dendrodyn.zoo import unit_interval_dendrite
+        dendrite = tmp_path / "dendrite.json"
+        ser.dump_json(ser.dendrite_to_json(unit_interval_dendrite()), dendrite)
+        system = {"dendrite": path if role == "dendrite" else str(dendrite),
+                  "generators": [{"symbol": "f", "file": path}] if role == "homeo" else []}
+        parameters = {"measure": {"file": path}} if role == "measure" else {}
+        code, report, _ = run(tmp_path, {"command": "proximality", "system": system,
+                                         "parameters": parameters})
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {role} file path must be a string, got {path!r}\n")
+        assert report is None
+
     @pytest.mark.parametrize("flags", [["--out", "elsewhere"], ["--format", "csv"],
                                        ["--seed", "3"]])
     def test_config_that_is_not_an_object(self, tmp_path, capsys, flags):
@@ -467,6 +484,29 @@ class TestDeterminism:
             assert main(["run", "--config", cfg]) == 0
         assert ((tmp_path / "o1" / "proximality.json").read_bytes()
                 == (tmp_path / "o2" / "proximality.json").read_bytes())
+
+    def test_tree_reports_independent_of_hash_seed(self, tmp_path):
+        # sub-dendrite portions follow dict insertion, which for a hull of a
+        # point set follows its frozenset's hash order
+        runs = [(command, system) for system in ("odometer:D=6", "odometer:D=5,leaf=level")
+                for command in ("certify", "cover", "tower")]
+        script = ("import sys; from dendrodyn.cli import main; "
+                  "sys.exit(max(main(['run', '--config', c]) for c in sys.argv[1:]))")
+        src = str(Path(dendrodyn.__file__).parents[1])
+        reports = []
+        for seed in ("0", "1"):
+            configs = [write_config(tmp_path, {"command": command, "system": system,
+                                               "out": str(tmp_path / seed / str(i))},
+                                    f"{seed}-{i}.json")
+                       for i, (command, system) in enumerate(runs)]
+            env = {**os.environ, "PYTHONHASHSEED": seed,
+                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            proc = subprocess.run([sys.executable, "-c", script, *configs], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            reports.append([(tmp_path / seed / str(i) / f"{command}.json").read_bytes()
+                            for i, (command, _) in enumerate(runs)])
+        assert reports[0] == reports[1]
 
     def test_retired_threads_key_is_ignored(self, tmp_path):
         # "threads" is no longer a config key; like any unknown key it is

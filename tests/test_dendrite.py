@@ -47,6 +47,7 @@ from conftest import (
 from oracles import (
     _distance_to_set,
     _point_to_set,
+    degree,
     edge_between_oracle,
     graph_oracle,
     is_connected,
@@ -83,7 +84,7 @@ def arc_union_hull(X, points):
     for p in pts[1:]:
         arc = metric_arc(X, base, p)
         vertices.update(arc.vertices)
-        for eid, (lo, hi) in arc.portions:
+        for eid, (lo, hi) in arc.portions.items():
             cur = portions.get(eid)
             portions[eid] = (lo, hi) if cur is None else (min(cur[0], lo), max(cur[1], hi))
     return Subdendrite._make(X, vertices, portions)
@@ -209,7 +210,7 @@ class TestConstruction:
     def test_single_vertex_is_a_dendrite(self):
         X = Dendrite(["a"], [])
         a = X.vertex_point("a")
-        assert X._order == ["a"] and X._parent == {"a": None} and X.degree("a") == 0
+        assert X._order == ["a"] and X._parent == {"a": None} and degree(X, "a") == 0
         assert X.skeleton_points() == [a] and X.distance(a, a) == 0
         assert X.hull([a]) == whole(X) and whole(X).diameter() == 0
 
@@ -218,9 +219,9 @@ def assert_construction_matches_oracle(X):
     """The parent tables, degrees and edge lookups equal the sorted-scan construction."""
     expected = orientation_oracle(X)
     assert X._order == expected["_order"]
-    for table in ("_parent", "_parent_edge", "_depth", "_rank"):
+    for table in ("_parent", "_parent_edge", "_depth"):
         assert getattr(X, table) == expected[table], table
-    assert {v: X.degree(v) for v in X.vertices} == expected["degree"]
+    assert {v: degree(X, v) for v in X.vertices} == expected["degree"]
     for a, b in itertools.product(X.vertices, repeat=2):
         try:
             edge = edge_between_oracle(X, a, b)
@@ -283,10 +284,6 @@ class TestEdgeBetween:
             star3.edge_between(a, b)
         assert type(err.value) is DendrodynError
         assert str(err.value) == f"no edge between {a!r} and {b!r}"
-
-    def test_unknown_vertex_degree(self, star3):
-        with pytest.raises(PointOffDendrite, match="unknown vertex 'zz'"):
-            star3.degree("zz")
 
 
 class TestArc:
@@ -363,7 +360,7 @@ class TestConvexHull:
         for x, y in itertools.combinations_with_replacement(pts, 2):
             arc = metric_arc(X, x, y)
             acc_vertices |= set(arc.vertices)
-            for eid, (lo, hi) in arc.portions:
+            for eid, (lo, hi) in arc.portions.items():
                 cur = acc_portions.get(eid)
                 acc_portions[eid] = (lo, hi) if cur is None else (
                     min(cur[0], lo), max(cur[1], hi))
@@ -590,7 +587,7 @@ class TestWeightedMetric:
     def test_hull_is_canonical(self, data):
         X, pts = data
         hull = X.hull(pts)
-        assert hull == Subdendrite._make(X, hull.vertices, hull.portion_map())
+        assert hull == Subdendrite._make(X, hull.vertices, hull.portions)
 
     def test_disconnected_diameter_is_the_largest_piece(self, star3):
         # a full edge, a stub below c on e2, and a lone segment on e3
@@ -830,8 +827,8 @@ class TestNearestOther:
 
 def ends_and_branches(X):
     """The vertices of degree 1 and those of degree at least 3."""
-    return ({v for v in X.vertices if X.degree(v) == 1},
-            {v for v in X.vertices if X.degree(v) >= 3})
+    return ({v for v in X.vertices if degree(X, v) == 1},
+            {v for v in X.vertices if degree(X, v) >= 3})
 
 
 class TestBoundary:

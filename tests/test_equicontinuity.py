@@ -44,6 +44,7 @@ from oracles import (
     _distance_to_set,
     _point_to_set,
     cell_gap_oracle,
+    degree,
     frontier_cover_oracle,
     group_modulus_audit,
     intersection,
@@ -804,7 +805,7 @@ def rotated_copies(draw):
         weights += [weight() for _ in range(len(base.edges) + 1)]
     X = Dendrite(vertices, edges, weights)
     turn = {"c": "c"} | {f"{i}.{v}": f"{(i + 1) % k}.{v}" for i in range(k) for v in base.vertices}
-    m = FiniteClosedSet(X, [X.vertex_point(v) for v in X.vertices if X.degree(v) == 1])
+    m = FiniteClosedSet(X, [X.vertex_point(v) for v in X.vertices if degree(X, v) == 1])
     return GeneratorSet(X, [("r", tree_automorphism(X, turn))]), m
 
 

@@ -29,6 +29,7 @@ from dendrodyn.zoo import (
 )
 
 from conftest import pl_maps, random_trees, tree_points
+from oracles import degree
 
 F = Fraction
 
@@ -77,7 +78,7 @@ def evaluated_image(h, sub):
     """Reference image: evaluate every portion end, merge, re-validate."""
     vertices = {h.vertex_map[v] for v in sub.vertices}
     portions = {}
-    for eid, (lo, hi) in sub.portions:
+    for eid, (lo, hi) in sub.portions.items():
         tgt, plm = h.edge_map[eid]
         a, b = plm(lo), plm(hi)
         if a > b:
@@ -326,13 +327,13 @@ class TestTreeAuto:
         X = gehman_dendrite(3)
         g = odometer(3, X)
         for v in X.vertices:
-            assert X.degree(v) == X.degree(g.vertex_map[v])
+            assert degree(X, v) == degree(X, g.vertex_map[v])
 
     def test_endpoints_to_endpoints(self):
         X = gehman_dendrite(3)
         g = odometer(3, X)
         for keep in (lambda d: d == 1, lambda d: d >= 3):  # endpoints, branch points
-            points = {X.vertex_point(v) for v in X.vertices if keep(X.degree(v))}
+            points = {X.vertex_point(v) for v in X.vertices if keep(degree(X, v))}
             assert {apply(g, p) for p in points} == points
 
     def test_level_uniform_weights_give_isometry(self):

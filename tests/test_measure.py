@@ -34,7 +34,7 @@ from dendrodyn.zoo import (
 )
 
 from conftest import pl_maps, random_measures, random_trees, tree_points
-from oracles import add_oracle, measure_oracle, metric_distance, pl_value_oracle
+from oracles import add_oracle, degree, measure_oracle, metric_distance, pl_value_oracle
 
 F = Fraction
 
@@ -204,7 +204,7 @@ def tree_automorphisms(draw, dendrite):
     leaves = {}
     for e in dendrite.edges:
         for leaf, hub in ((e.u, e.v), (e.v, e.u)):
-            if dendrite.degree(leaf) == 1:
+            if degree(dendrite, leaf) == 1:
                 leaves.setdefault(hub, []).append(leaf)
     pairs = [sorted(group)[:2] for _, group in sorted(leaves.items())
              if len(group) >= 2]

@@ -21,7 +21,7 @@ from dendrodyn.zoo import (
     verify_paradox_partition,
 )
 
-from oracles import add_one
+from oracles import add_one, degree
 
 F = Fraction
 
@@ -92,7 +92,7 @@ class TestGehmanDendrite:
     def test_depth1(self):
         X = gehman_dendrite(1)
         assert len(X.edges) == 2
-        assert [X.degree(v) for v in sorted(X.vertices)] == [1, 1, 2]
+        assert [degree(X, v) for v in sorted(X.vertices)] == [1, 1, 2]
 
     def test_depth3_counts(self):
         X = gehman_dendrite(3)

@@ -32,7 +32,7 @@ class PLMap:
     instance each, which is safe because nothing mutates a ``PLMap``.
     """
 
-    __slots__ = ("xs", "ys")
+    __slots__ = ("xs", "ys", "increasing", "linear")
 
     def __init__(self, xs: Sequence, ys: Sequence, _canonical: bool = False):
         xs = tuple(frac(x) for x in xs)
@@ -55,6 +55,8 @@ class PLMap:
             xs, ys = _merge_collinear(xs, ys)
         self.xs = xs
         self.ys = ys
+        self.increasing = increasing
+        self.linear = len(xs) == 2
 
     @staticmethod
     def identity() -> "PLMap":
@@ -63,15 +65,6 @@ class PLMap:
     @staticmethod
     def flip() -> "PLMap":
         return _FLIP
-
-    @property
-    def increasing(self) -> bool:
-        return self.ys[0] == 0
-
-    @property
-    def linear(self) -> bool:
-        """True for the identity and the flip, the only canonical linear maps."""
-        return len(self.xs) == 2
 
     def __call__(self, t: Fraction) -> Fraction:
         t = frac(t)

@@ -9,6 +9,7 @@ Mass of a density piece is density x parameter length x edge weight.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .action import Word, reduce_word, word_images
@@ -18,6 +19,7 @@ from .errors import (
     DomainMismatch,
     NotCertifiedOrbit,
     NotProbability,
+    UnknownSymbol,
 )
 from .homeo import Homeo, _pl_value, apply
 from .util import Record, frac, id_key, integer_scale, point_key
@@ -222,10 +224,10 @@ def canonical_measure(dendrite: Dendrite) -> PLMeasure:
 def push_forward(h: Homeo, mu: PLMeasure) -> PLMeasure:
     """Exact image measure: atoms transport, densities pick up 1/|slope|.
 
-    Each edge is one walk over its pieces and its map's segments
-    (:func:`_overlaps`); the density factor is computed once per segment.  A
-    decreasing map lists an edge's rows right to left, which
-    :meth:`PLMeasure._trusted` reverses.
+    Each edge is one integer walk over its pieces and its map's segments
+    (:func:`_overlaps`); each row's two ends and its density become a
+    ``Fraction`` once.  A decreasing map lists an edge's rows right to left,
+    which :meth:`PLMeasure._trusted` reverses.
     """
     if not h.dendrite.same_space(mu.dendrite):
         raise DendriteMismatch("homeomorphism acts on a different dendrite")
@@ -234,54 +236,47 @@ def push_forward(h: Homeo, mu: PLMeasure) -> PLMeasure:
     dens: dict[object, list[Piece]] = {}
     for eid, pieces in mu.densities.items():
         tgt_id, plm = h.edge_map[eid]
-        ratio = edge(eid).weight / edge(tgt_id).weight
+        src, tgt = edge(eid).weight, edge(tgt_id).weight
+        sx, sy, sr, overlaps = _overlaps(pieces, plm.xs, plm.ys)
+        # density r/sr times the weight ratio src/tgt over the slope rise*sx/(sy*width)
+        num = sy * src.numerator * tgt.denominator
+        den = sr * sx * src.denominator * tgt.numerator
         rows = dens.setdefault(tgt_id, [])
-        seen = factor = None
-        for _, _, r, ya, yb, slope in _overlaps(pieces, plm.xs, plm.ys):
-            if slope is not seen:  # once per segment
-                seen, factor = slope, ratio / abs(slope)
-            rows.append((ya, yb, r * factor) if ya < yb else (yb, ya, r * factor))
+        for lo, hi, r, x0, width, y0, rise in overlaps:
+            base, y_den = y0 * width - rise * x0, sy * width
+            ya, yb = Fraction(base + rise * lo, y_den), Fraction(base + rise * hi, y_den)
+            density = Fraction(r * width * num, den * abs(rise))
+            rows.append((ya, yb, density) if rise > 0 else (yb, ya, density))
     return PLMeasure._trusted(mu.dendrite, atoms, dens, mu.norm)
 
 
 def _overlaps(pieces: Sequence[Piece], xs: Sequence[Fraction], ys: Sequence[Fraction]):
-    """One two-pointer walk over density pieces and a PL graph's segments.
+    """One integer two-pointer walk over density pieces and a PL graph's segments.
 
     ``pieces`` are sorted and disjoint; ``(xs, ys)`` are the breakpoints of a
-    piecewise-linear function on [0, 1].  Yields ``(lo, hi, r, y_lo, y_hi,
-    slope)`` for every overlap of positive length between a piece of density
-    ``r`` and a segment, where ``y_lo``, ``y_hi`` are the function's values at
-    ``lo``, ``hi`` taken from the segment's own line, and ``slope`` is that
-    line's slope (one object per segment, computed once).
+    piecewise-linear function on [0, 1].  Piece ends and breakpoints are
+    scaled to integers by one common denominator ``sx``, values by ``sy`` and
+    densities by ``sr``.  Returns ``(sx, sy, sr, rows)`` with one integer row
+    ``(lo, hi, r, x0, width, y0, rise)`` for every overlap ``[lo, hi]`` of
+    positive length between a piece of density ``r`` and the segment that
+    starts at ``(x0, y0)`` and spans ``width`` and ``rise``.
     """
-    i, n = 0, len(pieces)
-    t_prev = y_prev = None  # the last overlap's right end and its value
-    for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:]):
-        if i == n:
-            return
-        if pieces[i][0] >= x1:
-            continue
-        slope = (y1 - y0) / (x1 - x0)
-        icpt = y0 - slope * x0
+    sx, at = integer_scale([*xs, *(t for a, b, _ in pieces for t in (a, b))])
+    sy, up = integer_scale(ys)
+    sr, level = integer_scale(r for _, _, r in pieces)
+    ts, vs = [at(x) for x in xs], [up(y) for y in ys]
+    scaled = [(at(a), at(b), level(r)) for a, b, r in pieces]
+    rows, i, n = [], 0, len(scaled)
+    for x0, x1, y0, y1 in zip(ts, ts[1:], vs, vs[1:]):
         while i < n:
-            a, b, r = pieces[i]
+            a, b, r = scaled[i]
             if a >= x1:
                 break
-            if a <= x0:
-                lo, y_lo = x0, y0
-            elif a == t_prev:
-                lo, y_lo = a, y_prev
-            else:
-                lo, y_lo = a, slope * a + icpt
-            if b >= x1:
-                hi, y_hi = x1, y1
-            else:
-                hi, y_hi = b, slope * b + icpt
-            t_prev, y_prev = hi, y_hi
-            yield lo, hi, r, y_lo, y_hi, slope
+            rows.append((max(a, x0), min(b, x1), r, x0, x1 - x0, y0, y1 - y0))
             if b > x1:  # the piece runs on into the next segment
                 break
             i += 1
+    return sx, sy, sr, rows
 
 
 class TestFunction:
@@ -357,8 +352,10 @@ class TestFunction:
 def integrate(mu: PLMeasure, f: TestFunction) -> Fraction:
     """Exact integral: atoms weight point values, pieces are trapezoids.
 
-    Each edge is one walk over its pieces and ``f``'s segments there
-    (:func:`_overlaps`).
+    Each edge is one integer walk over its pieces and ``f``'s segments there
+    (:func:`_overlaps`); the trapezoids are summed over the least common
+    multiple of their segments' widths, and each edge's total becomes one
+    ``Fraction``.
     """
     if not mu.dendrite.same_space(f.dendrite):
         raise DomainMismatch("function defined on a different dendrite")
@@ -366,10 +363,15 @@ def integrate(mu: PLMeasure, f: TestFunction) -> Fraction:
     for p, w in mu.atoms:
         total += w * f._at(p)
     for eid, pieces in mu.densities.items():
-        twice = ZERO  # twice the edge's integral in parameter units
-        for lo, hi, r, f_lo, f_hi, _ in _overlaps(pieces, *f.edge_data[eid]):
-            twice += r * (f_lo + f_hi) * (hi - lo)
-        total += twice * mu.dendrite.edge(eid).weight / 2
+        sx, sy, sr, overlaps = _overlaps(pieces, *f.edge_data[eid])
+        by_width: dict[int, int] = {}  # width -> its trapezoids, times 2*sx*sy*sr*width
+        for lo, hi, r, x0, width, y0, rise in overlaps:
+            by_width[width] = by_width.get(width, 0) + r * (hi - lo) * (
+                2 * y0 * width + rise * (lo + hi - 2 * x0))
+        common = lcm(*by_width)
+        edge_total = sum(area * (common // width) for width, area in by_width.items())
+        w = mu.dendrite.edge(eid).weight
+        total += Fraction(edge_total * w.numerator, 2 * sx * sy * sr * common * w.denominator)
     return total
 
 
@@ -466,6 +468,9 @@ def folner_ratio(scheme: FolnerScheme, g, n: int) -> Fraction:
     """Exact |gF_n symmetric-difference F_n| / |F_n| on reduced words."""
     if isinstance(g, str):
         g = Word.parse(g)
+    for sym, _ in g.letters:
+        if sym not in scheme.symbols:
+            raise UnknownSymbol(f"unknown generator {sym!r} for the scheme {scheme.name}")
     words = [reduce_word(w) for w in scheme.words(n)]
     base = set(words)
     shifted = {reduce_word(Word(g.letters + w.letters)) for w in words}

@@ -144,16 +144,15 @@ def random_measures(draw, dendrite, max_atoms=3, steps=16, density_denominators=
 
 
 @st.composite
-def pl_maps(draw, max_breaks=4):
-    """A random increasing PL bijection of [0, 1] with dyadic breakpoints."""
+def pl_maps(draw, max_breaks=4, denominator=32):
+    """A random increasing PL bijection of [0, 1] with breakpoints and values k/denominator."""
     k = draw(st.integers(min_value=0, max_value=max_breaks))
-    denom = 32
-    xs_mid = sorted(draw(st.sets(st.integers(min_value=1, max_value=denom - 1),
+    xs_mid = sorted(draw(st.sets(st.integers(min_value=1, max_value=denominator - 1),
                                  min_size=k, max_size=k)))
-    ys_mid = sorted(draw(st.sets(st.integers(min_value=1, max_value=denom - 1),
+    ys_mid = sorted(draw(st.sets(st.integers(min_value=1, max_value=denominator - 1),
                                  min_size=k, max_size=k)))
-    xs = [Fraction(0)] + [Fraction(x, denom) for x in xs_mid] + [Fraction(1)]
-    ys = [Fraction(0)] + [Fraction(y, denom) for y in ys_mid] + [Fraction(1)]
+    xs = [Fraction(0)] + [Fraction(x, denominator) for x in xs_mid] + [Fraction(1)]
+    ys = [Fraction(0)] + [Fraction(y, denominator) for y in ys_mid] + [Fraction(1)]
     from dendrodyn.homeo import PLMap
     return PLMap(xs, ys)
 

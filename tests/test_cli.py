@@ -125,6 +125,8 @@ class TestConfigValidation:
         ("certify", "odometer:D=3", {"mesh_target": "-1/2"}),
         ("folner-ratio", None, {"g": 5}),
         ("folner-ratio", None, {"scheme_symbol": 5}),
+        ("folner-ratio", None, {"g": "gg"}),
+        ("folner-ratio", None, {"g": "h"}),
         ("folner-average", "thompson", {"scheme_symbol": ["f"]}),
         ("defect", "thompson", {"scheme_symbol": ["f"]}),
         ("zoo", None, {"action": "export", "name": 5}),

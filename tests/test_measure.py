@@ -193,11 +193,12 @@ def integrate_oracle(mu, f):
 
 
 @st.composite
-def tree_automorphisms(draw, dendrite):
+def tree_automorphisms(draw, dendrite, denominator=32):
     """A tree automorphism with random PL reparametrizations.
 
     The vertex map is the identity or swaps two leaves that share a
     neighbour; storage orientations are random, so some edges flip.
+    Reparametrization breakpoints and values are k/denominator.
     """
     from dendrodyn.homeo import PLMap, tree_automorphism
     vm = {v: v for v in dendrite.vertices}
@@ -211,20 +212,21 @@ def tree_automorphisms(draw, dendrite):
     if pairs and draw(st.booleans()):
         a, b = draw(st.sampled_from(pairs))
         vm[a], vm[b] = b, a
-    reparams = {e.eid: draw(pl_maps()) if draw(st.booleans()) else PLMap.identity()
+    reparams = {e.eid: (draw(pl_maps(denominator=denominator)) if draw(st.booleans())
+                        else PLMap.identity())
                 for e in dendrite.edges}
     return tree_automorphism(dendrite, vm, reparams)
 
 
 @st.composite
-def pl_functions(draw, dendrite):
-    """A random continuous PL function with sixteenth breakpoints."""
-    values = st.integers(-8, 8).map(lambda k: F(k, 4))
+def pl_functions(draw, dendrite, steps=16, denominator=4):
+    """A random continuous PL function with breakpoints k/steps and values k/denominator."""
+    values = st.integers(-2 * denominator, 2 * denominator).map(lambda k: F(k, denominator))
     vv = {v: draw(values) for v in dendrite.vertices}
     ed = {}
     for e in dendrite.edges:
-        mids = sorted(draw(st.sets(st.integers(1, 15), max_size=3)))
-        xs = [F(0)] + [F(x, 16) for x in mids] + [F(1)]
+        mids = sorted(draw(st.sets(st.integers(1, steps - 1), max_size=3)))
+        xs = [F(0)] + [F(x, steps) for x in mids] + [F(1)]
         ys = [vv[e.u]] + [draw(values) for _ in mids] + [vv[e.v]]
         ed[e.eid] = (xs, ys)
     return TestFunction(dendrite, vv, ed)
@@ -274,6 +276,33 @@ class TestOneWalkOracles:
         mu = data.draw(random_measures(X))
         pushed = push_forward(evaluate_word(data.draw(thompson_words(gens)), gens), mu)
         f = data.draw(pl_functions(X))
+        assert integrate(pushed, f) == integrate_oracle(pushed, f)
+
+    # Non-dyadic inputs: with every denominator a power of two, a scale slip
+    # (values scaled by sx instead of sy, say) can cancel and go unseen.
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_non_dyadic_tree_automorphisms(self, data):
+        X = data.draw(random_trees(max_edges=5, denominators=(1, 3, 5)))
+        mu = data.draw(random_measures(X, steps=15, density_denominators=(3, 7)))
+        h = data.draw(tree_automorphisms(X, denominator=21))
+        pushed = push_forward(h, mu)
+        assert pushed == push_forward_oracle(h, mu)
+        f = data.draw(pl_functions(X, steps=9, denominator=5))
+        assert integrate(mu, f) == integrate_oracle(mu, f)
+        assert integrate(pushed, f) == integrate_oracle(pushed, f)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_non_dyadic_decreasing_interval_map(self, data):
+        X = unit_interval_dendrite()
+        m = data.draw(pl_maps(denominator=15))
+        h = interval_homeo(X, m.xs, [1 - y for y in m.ys])
+        mu = data.draw(random_measures(X, steps=15, density_denominators=(3, 7)))
+        pushed = push_forward(h, mu)
+        assert pushed == push_forward_oracle(h, mu)
+        f = data.draw(pl_functions(X, steps=9, denominator=5))
         assert integrate(pushed, f) == integrate_oracle(pushed, f)
 
 

@@ -269,10 +269,8 @@ def detect_finite_orbit(gens: GeneratorSet, x: DPoint, budget: int) -> FiniteOrb
     for r, (points, size) in enumerate(_orbit_layers(gens, x, budget + 1)):
         growth.append(size)
         if r and size == growth[-2]:  # nothing new, so the ball is all of points
-            radius = max(r - 1, 1)
-            if radius <= budget:
-                return FiniteOrbitResult(True, FiniteClosedSet(gens.dendrite, points),
-                                         radius, tuple(growth[:-1]))
+            return FiniteOrbitResult(True, FiniteClosedSet(gens.dendrite, points),
+                                     max(r - 1, 1), tuple(growth[:-1]))
     return FiniteOrbitResult(False, None, None, tuple(growth[:budget + 1]))
 
 

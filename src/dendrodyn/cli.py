@@ -53,12 +53,6 @@ from .zoo import (
     verify_paradox_partition,
 )
 
-COMMANDS = ("orbit", "finite-orbit", "minimal-set", "classify", "tower", "cover",
-            "certify", "measure", "pushforward", "folner-average", "defect",
-            "paradox-check", "folner-ratio", "proximality", "zoo")
-
-SYSTEMLESS = {"paradox-check", "folner-ratio", "zoo"}
-
 MINIMAL_CLASSES = ("finite", "finite-orbit", "cantor-like", "whole-space")
 
 
@@ -88,7 +82,7 @@ class ExperimentConfig(Record):
                   seed=read_param(doc.get("seed", 0), "seed", minimum=None))
         if cfg.format not in ("json", "csv"):
             raise ConfigInvalid(f"unknown format {cfg.format!r}")
-        if cfg.command not in SYSTEMLESS and cfg.system is None:
+        if _COMMANDS[command][1] and cfg.system is None:
             raise ConfigInvalid(f"command {command!r} needs a system")
         return cfg
 
@@ -225,8 +219,11 @@ def _param_text(params: dict, key: str, default) -> str:
 
 
 def _param_list(params: dict, key: str, default):
-    values = params.get(key, default)
-    if values is not None and not isinstance(values, list):
+    """The list at ``key``; an absent or null value gives ``default``."""
+    values = params.get(key)
+    if values is None:
+        return default
+    if not isinstance(values, list):
         raise ConfigInvalid(f"{key} must be a list, got {values!r}")
     return values
 
@@ -234,6 +231,8 @@ def _param_list(params: dict, key: str, default):
 def _default_dictionary(system: ZooSystem, params: dict) -> list[TestFunction]:
     X = system.dendrite
     probes = _param_list(params, "dictionary", None)
+    if probes == []:
+        raise ConfigInvalid("dictionary must name at least one point")
     if probes is not None:
         return [TestFunction.distance_to(X, _resolve_point(p, system)) for p in probes]
     depth = system.properties.get("depth")
@@ -250,8 +249,7 @@ def _default_dictionary(system: ZooSystem, params: dict) -> list[TestFunction]:
 # -- command implementations -----------------------------------------------------
 
 
-def _cmd_orbit(cfg, system):
-    params = cfg.parameters
+def _cmd_orbit(params, system):
     x = _resolve_point(params.get("x"), system)
     radius = read_param(params.get("R", 4), "R")
     report = orbit(system.generators, x, radius)
@@ -264,8 +262,7 @@ def _cmd_orbit(cfg, system):
     }, 0
 
 
-def _cmd_finite_orbit(cfg, system):
-    params = cfg.parameters
+def _cmd_finite_orbit(params, system):
     x = _resolve_point(params.get("x"), system)
     budget = read_param(params.get("budget", params.get("R", 16)), "budget", minimum=1)
     result = detect_finite_orbit(system.generators, x, budget)
@@ -281,8 +278,7 @@ def _cmd_finite_orbit(cfg, system):
     return doc, 0
 
 
-def _cmd_minimal_set(cfg, system):
-    params = cfg.parameters
+def _cmd_minimal_set(params, system):
     x = _resolve_point(params.get("x"), system)
     radius = read_param(params.get("R", 4), "R", minimum=2)
     eps = _resolution(params, "eps", "1/16")
@@ -298,8 +294,7 @@ def _cmd_minimal_set(cfg, system):
     }, 0
 
 
-def _cmd_classify(cfg, system):
-    params = cfg.parameters
+def _cmd_classify(params, system):
     eps = _resolution(params, "eps", "1/8")
     m, certified, tower_class = _minimal_set(system, params)
     verdict = classify_minimal_set(system.dendrite, m, eps,
@@ -318,13 +313,16 @@ def _cmd_classify(cfg, system):
     return doc, 0
 
 
-def _cmd_tower(cfg, system):
-    params = cfg.parameters
-    n_max = read_param(params.get("n_max", 4), "n_max", minimum=1)
+def _tower(params, system, n_max):
+    """The seed's minimal set and its tower of trees up to level ``n_max``."""
     m, _, tower_class = _minimal_set(system, params)
-    tower = build_tree_tower(system.generators, m, n_max,
-                             minimal_class=tower_class,
-                             orbit_budget=_orbit_budget(params))
+    return m, build_tree_tower(system.generators, m, n_max, minimal_class=tower_class,
+                               orbit_budget=_orbit_budget(params))
+
+
+def _cmd_tower(params, system):
+    n_max = read_param(params.get("n_max", 4), "n_max", minimum=1)
+    m, tower = _tower(params, system, n_max)
     levels = []
     for lvl in tower.levels:
         levels.append({
@@ -337,15 +335,13 @@ def _cmd_tower(cfg, system):
     return {"n_max": n_max, "levels": levels, "set_size": len(m)}, 0
 
 
-def _cmd_cover(cfg, system):
-    params = cfg.parameters
+def _cmd_cover(params, system):
     n = read_param(params.get("n", 1), "n", minimum=1)
-    m, _, tower_class = _minimal_set(system, params)
-    tower = build_tree_tower(system.generators, m, n,
-                             minimal_class=tower_class,
-                             orbit_budget=_orbit_budget(params))
+    _, tower = _tower(params, system, n)
     level = tower.levels[-1]
     cover = tower.cover(level.index)
+    if system.corrupt_cover:
+        cover = tamper_remove_edge(cover)
     equi = verify_cover_equivariance(system.generators, cover)
     cells = [{"anchor": ser.point_to_json(a),
               "diameter": frac_str(d),
@@ -358,8 +354,7 @@ def _cmd_cover(cfg, system):
     }, 0
 
 
-def _cmd_certify(cfg, system):
-    params = cfg.parameters
+def _cmd_certify(params, system):
     n_max = read_param(params.get("n_max", 4), "n_max", minimum=1)
     m, _, tower_class = _minimal_set(system, params)
     eps_grid = _param_list(params, "eps_grid", None)
@@ -381,14 +376,13 @@ def _cmd_certify(cfg, system):
     return doc, (2 if cert.verdict == "Failed" else 0)
 
 
-def _cmd_measure(cfg, system):
+def _cmd_measure(params, system):
     mu = canonical_measure(system.dendrite)
     return {"measure": ser.measure_to_json(mu),
             "total_mass": frac_str(mu.total_mass())}, 0
 
 
-def _cmd_pushforward(cfg, system):
-    params = cfg.parameters
+def _cmd_pushforward(params, system):
     mu = _resolve_measure(params.get("measure"), system)
     w = Word.parse(_param_text(params, "word", "e"))
     _, pushed = next(word_images(system.generators, [w], mu, push_forward))
@@ -397,10 +391,14 @@ def _cmd_pushforward(cfg, system):
             "total_mass": frac_str(pushed.total_mass())}, 0
 
 
-def _cmd_folner_average(cfg, system):
-    params = cfg.parameters
+def _averaging(params, system):
+    """Følner scheme and start measure of ``folner-average`` and ``defect``."""
     scheme = folner_scheme_Z(_param_text(params, "scheme_symbol", system.generators.symbols[0]))
-    mu0 = _resolve_measure(params.get("measure", {"dirac": params.get("x")}), system)
+    return scheme, _resolve_measure(params.get("measure", {"dirac": params.get("x")}), system)
+
+
+def _cmd_folner_average(params, system):
+    scheme, mu0 = _averaging(params, system)
     n = read_param(params.get("n", 4), "n")
     nu = folner_average(system.generators, scheme, mu0, n)
     fns = _default_dictionary(system, params)
@@ -409,14 +407,11 @@ def _cmd_folner_average(cfg, system):
             "defect": frac_str(invariance_defect(system.generators, nu, fns))}, 0
 
 
-def _cmd_defect(cfg, system):
-    params = cfg.parameters
+def _cmd_defect(params, system):
     ns = [read_param(n, "ns") for n in _param_list(params, "ns", [1, 2, 4, 8, 16])]
-    scheme = folner_scheme_Z(_param_text(params, "scheme_symbol", system.generators.symbols[0]))
-    mu0 = _resolve_measure(params.get("measure", {"dirac": params.get("x")}), system)
+    scheme, mu0 = _averaging(params, system)
     fns = _default_dictionary(system, params)
     sup = max(f.sup_norm() for f in fns)
-
     rows = []
     for n in ns:
         nu = folner_average(system.generators, scheme, mu0, n)
@@ -425,8 +420,7 @@ def _cmd_defect(cfg, system):
     return {"rows": rows, "sup_norm": frac_str(sup)}, 0
 
 
-def _cmd_paradox(cfg, system):
-    params = cfg.parameters
+def _cmd_paradox(params, system):
     max_length = read_param(params.get("L", 3), "L", minimum=1)
     report = verify_paradox_partition(max_length)
     doc = {
@@ -444,8 +438,7 @@ def _cmd_paradox(cfg, system):
     return doc, (0 if report.ok else 2)
 
 
-def _cmd_folner_ratio(cfg, system):
-    params = cfg.parameters
+def _cmd_folner_ratio(params, system):
     ns = [read_param(n, "ns") for n in _param_list(params, "ns", [2, 10, 50])]
     symbol = _param_text(params, "scheme_symbol", "g")
     scheme = folner_scheme_Z(symbol)
@@ -454,8 +447,7 @@ def _cmd_folner_ratio(cfg, system):
     return {"g": g, "rows": rows}, 0
 
 
-def _cmd_proximality(cfg, system):
-    params = cfg.parameters
+def _cmd_proximality(params, system):
     mu0 = _resolve_measure(params.get("measure"), system)
     radius = read_param(params.get("R", 3), "R")
     trace = strong_proximality_scan(system.generators, mu0, radius)
@@ -463,8 +455,7 @@ def _cmd_proximality(cfg, system):
             "rows": [[k, frac_str(s), w] for k, s, w in trace.rows]}, 0
 
 
-def _cmd_zoo(cfg, system):
-    params = cfg.parameters
+def _cmd_zoo(params, system):
     action = params.get("action", "list")
     if action == "list":
         return {"systems": list_systems()}, 0
@@ -483,23 +474,26 @@ def _cmd_zoo(cfg, system):
     raise ConfigInvalid(f"unknown zoo action {action!r}")
 
 
-_HANDLERS = {
-    "orbit": _cmd_orbit,
-    "finite-orbit": _cmd_finite_orbit,
-    "minimal-set": _cmd_minimal_set,
-    "classify": _cmd_classify,
-    "tower": _cmd_tower,
-    "cover": _cmd_cover,
-    "certify": _cmd_certify,
-    "measure": _cmd_measure,
-    "pushforward": _cmd_pushforward,
-    "folner-average": _cmd_folner_average,
-    "defect": _cmd_defect,
-    "paradox-check": _cmd_paradox,
-    "folner-ratio": _cmd_folner_ratio,
-    "proximality": _cmd_proximality,
-    "zoo": _cmd_zoo,
+# command -> (handler, whether it needs a system, plot kind of its --format csv table)
+_COMMANDS = {
+    "orbit": (_cmd_orbit, True, "orbit"),
+    "finite-orbit": (_cmd_finite_orbit, True, None),
+    "minimal-set": (_cmd_minimal_set, True, None),
+    "classify": (_cmd_classify, True, None),
+    "tower": (_cmd_tower, True, None),
+    "cover": (_cmd_cover, True, None),
+    "certify": (_cmd_certify, True, "mesh"),
+    "measure": (_cmd_measure, True, None),
+    "pushforward": (_cmd_pushforward, True, None),
+    "folner-average": (_cmd_folner_average, True, None),
+    "defect": (_cmd_defect, True, "defect"),
+    "paradox-check": (_cmd_paradox, False, None),
+    "folner-ratio": (_cmd_folner_ratio, False, None),
+    "proximality": (_cmd_proximality, True, None),
+    "zoo": (_cmd_zoo, False, None),
 }
+
+COMMANDS = tuple(_COMMANDS)
 
 _PLOT_KINDS = {
     "mesh": ("levels", "n", "mesh", "n,mesh"),
@@ -509,13 +503,8 @@ _PLOT_KINDS = {
 }
 
 
-def export_plot_data(report_path: str, kind: str) -> str:
-    """Two-column CSV extracted from a report file."""
-    if kind not in _PLOT_KINDS:
-        raise ConfigInvalid(f"unknown plot kind {kind!r}; expected {sorted(_PLOT_KINDS)}")
-    if not os.path.exists(report_path):
-        raise ReportMissing(f"report {report_path!r} does not exist")
-    doc = _load_document(report_path, "report")
+def _plot_csv(doc, kind: str) -> str:
+    """The two-column CSV table of ``kind`` read off a report."""
     key, xk, yk, header = _PLOT_KINDS[kind]
     if not isinstance(doc, dict) or key not in doc:
         raise ReportMissing(f"report has no {key!r} table for kind {kind!r}")
@@ -527,12 +516,20 @@ def export_plot_data(report_path: str, kind: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def export_plot_data(report_path: str, kind: str) -> str:
+    """Two-column CSV extracted from a report file."""
+    if kind not in _PLOT_KINDS:
+        raise ConfigInvalid(f"unknown plot kind {kind!r}; expected {sorted(_PLOT_KINDS)}")
+    if not os.path.exists(report_path):
+        raise ReportMissing(f"report {report_path!r} does not exist")
+    return _plot_csv(_load_document(report_path, "report"), kind)
+
+
 def run_experiment(cfg: ExperimentConfig):
     """Execute one command; returns (report dict, exit code)."""
-    system = (None if cfg.command in SYSTEMLESS and cfg.system is None
-              else _resolve_system(cfg.system))
-    handler = _HANDLERS[cfg.command]
-    body, code = handler(cfg, system)
+    handler, needs_system, _ = _COMMANDS[cfg.command]
+    system = None if not needs_system and cfg.system is None else _resolve_system(cfg.system)
+    body, code = handler(cfg.parameters, system)
     report = {
         "command": cfg.command,
         "system": cfg.system if isinstance(cfg.system, str) else
@@ -543,18 +540,15 @@ def run_experiment(cfg: ExperimentConfig):
     return report, code
 
 
-_CSV_FOR_COMMAND = {"certify": "mesh", "defect": "defect", "orbit": "orbit"}
-
-
 def write_report(cfg: ExperimentConfig, report: dict) -> Path:
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{cfg.command}.json"
     ser.dump_json(report, path)
-    if cfg.format == "csv" and cfg.command in _CSV_FOR_COMMAND:
-        kind = _CSV_FOR_COMMAND[cfg.command]
-        csv_path = out_dir / f"{cfg.command}.{kind}.csv"
-        csv_path.write_text(export_plot_data(str(path), kind), encoding="utf-8")
+    kind = _COMMANDS[cfg.command][2]
+    if cfg.format == "csv" and kind is not None:
+        (out_dir / f"{cfg.command}.{kind}.csv").write_text(_plot_csv(report, kind),
+                                                            encoding="utf-8")
     return path
 
 

@@ -376,19 +376,11 @@ def integrate(mu: PLMeasure, f: TestFunction) -> Fraction:
 
 
 def uniform_orbit_measure(orbit_result) -> PLMeasure:
-    """Equal atoms on a certified finite orbit (exactly invariant)."""
-    points = getattr(orbit_result, "orbit", None)
-    if points is not None:
-        if not orbit_result.found:
-            raise NotCertifiedOrbit("orbit detection did not certify closure")
-    else:
-        if not getattr(orbit_result, "closed", False):
-            raise NotCertifiedOrbit("orbit report is not closed")
-        points = orbit_result.points
-    n = len(points)
-    if n == 0:
-        raise NotCertifiedOrbit("empty orbit")
-    return PLMeasure(points.dendrite, [(p, Fraction(1, n)) for p in points])
+    """Equal atoms on the orbit of a ``detect_finite_orbit`` result (exactly invariant)."""
+    if not orbit_result.found:
+        raise NotCertifiedOrbit("orbit detection did not certify closure")
+    points = orbit_result.orbit
+    return PLMeasure(points.dendrite, [(p, Fraction(1, len(points))) for p in points])
 
 
 class FolnerScheme(Record):

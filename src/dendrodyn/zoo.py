@@ -21,9 +21,6 @@ from .homeo import Homeo, PLMap, interval_homeo, tree_automorphism
 from .measure import FolnerScheme
 from .util import Record, read_param
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 
 # -- the unit interval and Thompson's generators --------------------------------
 
@@ -297,22 +294,32 @@ def odometer_system(depth: int, leaf_weight: str = "tail",
     }, corrupt_cover=corrupt_cover)
 
 
-# the parameters each system spec accepts, read by list_systems and get_system
-_SYSTEM_PARAMETERS = {"thompson": (), "thompson-f": (), "odometer": ("D", "leaf"),
-                     "odometer-corrupt": ("D", "leaf")}
+def _odometer_spec(name: str, params: dict, spec: str) -> ZooSystem:
+    if "D" not in params:
+        raise ConfigInvalid(f"{name} needs a depth, e.g. {name}:D=6")
+    depth = read_param(params["D"], f"depth D in {spec!r}", minimum=1)
+    leaf = params.get("leaf", "tail")
+    if leaf not in ("tail", "level"):
+        raise ConfigInvalid(f"leaf must be 'tail' or 'level' in {spec!r}")
+    return odometer_system(depth, leaf, corrupt_cover=(name == "odometer-corrupt"))
+
+
+# spec name -> (accepted parameters, `zoo list` summary, builder); a system
+# with parameters is built as builder(name, params, spec), one without as builder()
+_SYSTEMS = {
+    "thompson": ((), "Thompson generators f, g on [0, 1]", thompson_system),
+    "thompson-f": ((), "the single generator f on [0, 1]", thompson_f_system),
+    "odometer": (("D", "leaf"), "binary adding machine on the depth-D tree", _odometer_spec),
+    "odometer-corrupt": (("D", "leaf"),
+                         "odometer with a deliberately corrupted cover (negative control)",
+                         _odometer_spec),
+}
 
 
 def list_systems() -> list[dict]:
-    rows = [
-        ("thompson", "Thompson generators f, g on [0, 1]"),
-        ("thompson-f", "the single generator f on [0, 1]"),
-        ("odometer:D=<depth>", "binary adding machine on the depth-D tree"),
-        ("odometer-corrupt:D=<depth>",
-         "odometer with a deliberately corrupted cover (negative control)"),
-    ]
-    return [{"name": name, "parameters": list(_SYSTEM_PARAMETERS[name.partition(":")[0]]),
-             "summary": summary}
-            for name, summary in rows]
+    return [{"name": f"{name}:D=<depth>" if "D" in accepted else name,
+             "parameters": list(accepted), "summary": summary}
+            for name, (accepted, summary, _) in _SYSTEMS.items()]
 
 
 def get_system(spec: str) -> ZooSystem:
@@ -325,23 +332,14 @@ def get_system(spec: str) -> ZooSystem:
             if not value:
                 raise ConfigInvalid(f"bad system parameter {part!r} in {spec!r}")
             pairs.append((key.strip(), value.strip()))
-    if name not in _SYSTEM_PARAMETERS:
+    if name not in _SYSTEMS:
         raise ConfigInvalid(f"unknown zoo system {spec!r}")
+    accepted, _, build = _SYSTEMS[name]
     params = {}
     for key, value in pairs:
-        if key not in _SYSTEM_PARAMETERS[name]:
+        if key not in accepted:
             raise ConfigInvalid(f"unknown parameter {key!r} for {name} in {spec!r}")
         if key in params:
             raise ConfigInvalid(f"repeated parameter {key!r} in {spec!r}")
         params[key] = value
-    if name == "thompson":
-        return thompson_system()
-    if name == "thompson-f":
-        return thompson_f_system()
-    if "D" not in params:
-        raise ConfigInvalid(f"{name} needs a depth, e.g. {name}:D=6")
-    depth = read_param(params["D"], f"depth D in {spec!r}", minimum=1)
-    leaf = params.get("leaf", "tail")
-    if leaf not in ("tail", "level"):
-        raise ConfigInvalid(f"leaf must be 'tail' or 'level' in {spec!r}")
-    return odometer_system(depth, leaf, corrupt_cover=(name == "odometer-corrupt"))
+    return build(name, params, spec) if accepted else build()

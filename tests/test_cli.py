@@ -135,6 +135,8 @@ class TestConfigValidation:
         ("orbit", "thompson:D=3", {}),
         ("orbit", "odometer:D=3,lef=level", {}),
         ("orbit", "odometer:D=3,D=5", {}),
+        ("defect", "thompson", {"dictionary": []}),
+        ("folner-average", "thompson", {"dictionary": []}),
     ])
     def test_malformed_values_are_config_errors(self, tmp_path, capsys,
                                                 command, system, parameters):
@@ -146,6 +148,19 @@ class TestConfigValidation:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert report is None
+
+    @pytest.mark.parametrize("command, parameters, error", [
+        ("folner-average", {"n": "x", "dictionary": []}, "malformed value 'x' for n"),
+        ("folner-average", {"n": -1, "dictionary": []}, "n must be at least 0, got -1"),
+        ("defect", {"ns": ["x"], "dictionary": []}, "malformed value 'x' for ns"),
+        ("defect", {"measure": "bogus", "dictionary": []},
+         "cannot interpret measure spec 'bogus'"),
+    ])
+    def test_dictionary_is_checked_last(self, tmp_path, capsys, command, parameters, error):
+        code, _, _ = run(tmp_path, {"command": command, "system": "thompson",
+                                    "parameters": parameters})
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
 
     @pytest.mark.parametrize("level", ["verbose", "10", ""])
     def test_unknown_log_level_is_config_error(self, monkeypatch, capsys, level):
@@ -373,6 +388,27 @@ class TestCommands:
         assert report["verdict"] == "Certified"
         csv_path = path.parent / "certify.mesh.csv"
         assert csv_path.read_text().splitlines()[0] == "n,mesh"
+
+    def test_cover_shows_the_corrupted_cover(self, tmp_path):
+        # the negative control's cover is tampered as certify tampers it;
+        # cover reports and certifies nothing, so it still exits 0
+        code, report, _ = run(tmp_path, {
+            "command": "cover", "system": "odometer-corrupt:D=4",
+            "parameters": {"n": 2}})
+        assert code == 0
+        assert [(c["anchor"], c["diameter"], c["edges"]) for c in report["cells"]] == [
+            ({"vertex": "00"}, "1/4", 5), ({"vertex": "01"}, "1/2", 6),
+            ({"vertex": "10"}, "1/2", 6), ({"vertex": "11"}, "1/2", 6)]
+        assert report["mesh"] == "1/2" and report["equivariant"] is False
+
+    @pytest.mark.parametrize("command, system", [("defect", "thompson"),
+                                                 ("folner-ratio", None)])
+    def test_null_ns_is_the_default(self, tmp_path, command, system):
+        code, given, _ = run(tmp_path, {"command": command, "system": system,
+                                        "parameters": {"ns": None}})
+        assert code == 0
+        assert run(tmp_path, {"command": command, "system": system,
+                              "parameters": {}})[:2] == (0, given)
 
     def test_certify_corrupt_exits_two(self, tmp_path):
         code, report, _ = run(tmp_path, {

@@ -30,7 +30,6 @@ from .equicontinuity import (
     build_tree_tower,
     equicontinuity_certificate,
     strong_proximality_scan,
-    tamper_remove_edge,
     verify_cover_equivariance,
 )
 from .errors import ConfigInvalid, DendrodynError, ReportMissing
@@ -206,11 +205,6 @@ def _resolution(params: dict, key: str, default):
     return value
 
 
-def _orbit_budget(params: dict) -> int | None:
-    budget = params.get("orbit_budget")
-    return None if budget is None else read_param(budget, "orbit_budget", minimum=1)
-
-
 def _param_text(params: dict, key: str, default) -> str:
     value = params.get(key, default)
     if not isinstance(value, str):
@@ -313,16 +307,19 @@ def _cmd_classify(params, system):
     return doc, 0
 
 
-def _tower(params, system, n_max):
-    """The seed's minimal set and its tower of trees up to level ``n_max``."""
-    m, _, tower_class = _minimal_set(system, params)
-    return m, build_tree_tower(system.generators, m, n_max, minimal_class=tower_class,
-                               orbit_budget=_orbit_budget(params))
+def _tower(params, system, n_max, m, tower_class):
+    """The tower to ``n_max`` of the minimal set ``m`` read by :func:`_minimal_set`."""
+    budget = params.get("orbit_budget")
+    if budget is not None:
+        budget = read_param(budget, "orbit_budget", minimum=1)
+    return build_tree_tower(system.generators, m, n_max, minimal_class=tower_class,
+                            orbit_budget=budget, corrupt_cover=system.corrupt_cover)
 
 
 def _cmd_tower(params, system):
     n_max = read_param(params.get("n_max", 4), "n_max", minimum=1)
-    m, tower = _tower(params, system, n_max)
+    m, _, tower_class = _minimal_set(system, params)
+    tower = _tower(params, system, n_max, m, tower_class)
     levels = []
     for lvl in tower.levels:
         levels.append({
@@ -337,11 +334,10 @@ def _cmd_tower(params, system):
 
 def _cmd_cover(params, system):
     n = read_param(params.get("n", 1), "n", minimum=1)
-    _, tower = _tower(params, system, n)
+    m, _, tower_class = _minimal_set(system, params)
+    tower = _tower(params, system, n, m, tower_class)
     level = tower.levels[-1]
     cover = tower.cover(level.index)
-    if system.corrupt_cover:
-        cover = tamper_remove_edge(cover)
     equi = verify_cover_equivariance(system.generators, cover)
     cells = [{"anchor": ser.point_to_json(a),
               "diameter": frac_str(d),
@@ -364,14 +360,11 @@ def _cmd_certify(params, system):
             eps_grid_values(eps_grid)
         except ValueError as exc:
             raise ConfigInvalid(f"eps_grid: {exc}, got {[frac_str(e) for e in eps_grid]}") from None
-    cert = equicontinuity_certificate(
-        system.generators, m, n_max,
-        mesh_target=(None if params.get("mesh_target") is None
-                     else _resolution(params, "mesh_target", None)),
-        eps_grid=eps_grid,
-        minimal_class=tower_class,
-        orbit_budget=_orbit_budget(params),
-        cover_tamper=tamper_remove_edge if system.corrupt_cover else None)
+    mesh_target = (None if params.get("mesh_target") is None
+                   else _resolution(params, "mesh_target", None))
+    cert = equicontinuity_certificate(system.generators,
+                                      _tower(params, system, n_max, m, tower_class),
+                                      mesh_target=mesh_target, eps_grid=eps_grid)
     doc = ser.certificate_to_json(cert)
     return doc, (2 if cert.verdict == "Failed" else 0)
 
@@ -393,7 +386,10 @@ def _cmd_pushforward(params, system):
 
 def _averaging(params, system):
     """Følner scheme and start measure of ``folner-average`` and ``defect``."""
-    scheme = folner_scheme_Z(_param_text(params, "scheme_symbol", system.generators.symbols[0]))
+    symbols = system.generators.symbols
+    if not symbols:
+        raise ConfigInvalid("the system has no generator to average along")
+    scheme = folner_scheme_Z(_param_text(params, "scheme_symbol", symbols[0]))
     return scheme, _resolve_measure(params.get("measure", {"dirac": params.get("x")}), system)
 
 

@@ -54,13 +54,19 @@ class TowerLevel(Record):
 class TreeTower(Record, uncompared=("rooted",)):
     levels: tuple[TowerLevel, ...]
     rooted: _RootedHull  # the hull of the minimal set and every level, ranked by level
+    corrupt_cover: bool = False  # the negative control: every cover loses part of a cell
 
     def __len__(self):
         return len(self.levels)
 
     def cover(self, n: int) -> FrontierCover:
-        """The cover of level ``n``'s tree; raises its coverage gap, if any."""
-        return self.rooted.cover(n, n)
+        """The cover of level ``n``'s tree; raises its coverage gap, if any.
+
+        A tower built with ``corrupt_cover`` hands out the cover through
+        :func:`tamper_remove_edge`.
+        """
+        cover = self.rooted.cover(n, n)
+        return tamper_remove_edge(cover) if self.corrupt_cover else cover
 
 
 def _branch_order(X: Dendrite, hull: Subdendrite) -> list:
@@ -80,7 +86,8 @@ def _branch_order(X: Dendrite, hull: Subdendrite) -> list:
 
 def build_tree_tower(gens: GeneratorSet, m: FiniteClosedSet, n_max: int,
                      *, minimal_class: str = "cantor-like",
-                     orbit_budget: int | None = None) -> TreeTower:
+                     orbit_budget: int | None = None,
+                     corrupt_cover: bool = False) -> TreeTower:
     """Nested sub-trees of the hull of ``m`` with finite-orbit frontiers.
 
     ``minimal_class`` is "cantor-like" or "finite", which short-circuits to
@@ -88,7 +95,8 @@ def build_tree_tower(gens: GeneratorSet, m: FiniteClosedSet, n_max: int,
     otherwise).  Branch points are scanned in increasing distance from the
     hull's smallest vertex; the first certified orbits win.  Level n's tree
     is the hull of the first n orbits; every frontier is read off one rooted
-    hull, which the tower keeps for its covers.
+    hull, which the tower keeps for its covers.  ``corrupt_cover`` makes the
+    tower the negative control, whose covers are corrupted.
     """
     if minimal_class not in ("finite", "cantor-like"):
         raise ValueError(f"minimal_class must be 'finite' or 'cantor-like', got {minimal_class!r}")
@@ -98,7 +106,8 @@ def build_tree_tower(gens: GeneratorSet, m: FiniteClosedSet, n_max: int,
     hull = X.hull(m)
     if minimal_class == "finite":
         rooted = _RootedHull(X, hull, m, [m])
-        return TreeTower((TowerLevel(1, m, rooted.frontiers[0], strict=True),), rooted)
+        return TreeTower((TowerLevel(1, m, rooted.frontiers[0], strict=True),), rooted,
+                         corrupt_cover)
 
     budget = orbit_budget if orbit_budget is not None else max(64, 2 ** n_max)
     orbits: list[FiniteClosedSet] = []
@@ -116,11 +125,8 @@ def build_tree_tower(gens: GeneratorSet, m: FiniteClosedSet, n_max: int,
         visited.update(result.orbit.points)
         if len(orbits) >= n_max:
             break
-    if not orbits:
-        if pending_growth is not None:
-            raise BudgetExceeded(
-                f"no orbit closed within budget {budget}; growth {pending_growth}")
-        raise NoFiniteOrbitFound("no finite orbit among the hull's branch points")
+    if not orbits:  # the scan met a branch point, so each one ran out of budget
+        raise BudgetExceeded(f"no orbit closed within budget {budget}; growth {pending_growth}")
 
     if not all(map(hull.contains, visited)):  # an orbit leaves hull(m), so m is not invariant
         hull = X.hull(chain(m.points, visited))
@@ -130,7 +136,7 @@ def build_tree_tower(gens: GeneratorSet, m: FiniteClosedSet, n_max: int,
         if not _is_closed(gens, dict.fromkeys(frontier)):
             raise CoverageGap(f"frontier at level {i} is not generator-closed")
         levels.append(TowerLevel(i, orb, frontier, frontier == orb))
-    return TreeTower(tuple(levels), rooted)
+    return TreeTower(tuple(levels), rooted, corrupt_cover)
 
 
 class FrontierCover(Record):
@@ -357,8 +363,6 @@ class EquivarianceReport(Record):
     level: int
     ok: bool
     counterexample: tuple[str, int, DPoint] | None
-    note: str = ("equivariance on generators extends to every word "
-                 "of the generated group by composition")
 
 
 def verify_cover_equivariance(gens: GeneratorSet, cover: FrontierCover
@@ -413,29 +417,25 @@ def _delta_table(meshes: Sequence[Fraction], gaps: Sequence[Fraction | None],
     return tuple(rows)
 
 
-def equicontinuity_certificate(gens: GeneratorSet, m: FiniteClosedSet, n_max: int,
+def equicontinuity_certificate(gens: GeneratorSet, tower: TreeTower,
                                *, mesh_target: Fraction | None = None,
-                               eps_grid: Sequence[Fraction] | None = None,
-                               minimal_class: str = "cantor-like",
-                               orbit_budget: int | None = None,
-                               cover_tamper=None) -> EquicontinuityCertificate:
-    """Build the tower and covers and certify a uniform modulus.
+                               eps_grid: Sequence[Fraction] | None = None
+                               ) -> EquicontinuityCertificate:
+    """Check the covers of a tower built from ``gens`` and certify a uniform modulus.
 
     Certified: every level is exactly equivariant and meshes strictly decay
     (reaching ``mesh_target`` when one is given); such a modulus is valid for
     the entire generated group, not just the sampled generators.  A one-level
     tower shows no decay, and its explanation says so.  Failed states a
-    witness.  ``cover_tamper`` deterministically corrupts each cover before
-    verification (negative-control hook).  A given ``eps_grid`` must be
-    positive and strictly decreasing (``ValueError`` otherwise); it and
-    ``mesh_target`` are exact rationals (``TypeError`` for a float).
+    witness.  A tower built with ``corrupt_cover`` is checked on its
+    corrupted covers.  A given ``eps_grid`` must be positive and strictly
+    decreasing (``ValueError`` otherwise); it and ``mesh_target`` are exact
+    rationals (``TypeError`` for a float).
     """
     if eps_grid is not None:
         eps_grid = eps_grid_values(eps_grid)
     if mesh_target is not None:
         mesh_target = frac(mesh_target)
-    tower = build_tree_tower(gens, m, n_max, minimal_class=minimal_class,
-                             orbit_budget=orbit_budget)
     levels = []
     witness = None
     all_equivariant = True
@@ -443,8 +443,6 @@ def equicontinuity_certificate(gens: GeneratorSet, m: FiniteClosedSet, n_max: in
     gaps: list[Fraction | None] = []
     for level in tower.levels:
         cover = tower.cover(level.index)  # dropped once checked
-        if cover_tamper is not None:
-            cover = cover_tamper(cover)
         report = verify_cover_equivariance(gens, cover)
         if not report.ok and witness is None:
             witness = report.counterexample

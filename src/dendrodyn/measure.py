@@ -310,27 +310,19 @@ class TestFunction:
 
     @classmethod
     def distance_to(cls, dendrite: Dendrite, p: DPoint) -> "TestFunction":
-        """The exact distance function x -> d(x, p)."""
+        """The exact distance function x -> d(x, p).
+
+        In a tree an edge without ``p`` has ends one weight apart in distance
+        to ``p``, so the function is linear there; only ``p``'s own edge kinks.
+        """
         p = dendrite.check_point(p)
         scale, lengths, places = _integer_lengths(dendrite, [p])
         dist, _ = _sweep_to(dendrite, lengths, places)
         vv = {v: Fraction(d, scale) for v, d in dist.items()}
         ed = {}
-        for e in dendrite.edges:
-            du, dv = vv[e.u], vv[e.v]
-            xs, ys = [ZERO], [du]
-            if isinstance(p, EdgePoint) and p.edge == e.eid:
-                xs.append(p.t)
-                ys.append(ZERO)
-            else:
-                # one kink where the nearest route switches endpoints
-                t_star = (dv - du + e.weight) / (2 * e.weight)
-                if 0 < t_star < 1:
-                    xs.append(t_star)
-                    ys.append(du + t_star * e.weight)
-            xs.append(ONE)
-            ys.append(dv)
-            ed[e.eid] = (tuple(xs), tuple(ys))
+        if isinstance(p, EdgePoint):
+            e = dendrite.edge(p.edge)
+            ed[e.eid] = ((ZERO, p.t, ONE), (vv[e.u], ZERO, vv[e.v]))
         return cls(dendrite, vv, ed, name=f"dist({p!r})")
 
     def __call__(self, p: DPoint) -> Fraction:

@@ -127,7 +127,8 @@ def test_criterion_03_odometer_certificate_depth8():
     budget = Budget(10)
     system = odometer_system(8)
     m = leaf_orbit(system, 8)
-    cert = equicontinuity_certificate(system.generators, m, 6,
+    cert = equicontinuity_certificate(system.generators,
+                                      build_tree_tower(system.generators, m, 6),
                                       mesh_target=F(1, 16))
     meshes = [lvl.mesh for lvl in cert.levels]
     expected = [F(2) ** (1 - n) for n in range(1, 7)]

@@ -13,7 +13,9 @@ from dendrodyn import serialization as ser
 from dendrodyn.cli import ExperimentConfig, export_plot_data, main
 from dendrodyn.equicontinuity import build_tree_tower, frontier_cover
 from dendrodyn.errors import ConfigInvalid, ReportMissing
+from dendrodyn.measure import TestFunction, canonical_measure, folner_average, invariance_defect
 from dendrodyn.util import frac_str
+from dendrodyn.zoo import folner_scheme_Z, get_system
 
 F = Fraction
 INTERVAL = {"vertices": ["0", "1"], "edges": [{"id": "e", "u": "0", "v": "1"}]}
@@ -137,6 +139,8 @@ class TestConfigValidation:
         ("orbit", "odometer:D=3,D=5", {}),
         ("defect", "thompson", {"dictionary": []}),
         ("folner-average", "thompson", {"dictionary": []}),
+        ("folner-average", {"dendrite": INTERVAL, "generators": []}, {}),
+        ("defect", {"dendrite": INTERVAL, "generators": []}, {"ns": [1]}),
     ])
     def test_malformed_values_are_config_errors(self, tmp_path, capsys,
                                                 command, system, parameters):
@@ -440,6 +444,23 @@ class TestCommands:
         defects = [F(row[1]) for row in report["rows"]]
         bounds = [F(row[2]) for row in report["rows"]]
         assert all(d <= b for d, b in zip(defects, bounds))
+
+    def test_defect_with_an_explicit_dictionary(self, tmp_path):
+        # the probes are read as points of the system and become distance functions
+        code, report, _ = run(tmp_path, {
+            "command": "defect", "system": "thompson",
+            "parameters": {"ns": [1, 2], "measure": "canonical",
+                           "dictionary": ["1/3", {"vertex": "1"}]}})
+        assert code == 0
+        system = get_system("thompson")
+        X, gens = system.dendrite, system.generators
+        fns = [TestFunction.distance_to(X, X.point("e", F(1, 3))),
+               TestFunction.distance_to(X, X.vertex_point("1"))]
+        sup = max(f.sup_norm() for f in fns)
+        rows = [[n, frac_str(invariance_defect(gens, folner_average(
+                    gens, folner_scheme_Z("f"), canonical_measure(X), n), fns)),
+                 frac_str(2 * sup / (2 * n + 1))] for n in (1, 2)]
+        assert report["rows"] == rows and report["sup_norm"] == frac_str(sup)
 
     def test_paradox_check(self, tmp_path):
         code, report, _ = run(tmp_path, {

@@ -26,7 +26,7 @@ from dendrodyn.equicontinuity import (
     tamper_remove_edge,
     verify_cover_equivariance,
 )
-from dendrodyn.errors import CoverageGap, NoFiniteOrbitFound
+from dendrodyn.errors import BudgetExceeded, CoverageGap, NoFiniteOrbitFound
 from dendrodyn.homeo import Homeo, PLMap, apply, image_subdendrite, tree_automorphism
 from dendrodyn.measure import PLMeasure, canonical_measure, dirac
 from dendrodyn.util import point_key
@@ -114,15 +114,21 @@ class TestTower:
         for lvl in tower.levels:
             assert {apply(g, p) for p in lvl.frontier} == set(lvl.frontier.points)
 
+    def test_corrupt_tower_tampers_every_cover(self, odo4_setup):
+        system, m = odo4_setup
+        clean = build_tree_tower(system.generators, m, 3)
+        corrupt = build_tree_tower(system.generators, m, 3, corrupt_cover=True)
+        assert corrupt.levels == clean.levels and corrupt != clean
+        for level in clean.levels:
+            cover = clean.cover(level.index)
+            assert corrupt.cover(level.index) == tamper_remove_edge(cover) != cover
+
     @pytest.mark.parametrize("minimal_class", ["Finite", "fnite", "whole-space", None])
     def test_unknown_minimal_class_refused(self, odo4_setup, minimal_class):
         system, m = odo4_setup
         message = f"minimal_class must be 'finite' or 'cantor-like', got {minimal_class!r}"
         with pytest.raises(ValueError) as err:
             build_tree_tower(system.generators, m, 3, minimal_class=minimal_class)
-        assert str(err.value) == message
-        with pytest.raises(ValueError) as err:
-            equicontinuity_certificate(system.generators, m, 3, minimal_class=minimal_class)
         assert str(err.value) == message
 
     @pytest.mark.parametrize("minimal_class", ["finite", "cantor-like"])
@@ -141,6 +147,15 @@ class TestTower:
                                 X.point("e", F(3, 4))])
         with pytest.raises(NoFiniteOrbitFound):
             build_tree_tower(system.generators, m, 2)
+
+    def test_no_orbit_within_budget(self):
+        # the hull's one branch point, 000, has an orbit of 8, which one step cannot close
+        system = odometer_system(4)
+        X = system.dendrite
+        m = FiniteClosedSet(X, [X.vertex_point(v) for v in ("0000", "0001", "0010")])
+        with pytest.raises(BudgetExceeded) as err:
+            build_tree_tower(system.generators, m, 2, orbit_budget=1)
+        assert str(err.value) == "no orbit closed within budget 1; growth (1, 3)"
 
     @pytest.mark.parametrize("depth", range(3, 9))
     def test_branch_order_matches_per_pair_distances(self, monkeypatch, depth):
@@ -292,15 +307,16 @@ class TestCertificate:
     def test_finite_minimal_set_trivially_certified(self):
         system = odometer_system(2)
         res = detect_finite_orbit(system.generators, leaf_point(system.dendrite, 2), 8)
-        cert = equicontinuity_certificate(system.generators, res.orbit, 2,
-                                          minimal_class="finite")
+        tower = build_tree_tower(system.generators, res.orbit, 2, minimal_class="finite")
+        cert = equicontinuity_certificate(system.generators, tower)
         assert cert.verdict == "Certified"
         assert cert.levels[-1].mesh == 0
 
     def test_odometer_depth8_certified_with_mesh_law(self):
         system = odometer_system(8)
         m = leaf_set(system, 8)
-        cert = equicontinuity_certificate(system.generators, m, 6,
+        cert = equicontinuity_certificate(system.generators,
+                                          build_tree_tower(system.generators, m, 6),
                                           mesh_target=F(1, 16))
         assert cert.verdict == "Certified"
         assert [lvl.mesh for lvl in cert.levels] == [F(2) ** (1 - n)
@@ -324,7 +340,8 @@ class TestCertificate:
 
         monkeypatch.setattr(PLMap, "__call__", counting)
         system = odometer_system(6)
-        cert = equicontinuity_certificate(system.generators, leaf_set(system, 6), 6)
+        tower = build_tree_tower(system.generators, leaf_set(system, 6), 6)
+        cert = equicontinuity_certificate(system.generators, tower)
         assert cert.verdict == "Certified"
         assert [lvl.cell_count for lvl in cert.levels] == [2, 4, 8, 16, 32]
         assert calls == []
@@ -332,15 +349,16 @@ class TestCertificate:
     def test_corrupted_cover_fails_with_witness(self):
         system = odometer_system(4)
         m = leaf_set(system, 4)
-        cert = equicontinuity_certificate(system.generators, m, 2,
-                                          cover_tamper=tamper_remove_edge)
+        tower = build_tree_tower(system.generators, m, 2, corrupt_cover=True)
+        cert = equicontinuity_certificate(system.generators, tower)
         assert cert.verdict == "Failed"
         assert cert.witness is not None
 
     def test_mesh_target_miss_fails(self):
         system = odometer_system(4)
         m = leaf_set(system, 4)
-        cert = equicontinuity_certificate(system.generators, m, 2,
+        cert = equicontinuity_certificate(system.generators,
+                                          build_tree_tower(system.generators, m, 2),
                                           mesh_target=F(1, 64))
         assert cert.verdict == "Failed"
 
@@ -353,7 +371,8 @@ class TestCertificate:
                              ids=["one-level", "four-levels"])
     def test_one_level_claims_no_decay(self, n_max, explanation):
         system = odometer_system(5)
-        cert = equicontinuity_certificate(system.generators, leaf_set(system, 5), n_max)
+        tower = build_tree_tower(system.generators, leaf_set(system, 5), n_max)
+        cert = equicontinuity_certificate(system.generators, tower)
         assert cert.verdict == "Certified" and len(cert.levels) == n_max
         assert cert.explanation == explanation
 
@@ -361,7 +380,8 @@ class TestCertificate:
         system = thompson_system()
         X = system.dendrite
         m = FiniteClosedSet(X, [X.vertex_point("0")])
-        cert = equicontinuity_certificate(system.generators, m, 4, minimal_class="finite")
+        tower = build_tree_tower(system.generators, m, 4, minimal_class="finite")
+        cert = equicontinuity_certificate(system.generators, tower)
         assert cert.verdict == "Certified" and [lvl.mesh for lvl in cert.levels] == [0]
         assert cert.explanation == self.ONE_LEVEL
 
@@ -369,7 +389,8 @@ class TestCertificate:
         lambda s, x, m: minimal_set_approx(s.generators, x, 2, 0.1),
         lambda s, x, m: classify_minimal_set(s.dendrite, m, 0.1),
         lambda s, x, m: detect_recurrence(s.generators, x, 0.1, 2),
-        lambda s, x, m: equicontinuity_certificate(s.generators, m, 4, mesh_target=0.2),
+        lambda s, x, m: equicontinuity_certificate(
+            s.generators, build_tree_tower(s.generators, m, 4), mesh_target=0.2),
     ], ids=["minimal_set_approx", "classify_minimal_set", "detect_recurrence",
             "equicontinuity_certificate"])
     def test_float_resolution_refused(self, call):
@@ -385,8 +406,9 @@ class TestCertificate:
     def test_bad_eps_grid_raises(self, eps_grid):
         system = odometer_system(3)
         with pytest.raises(ValueError, match="epsilon grid"):
-            equicontinuity_certificate(system.generators, leaf_set(system, 3), 2,
-                                       eps_grid=eps_grid)
+            equicontinuity_certificate(
+                system.generators, build_tree_tower(system.generators, leaf_set(system, 3), 2),
+                eps_grid=eps_grid)
 
 
 class TestProximalityScan:
@@ -644,8 +666,8 @@ class TestOnePassCovers:
         gens = GeneratorSet(X, [("t", tree_automorphism(X, turn)),
                                 ("s", tree_automorphism(X, swap))])
         m = FiniteClosedSet(X, [X.vertex_point(f"l{i}{j}") for i in arms for j in "01"])
-        cert = equicontinuity_certificate(gens, m, 2)
         tower = build_tree_tower(gens, m, 2)
+        cert = equicontinuity_certificate(gens, tower)
         assert [len(lvl.orbit) for lvl in tower.levels] == [1, 3]
         assert_levels_match_oracle(X, tower)
         assert X.hull(tower.levels[0].frontier) == X.hull([X.vertex_point("a")])
@@ -661,15 +683,15 @@ class TestOnePassCovers:
         # measured on the tampered cells, and equivariance still fails
         system = odometer_system(5)
         m = leaf_set(system, 5)
-        tampered = []
-        cert = equicontinuity_certificate(
-            system.generators, m, 4,
-            cover_tamper=lambda cover: tampered.append(tamper_remove_edge(cover)) or tampered[-1])
+        tower = build_tree_tower(system.generators, m, 4, corrupt_cover=True)
+        cert = equicontinuity_certificate(system.generators, tower)
         assert cert.verdict == "Failed" and cert.witness is not None
-        for level, cover in zip(cert.levels, tampered):
+        for level in cert.levels:
+            cover = tower.cover(level.index)
             assert level.mesh == cover.mesh() == mesh([c for _, c in cover.cells])
             assert list(cover.diameters) == [c.diameter() for _, c in cover.cells]
-        clean = equicontinuity_certificate(system.generators, m, 4)
+        clean = equicontinuity_certificate(system.generators,
+                                           build_tree_tower(system.generators, m, 4))
         assert [lvl.mesh for lvl in cert.levels] == [lvl.mesh for lvl in clean.levels]
 
 
@@ -766,7 +788,7 @@ class TestTowerLevels:
         assert [len(lvl.orbit) for lvl in tower.levels] == [4]
         assert_levels_match_oracle(X, tower)
         assert tower.cover(1) == frontier_cover_oracle(X, m, X.hull(tower.levels[0].frontier), 1)
-        cert = equicontinuity_certificate(system.generators, m, 3)
+        cert = equicontinuity_certificate(system.generators, tower)
         assert cert.verdict == "Failed" and cert.witness == ("g", 1, X.vertex_point("00"))
 
 
@@ -815,7 +837,7 @@ class TestSoundModulus:
 
     def test_seven_vertex_example(self):
         gens, m = seven_vertex_example()
-        cert = equicontinuity_certificate(gens, m, 2)
+        cert = equicontinuity_certificate(gens, build_tree_tower(gens, m, 2))
         assert cert.verdict == "Certified"
         assert [lvl.mesh for lvl in cert.levels] == [F(65, 64)]
         assert cert.delta_table == ((F(65, 64), F(1, 16)), (F(1), F(0)))
@@ -828,14 +850,14 @@ class TestSoundModulus:
         # largest mesh at most eps
         system = odometer_system(depth, leaf_weight=leaf_weight)
         gens, X, m = system.generators, system.dendrite, leaf_set(system, depth)
-        cert = equicontinuity_certificate(gens, m, 6)
+        tower = build_tree_tower(gens, m, 6)
+        cert = equicontinuity_certificate(gens, tower)
         assert cert.verdict == "Certified"
         meshes = [lvl.mesh for lvl in cert.levels]
         assert cert.delta_table == tuple((eps, max((x for x in meshes if x <= eps), default=0))
                                          for eps, _ in cert.delta_table)
         for eps, delta, worst in group_modulus_audit(gens, m, cert.delta_table):
             assert worst <= eps, (eps, delta, worst)
-        tower = build_tree_tower(gens, m, 6)
         for level, mesh_n in zip(tower.levels, meshes):
             gap = tower.rooted.gap(level.index)
             assert gap == cell_gap_oracle(X, m, tower.cover(level.index))
@@ -845,7 +867,7 @@ class TestSoundModulus:
     @given(rotated_copies())
     def test_rotated_copies_audit(self, data):
         gens, m = data
-        cert = outcome(equicontinuity_certificate, gens, m, 3)
+        cert = outcome(lambda: equicontinuity_certificate(gens, build_tree_tower(gens, m, 3)))
         if isinstance(cert, tuple):  # a refused tower claims nothing
             assert issubclass(cert[0], (CoverageGap, NoFiniteOrbitFound)), cert
         elif cert.verdict == "Certified":
@@ -876,7 +898,8 @@ class TestDefaultEpsGrid:
         # used to hold that 0 as an epsilon
         system = odometer_system(4)
         m = leaf_set(system, 4)
-        cert = equicontinuity_certificate(system.generators, m, 3, minimal_class="finite")
+        tower = build_tree_tower(system.generators, m, 3, minimal_class="finite")
+        cert = equicontinuity_certificate(system.generators, tower)
         assert [lvl.mesh for lvl in cert.levels] == [0]
         assert cert.delta_table == ((F(1), F(0)),)
 

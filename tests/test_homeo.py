@@ -302,6 +302,28 @@ class TestValidate:
         assert not report.valid
         assert {v.kind for v in report.violations} == {"domain"}
 
+    I = PLMap.identity()
+    VERTICES = {"a": "a", "b": "b", "c": "c"}
+    EDGES = {"e1": ("e1", I), "e2": ("e2", I)}
+    MISMATCH = "edge 'e2': endpoints map to ('b', {!r}) but the assigned image edge runs ('b', 'c')"
+
+    @pytest.mark.parametrize("vertex_map, edge_map, violations", [
+        ({"a": "a", "b": "b", "z": "c"}, EDGES,
+         [("domain", "vertex map domain differs from vertex set"),
+          ("endpoint-mismatch", MISMATCH.format(None))]),
+        ({"a": "a", "b": "b", "c": "z"}, EDGES,
+         [("off-dendrite", "vertex image outside the dendrite"),
+          ("endpoint-mismatch", MISMATCH.format("z"))]),
+        (VERTICES, {"e1": ("e1", I)}, [("edge-missing", "edge 'e2' has no image")]),
+        (VERTICES, {"e1": ("e1", I), "e2": ("nowhere", I)},
+         [("off-dendrite", "edge 'e2' maps to unknown edge 'nowhere'")]),
+    ], ids=["vertex-domain", "vertex-off-dendrite", "edge-missing", "unknown-target-edge"])
+    def test_structural_violations_reported(self, vertex_map, edge_map, violations):
+        X = Dendrite(["a", "b", "c"], [("e1", "a", "b", 1), ("e2", "b", "c", 1)], [1, 1])
+        report = validate(Homeo(X, vertex_map, edge_map))
+        assert not report.valid and report.notes == ()
+        assert [(v.kind, v.detail) for v in report.violations] == violations
+
     def test_odometer_validates_isometric(self):
         g = odometer(4)
         report = validate(g)

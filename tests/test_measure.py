@@ -479,6 +479,11 @@ class TestIntegrate:
         assert f.vertex_values == {v: metric_distance(X, X.vertex_point(v), p)
                                    for v in X.vertices}
         assert f(q) == metric_distance(X, q, p)
+        # in a tree only p's own edge kinks; every other edge is linear
+        vv = f.vertex_values
+        for e in X.edges:
+            if getattr(p, "edge", None) != e.eid:
+                assert f.edge_data[e.eid] == ((0, 1), (vv[e.u], vv[e.v])), e.eid
 
 
 class TestUniformOrbitMeasure:

@@ -294,10 +294,11 @@ class TestOdometerMinimalSetStructure:
         assert hull.endpoint_set() == leaves
 
     def test_certificate_certified(self):
-        from dendrodyn.equicontinuity import equicontinuity_certificate
+        from dendrodyn.equicontinuity import build_tree_tower, equicontinuity_certificate
         from dendrodyn.dendrite import FiniteClosedSet
         system = odometer_system(5)
         X = system.dendrite
         leaves = FiniteClosedSet(X, [leaf_point(X, 5, k) for k in range(32)])
-        cert = equicontinuity_certificate(system.generators, leaves, 3)
+        cert = equicontinuity_certificate(system.generators,
+                                          build_tree_tower(system.generators, leaves, 3))
         assert cert.verdict == "Certified"
